@@ -117,8 +117,11 @@ class Signature:
             out.extend(self.rules.get(name, ()))
         return out
 
-    def names(self) -> set[str]:
-        return set(self.consts)
+    def namespace(self) -> tuple[set[str], set[str]]:
+        """Fresh (declared names, definable names) sets, as the parser
+        threads them through the files that extend this signature."""
+        return (set(self.consts),
+                {n for n, info in self.consts.items() if not info.static})
 
     def copy(self) -> "Signature":
         s = Signature()

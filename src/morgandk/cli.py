@@ -102,11 +102,13 @@ def _require_paths(paths: list[str]) -> list[Path] | None:
 
 
 def _check_files(paths: list[Path], fuel_steps: int,
-                 out: _Out | None = None) -> Signature:
-    """One concatenated signature, in argument order."""
-    sig = Signature()
-    consts: set[str] = set()
-    defs: set[str] = set()
+                 out: _Out | None = None,
+                 sig: Signature | None = None) -> Signature:
+    """Check the files in argument order as one signature, extending
+    `sig` (a fresh signature by default)."""
+    if sig is None:
+        sig = Signature()
+    consts, defs = sig.namespace()
     for path in paths:
         decls = parse_file(path.read_text(), str(path), consts, defs)
         for d in decls:
@@ -146,8 +148,8 @@ def cmd_reduce(args) -> int:
                      event="step", rule=rule, path=list(pos))
         out.emit(pretty(nf), event="normal", term=pretty(nf))
     else:
-        out.emit(pretty(red.normalize(term)),
-                 event="normal", term=pretty(red.normalize(term)))
+        nf = pretty(red.normalize(term))
+        out.emit(nf, event="normal", term=nf)
     return 0
 
 
@@ -196,16 +198,9 @@ def cmd_cp(args) -> int:
     tgt_paths = _require_paths(args.paths)
     if ctx_paths is None or tgt_paths is None:
         return 2
-    sig = Signature()
-    consts: set[str] = set()
-    defs: set[str] = set()
-    for path in ctx_paths:
-        for d in parse_file(path.read_text(), str(path), consts, defs):
-            check_declaration(sig, d, fuel)
+    sig = _check_files(ctx_paths, fuel)
     before = {head: len(rs) for head, rs in sig.rules.items()}
-    for path in tgt_paths:
-        for d in parse_file(path.read_text(), str(path), consts, defs):
-            check_declaration(sig, d, fuel)
+    _check_files(tgt_paths, fuel, sig=sig)
     target_rules = []
     for head in sig.order:
         rs = sig.rules.get(head, [])

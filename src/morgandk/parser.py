@@ -29,7 +29,7 @@ from .terms import (App, Const, Lam, Pi, Sort, Term, TYPE, Var, free_vars,
 __all__ = [
     "SourceSpan", "ParseError", "Token",
     "StaticConst", "DefinableConst", "Definition", "RuleDecl", "Declaration",
-    "tokenize", "parse_file", "parse_files", "parse_term",
+    "tokenize", "parse_file", "parse_term",
     "pretty", "print_declaration",
 ]
 
@@ -371,16 +371,6 @@ def parse_file(text: str, file: str = "<input>",
     p = _Parser(tokenize(text, file), file,
                 consts if consts is not None else set(), defs)
     return p.file_decls()
-
-
-def parse_files(files: list[tuple[str, str]]) -> list[Declaration]:
-    """Parse (name, text) pairs in order, threading declarations across."""
-    consts: set[str] = set()
-    defs: set[str] = set()
-    out: list[Declaration] = []
-    for file, text in files:
-        out.extend(parse_file(text, file, consts, defs))
-    return out
 
 
 def parse_term(text: str, consts: set[str] | frozenset[str] = frozenset(),

@@ -18,6 +18,7 @@ normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .algebra import Fails, Holds, Verdict
@@ -141,24 +142,9 @@ class Reducer:
     # matching, modulo reduction
 
     def match(self, pat: Term, t: Term, sub: dict[str, Term]) -> bool:
-        match pat:
-            case Var(v):
-                if v in sub:
-                    return self.conv(sub[v], t)
-                sub[v] = t
-                return True
-            case Const(c):
-                t = self.whnf(t)
-                return isinstance(t, Const) and t.name == c
-            case App(pf, pa):
-                t = self.whnf(t)
-                return (isinstance(t, App) and self.match(pf, t.fn, sub)
-                        and self.match(pa, t.arg, sub))
-        return False
-
-    def _match_args(self, pats: tuple[Term, ...], args: list[Term],
-                    sub: dict[str, Term]) -> bool:
-        return all(self.match(p, a, sub) for p, a in zip(pats, args))
+        """Match modulo reduction: weak-head normalize the subject where
+        the pattern demands it, compare repeated variables by `conv`."""
+        return _match(pat, t, sub, self.conv, self.whnf)
 
     def whnf(self, t: Term) -> Term:
         if self.whnf_cache is not None and t in self.whnf_cache:
@@ -172,11 +158,12 @@ class Reducer:
                 continue
             nxt = None
             if isinstance(head, Const):
+                match_arg = self.match
                 for r in self.rules.get(head.name, ()):
                     n = len(r.lhs_args)
                     if n <= len(args):
                         sub: dict[str, Term] = {}
-                        if self._match_args(r.lhs_args, args[:n], sub):
+                        if all(map(match_arg, r.lhs_args, args, repeat(sub))):
                             nxt = app(msubst(r.rhs, sub), *args[n:])
                             break
             if nxt is None:
@@ -276,7 +263,7 @@ class Reducer:
             for r in self.rules.get(head.name, ()):
                 if len(r.lhs_args) == len(args):
                     sub: dict[str, Term] = {}
-                    if _match_syntactic(r.lhs_args, args, sub):
+                    if all(map(_match, r.lhs_args, args, repeat(sub))):
                         return r.name, msubst(r.rhs, sub)
         return None
 
@@ -329,12 +316,39 @@ class Reducer:
                 binding: dict[str, Term] = {}
                 if not (isinstance(head, Const) and head.name == r.head
                         and len(args) == len(r.lhs_args)
-                        and _match_syntactic(r.lhs_args, args, binding)):
+                        and all(map(_match, r.lhs_args, args,
+                                    repeat(binding)))):
                     raise ReplayError(
                         f"rule {name!r} does not apply at {'/'.join(pos) or 'root'}")
                 repl = msubst(r.rhs, binding)
             t = _replace_at(t, pos, repl)
         return t
+
+
+def _match(pat: Term, t: Term, sub: dict[str, Term],
+           eq: Optional[Callable[[Term, Term], bool]] = None,
+           whnf: Optional[Callable[[Term], Term]] = None) -> bool:
+    """The one first-order matcher: extend `sub` so that `pat` instantiates
+    to `t`.  A repeated pattern variable compares its matches with `eq`
+    (alpha-equality by default); with `whnf`, the subject is weak-head
+    normalized wherever the pattern demands a constant or an
+    application."""
+    match pat:
+        case Var(v):
+            if v in sub:
+                return (eq or alpha_eq)(sub[v], t)
+            sub[v] = t
+            return True
+        case Const(c):
+            if whnf is not None:
+                t = whnf(t)
+            return isinstance(t, Const) and t.name == c
+        case App(pf, pa):
+            if whnf is not None:
+                t = whnf(t)
+            return (isinstance(t, App) and _match(pf, t.fn, sub, eq, whnf)
+                    and _match(pa, t.arg, sub, eq, whnf))
+    return False
 
 
 def match_pattern(pat: Term, t: Term,
@@ -344,40 +358,8 @@ def match_pattern(pat: Term, t: Term,
     reduction of the subject.  A repeated pattern variable compares its
     matches with `conv` when given, alpha-equality otherwise.  Returns the
     substitution on success."""
-    eq = conv if conv is not None else alpha_eq
     sub: dict[str, Term] = {}
-
-    def go(p: Term, s: Term) -> bool:
-        match p:
-            case Var(v):
-                if v in sub:
-                    return eq(sub[v], s)
-                sub[v] = s
-                return True
-            case Const(c):
-                return isinstance(s, Const) and s.name == c
-            case App(pf, pa):
-                return isinstance(s, App) and go(pf, s.fn) and go(pa, s.arg)
-        return False
-
-    return sub if go(pat, t) else None
-
-
-def _match_syntactic(pats: tuple[Term, ...], args: Sequence[Term],
-                     sub: dict[str, Term]) -> bool:
-    def go(p: Term, t: Term) -> bool:
-        match p:
-            case Var(v):
-                if v in sub:
-                    return alpha_eq(sub[v], t)
-                sub[v] = t
-                return True
-            case Const(c):
-                return isinstance(t, Const) and t.name == c
-            case App(pf, pa):
-                return isinstance(t, App) and go(pf, t.fn) and go(pa, t.arg)
-        return False
-    return all(go(p, a) for p, a in zip(pats, args))
+    return sub if _match(pat, t, sub, conv) else None
 
 
 def _subterm_at(t: Term, pos: tuple[str, ...]) -> Term:

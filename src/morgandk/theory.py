@@ -1,15 +1,16 @@
-"""The shipped theories as data: a two-layer type theory over a level
+"""The shipped theories: a two-layer type theory over a level
 hierarchy, optional axiom blocks selected by `TheoryConfig`, a cubical
 fragment (interval, faces, paths, systems, composition), worked example
 terms, and the translation from two-layer surface syntax into kernel
 terms.
 
-Each block below is source text in the theory-file format of the parser
-module; `build_theory` parses and checks the blocks a configuration
-selects, caching checked signatures by block prefix so sweeping the
-whole flag lattice stays cheap.  The same texts are what
-`write_theory_files` serializes to disk, so the on-disk corpus and the
-built-in one cannot drift apart.
+The corpus is the `theories/` directory next to this module, one
+theory file per block.  `blocks_for` names the files a configuration
+selects; `build_theory` parses and checks them, caching checked
+signatures by file-path prefix so sweeping the whole flag lattice
+reads and checks each shared prefix once.  `write_theory_files`
+copies the selected files out, so the exported corpus is the shipped
+one byte for byte.
 
 The first-attempt decoding of faces by rewrite rules is kept out of
 every built signature: it breaks confluence (see the analyzer tests)
@@ -39,585 +40,13 @@ __all__ = [
     "AIsoDown",
     "encode", "encode_context",
     "filling_example",
-    "theory_files", "write_theory_files",
+    "write_theory_files",
 ]
 
 
-# -- theory sources -------------------------------------------------------
-
-CORE_2LTT = """\
-(; Two-layer core: levels, universe codes, decoders, one copy of the
-   usual primitive types per layer, and the coercion between layers. ;)
-
-Lev : Type.
-lsuc : Lev -> Lev.
-
-T : Lev -> Type.
-xT : Lev -> Type.
-def eps : i : Lev -> T i -> Type.
-def xeps : i : Lev -> xT i -> Type.
-
-(; each universe is coded one level up and decodes to itself ;)
-t : i : Lev -> T (lsuc i).
-xt : i : Lev -> xT (lsuc i).
-[i] eps (lsuc i) (t i) --> T i.
-[i] xeps (lsuc i) (xt i) --> xT i.
-
-(; lifted codes decode to the same type: same inhabitants ;)
-lUp : i : Lev -> a : T i -> T (lsuc i).
-[i, a] eps (lsuc i) (lUp i a) --> eps i a.
-xlUp : i : Lev -> a : xT i -> xT (lsuc i).
-[i, a] xeps (lsuc i) (xlUp i a) --> xeps i a.
-
-(; internal layer ;)
-
-False : i : Lev -> T i.
-def falseElim : i : Lev -> P : (eps i (False i) -> T i) ->
-    e : eps i (False i) -> eps i (P e).
-
-True : i : Lev -> T i.
-tt : i : Lev -> eps i (True i).
-def trueElim : i : Lev -> P : (eps i (True i) -> T i) ->
-    d : eps i (P (tt i)) -> e : eps i (True i) -> eps i (P e).
-[i, P, d] trueElim i P d (tt i) --> d.
-
-Nat : i : Lev -> T i.
-zero : i : Lev -> eps i (Nat i).
-succ : i : Lev -> eps i (Nat i) -> eps i (Nat i).
-def natElim : i : Lev -> P : (eps i (Nat i) -> T i) ->
-    z : eps i (P (zero i)) ->
-    s : (n : eps i (Nat i) -> eps i (P n) -> eps i (P (succ i n))) ->
-    n : eps i (Nat i) -> eps i (P n).
-[i, P, z, s] natElim i P z s (zero i) --> z.
-[i, P, z, s, n] natElim i P z s (succ i n) --> s n (natElim i P z s n).
-
-(; function codes decode to real function spaces ;)
-Pi : i : Lev -> A : T i -> (eps i A -> T i) -> T i.
-[i, A, B] eps i (Pi i A B) --> x : eps i A -> eps i (B x).
-
-Sig : i : Lev -> A : T i -> (eps i A -> T i) -> T i.
-def tSig := (i : Lev => A : T i => B : (eps i A -> T i)
-  => eps i (Sig i A B)).
-def pair : i : Lev -> A : T i -> B : (eps i A -> T i) ->
-    a : eps i A -> b : eps i (B a) -> tSig i A B.
-def p1 : i : Lev -> A : T i -> B : (eps i A -> T i) ->
-    p : tSig i A B -> eps i A.
-def p2 : i : Lev -> A : T i -> B : (eps i A -> T i) ->
-    p : tSig i A B -> eps i (B (p1 i A B p)).
-[i, A, B, a, b] p1 i A B (pair i A B a b) --> a.
-[i, A, B, a, b] p2 i A B (pair i A B a b) --> b.
-
-Sum : i : Lev -> A : T i -> B : T i -> T i.
-inl : i : Lev -> A : T i -> B : T i -> eps i A -> eps i (Sum i A B).
-inr : i : Lev -> A : T i -> B : T i -> eps i B -> eps i (Sum i A B).
-def sumElim : i : Lev -> A : T i -> B : T i ->
-    P : (eps i (Sum i A B) -> T i) ->
-    f : (a : eps i A -> eps i (P (inl i A B a))) ->
-    g : (b : eps i B -> eps i (P (inr i A B b))) ->
-    s : eps i (Sum i A B) -> eps i (P s).
-[i, A, B, P, f, g, a] sumElim i A B P f g (inl i A B a) --> f a.
-[i, A, B, P, f, g, b] sumElim i A B P f g (inr i A B b) --> g b.
-
-Eq : i : Lev -> A : T i -> x : eps i A -> y : eps i A -> T i.
-refl : i : Lev -> A : T i -> x : eps i A -> eps i (Eq i A x x).
-def eqElim : i : Lev -> A : T i -> x : eps i A ->
-    P : (y : eps i A -> eps i (Eq i A x y) -> T i) ->
-    d : eps i (P x (refl i A x)) ->
-    y : eps i A -> e : eps i (Eq i A x y) -> eps i (P y e).
-[i, A, x, P, d] eqElim i A x P d x (refl i A x) --> d.
-
-(; external layer: the same table, x-prefixed ;)
-
-xFalse : i : Lev -> xT i.
-def xfalseElim : i : Lev -> P : (xeps i (xFalse i) -> xT i) ->
-    e : xeps i (xFalse i) -> xeps i (P e).
-
-xTrue : i : Lev -> xT i.
-xtt : i : Lev -> xeps i (xTrue i).
-def xtrueElim : i : Lev -> P : (xeps i (xTrue i) -> xT i) ->
-    d : xeps i (P (xtt i)) -> e : xeps i (xTrue i) -> xeps i (P e).
-[i, P, d] xtrueElim i P d (xtt i) --> d.
-
-xNat : i : Lev -> xT i.
-xzero : i : Lev -> xeps i (xNat i).
-xsucc : i : Lev -> xeps i (xNat i) -> xeps i (xNat i).
-def xnatElim : i : Lev -> P : (xeps i (xNat i) -> xT i) ->
-    z : xeps i (P (xzero i)) ->
-    s : (n : xeps i (xNat i) -> xeps i (P n) -> xeps i (P (xsucc i n))) ->
-    n : xeps i (xNat i) -> xeps i (P n).
-[i, P, z, s] xnatElim i P z s (xzero i) --> z.
-[i, P, z, s, n] xnatElim i P z s (xsucc i n) --> s n (xnatElim i P z s n).
-
-xPi : i : Lev -> A : xT i -> (xeps i A -> xT i) -> xT i.
-[i, A, B] xeps i (xPi i A B) --> x : xeps i A -> xeps i (B x).
-
-xSig : i : Lev -> A : xT i -> (xeps i A -> xT i) -> xT i.
-def xpair : i : Lev -> A : xT i -> B : (xeps i A -> xT i) ->
-    a : xeps i A -> b : xeps i (B a) -> xeps i (xSig i A B).
-def xp1 : i : Lev -> A : xT i -> B : (xeps i A -> xT i) ->
-    p : xeps i (xSig i A B) -> xeps i A.
-def xp2 : i : Lev -> A : xT i -> B : (xeps i A -> xT i) ->
-    p : xeps i (xSig i A B) -> xeps i (B (xp1 i A B p)).
-[i, A, B, a, b] xp1 i A B (xpair i A B a b) --> a.
-[i, A, B, a, b] xp2 i A B (xpair i A B a b) --> b.
-
-xSum : i : Lev -> A : xT i -> B : xT i -> xT i.
-xinl : i : Lev -> A : xT i -> B : xT i -> xeps i A -> xeps i (xSum i A B).
-xinr : i : Lev -> A : xT i -> B : xT i -> xeps i B -> xeps i (xSum i A B).
-def xsumElim : i : Lev -> A : xT i -> B : xT i ->
-    P : (xeps i (xSum i A B) -> xT i) ->
-    f : (a : xeps i A -> xeps i (P (xinl i A B a))) ->
-    g : (b : xeps i B -> xeps i (P (xinr i A B b))) ->
-    s : xeps i (xSum i A B) -> xeps i (P s).
-[i, A, B, P, f, g, a] xsumElim i A B P f g (xinl i A B a) --> f a.
-[i, A, B, P, f, g, b] xsumElim i A B P f g (xinr i A B b) --> g b.
-
-xEq : i : Lev -> A : xT i -> x : xeps i A -> y : xeps i A -> xT i.
-xrefl : i : Lev -> A : xT i -> x : xeps i A -> xeps i (xEq i A x x).
-def xeqElim : i : Lev -> A : xT i -> x : xeps i A ->
-    P : (y : xeps i A -> xeps i (xEq i A x y) -> xT i) ->
-    d : xeps i (P x (xrefl i A x)) ->
-    y : xeps i A -> e : xeps i (xEq i A x y) -> xeps i (P y e).
-[i, A, x, P, d] xeqElim i A x P d x (xrefl i A x) --> d.
-
-(; equality of type codes, per layer, and its element types ;)
-def TEq (l : Lev) (A : T l) (B : T l) : T (lsuc l) := Eq (lsuc l) (t l) A B.
-def tTEq (l : Lev) (A : T l) (B : T l) : Type := eps (lsuc l) (TEq l A B).
-def xTEq (l : Lev) (A : xT l) (B : xT l) : xT (lsuc l) :=
-  xEq (lsuc l) (xt l) A B.
-def xtTEq (l : Lev) (A : xT l) (B : xT l) : Type :=
-  xeps (lsuc l) (xTEq l A B).
-
-(; coercion: every internal type has an isomorphic external shadow ;)
-def c : i : Lev -> T i -> xT i.
-def tc (i : Lev) (A : T i) : Type := xeps i (c i A).
-def isoUp : i : Lev -> A : T i -> eps i A -> tc i A.
-def isoDown : i : Lev -> A : T i -> tc i A -> eps i A.
-[i, A, a] isoDown i A (isoUp i A a) --> a.
-[i, A, a] isoUp i A (isoDown i A a) --> a.
-
-(; the two number types are related but, in the base theory, only in
-   one direction ;)
-def natMorph : l : Lev -> xeps l (xNat l) -> tc l (Nat l).
-"""
-
-
-BLOCK_T1 = """\
-(; coercion is injective up to external equality of codes ;)
-def T1 : l : Lev -> A : T l -> B : T l ->
-    p : xtTEq l (c l A) (c l B) -> tTEq l A B.
-"""
-
-
-BLOCK_T2 = """\
-(; the primitive coercion isomorphisms collapse to definitional
-   equalities for the unit, function and pair formers ;)
-def clift (l : Lev) (A : T l) (B : eps l A -> T l)
-    (a : xeps l (c l A)) : xT l := c l (B (isoDown l A a)).
-[l] c l (True l) --> xTrue l.
-[l, A, B] c l (Pi l A B) --> xPi l (c l A) (clift l A B).
-[l, A, B] c l (Sig l A B) --> xSig l (c l A) (clift l A B).
-"""
-
-
-BLOCK_T3 = """\
-(; repletion: an external type isomorphic to a coerced type gains an
-   internal antecedent, and coercion collapses on it ;)
-repletion : l : Lev -> A : xT l -> B : T l ->
-    p : xtTEq l A (c l B) -> T l.
-[l, A, B, e] c l (repletion l A B e) --> A.
-"""
-
-
-BLOCK_UNIVALENCE = """\
-(; weak equivalence, internally, and the weak univalence axiom ;)
-def fiber (l : Lev) (A : T l) (B : T l) (f : eps l A -> eps l B)
-    (b : eps l B) : T l := Sig l A (a : eps l A => Eq l B (f a) b).
-def isContr (l : Lev) (C : T l) : T l :=
-  Sig l C (x : eps l C => Pi l C (y : eps l C => Eq l C x y)).
-def isEquiv (l : Lev) (A : T l) (B : T l) (f : eps l A -> eps l B) : T l :=
-  Pi l B (b : eps l B => isContr l (fiber l A B f b)).
-def Equiv (l : Lev) (A : T l) (B : T l) : T l :=
-  Sig l (Pi l A (x : eps l A => B))
-        (f : eps l (Pi l A (x : eps l A => B)) => isEquiv l A B f).
-
-(; code equality one level up is weakly equivalent to the lifted
-   equivalence type ;)
-WeakUnivalence : l : Lev -> A : T l -> B : T l ->
-  eps (lsuc l) (Equiv (lsuc l) (TEq l A B) (lUp l (Equiv l A B))).
-"""
-
-
-BLOCK_NAT_EXTERNAL = """\
-(; the number morphism gets an inverse up to external equality ;)
-def natMorphInv : l : Lev -> tc l (Nat l) -> xeps l (xNat l).
-natMorphSection : l : Lev -> n : xeps l (xNat l) ->
-  xeps l (xEq l (xNat l) (natMorphInv l (natMorph l n)) n).
-natMorphRetraction : l : Lev -> m : tc l (Nat l) ->
-  xeps l (xEq l (c l (Nat l)) (natMorph l (natMorphInv l m)) m).
-"""
-
-
-BLOCK_NAT_DEFINITIONAL = """\
-(; the number morphism gets a definitional inverse ;)
-def natMorphInv : l : Lev -> tc l (Nat l) -> xeps l (xNat l).
-[l, n] natMorphInv l (natMorph l n) --> n.
-[l, m] natMorph l (natMorphInv l m) --> m.
-"""
-
-
-CUBICAL_CORE = """\
-(; the cubical fragment lives at one distinguished level: its pretypes
-   are external types there, its types are internal ;)
-cL : Lev.
-def cT := xT cL.
-def ceps := xeps cL.
-def cEq := xEq cL.
-
-def cFalse := xFalse cL.
-def cTrue := xTrue cL.
-def ctt := xtt cL.
-def cNat := xNat cL.
-def cPi := xPi cL.
-def cSig := xSig cL.
-def cSum := xSum cL.
-def crefl (A : cT) (x : ceps A) : ceps (cEq A x x) := xrefl cL A x.
-
-(; convertibility of objects, stated through the coercion ;)
-def CubicalEq (l : Lev) (A : T l) (a : eps l A) (b : eps l A) : xT l :=
-  xEq l (c l A) (isoUp l A a) (isoUp l A b).
-def tCubicalEq (l : Lev) (A : T l) (a : eps l A) (b : eps l A) : Type :=
-  xeps l (CubicalEq l A a b).
-
-(; eliminate a pretype equality into an internal type ;)
-def CubicalJ :
-  l : Lev -> A : cT -> x : ceps A ->
-  P : (y : ceps A -> ceps (cEq A x y) -> T l) ->
-  eps l (P x (crefl A x)) ->
-  y : ceps A -> e : ceps (cEq A x y) -> eps l (P y e).
-"""
-
-
-CUBICAL_INTERVAL = """\
-(; the interval pretype and its bounded-involutive-lattice structure ;)
-I : cT.
-0 : ceps I.
-1 : ceps I.
-def Imin : ceps I -> ceps I -> ceps I.
-def Imax : ceps I -> ceps I -> ceps I.
-def sym : ceps I -> ceps I.
-
-(; rewrite rules, completed by symmetry ;)
-[i] Imin 0 i --> 0.
-[i] Imin i 0 --> 0.
-[i] Imin 1 i --> i.
-[i] Imin i 1 --> i.
-[i] Imax 0 i --> i.
-[i] Imax i 0 --> i.
-[i] Imax 1 i --> 1.
-[i] Imax i 1 --> 1.
-[] sym 0 --> 1.
-[] sym 1 --> 0.
-[i, j] sym (Imin i j) --> Imax (sym i) (sym j).
-[i, j] sym (Imax i j) --> Imin (sym i) (sym j).
-[i] sym (sym i) --> i.
-[i, j, k] Imin (Imin i j) k --> Imin i (Imin j k).
-[i, j, k] Imax (Imax i j) k --> Imax i (Imax j k).
-
-(; laws that would break confluence or normalization as rules are
-   carried as external equations instead ;)
-Imax_idem : i : ceps I -> ceps (cEq I (Imax i i) i).
-Imax_comm : i : ceps I -> j : ceps I ->
-  ceps (cEq I (Imax i j) (Imax j i)).
-Imax_dist : i : ceps I -> j : ceps I -> k : ceps I ->
-  ceps (cEq I (Imax (Imin i j) k) (Imin (Imax i k) (Imax j k))).
-Imax_distl : i : ceps I -> j : ceps I -> k : ceps I ->
-  ceps (cEq I (Imax i (Imin j k)) (Imin (Imax i j) (Imax i k))).
-Imin_idem : i : ceps I -> ceps (cEq I (Imin i i) i).
-Imin_comm : i : ceps I -> j : ceps I ->
-  ceps (cEq I (Imin i j) (Imin j i)).
-Imin_dist : i : ceps I -> j : ceps I -> k : ceps I ->
-  ceps (cEq I (Imin (Imax i j) k) (Imax (Imin i k) (Imin j k))).
-Imin_distl : i : ceps I -> j : ceps I -> k : ceps I ->
-  ceps (cEq I (Imin i (Imax j k)) (Imax (Imin i j) (Imin i k))).
-"""
-
-
-CUBICAL_PATHS = """\
-(; paths are internal types; application carries both endpoints so the
-   endpoint rules need no typing context ;)
-def Path : A : cT -> u : ceps A -> v : ceps A -> cT.
-def lam : A : cT -> p : (ceps I -> ceps A) -> ceps (Path A (p 0) (p 1)).
-def app : A : cT -> u : ceps A -> v : ceps A ->
-    ceps (Path A u v) -> ceps I -> ceps A.
-[A, u, v, f, e] app A u v (lam A f) e --> f e.
-[A, u, v, p] app A u v p 0 --> u.
-[A, u, v, p] app A u v p 1 --> v.
-"""
-
-
-CUBICAL_FACES = """\
-(; faces name the sub-polyhedra of a cube ;)
-F : cT.
-0f : ceps F.
-1f : ceps F.
-def eq0 : ceps I -> ceps F.
-def eq1 : ceps I -> ceps F.
-def Fmin : ceps F -> ceps F -> ceps F.
-def Fmax : ceps F -> ceps F -> ceps F.
-
-(; lattice rules, same split as for the interval ;)
-[f] Fmin 0f f --> 0f.
-[f] Fmin f 0f --> 0f.
-[f] Fmin 1f f --> f.
-[f] Fmin f 1f --> f.
-[f] Fmax 0f f --> f.
-[f] Fmax f 0f --> f.
-[f] Fmax 1f f --> 1f.
-[f] Fmax f 1f --> 1f.
-[f, g, h] Fmin (Fmin f g) h --> Fmin f (Fmin g h).
-[f, g, h] Fmax (Fmax f g) h --> Fmax f (Fmax g h).
-
-(; endpoint tests commute with the interval operations ;)
-[] eq1 0 --> 0f.
-[] eq1 1 --> 1f.
-[e] eq1 (sym e) --> eq0 e.
-[i, j] eq1 (Imax i j) --> Fmax (eq1 i) (eq1 j).
-[i, j] eq1 (Imin i j) --> Fmin (eq1 i) (eq1 j).
-[] eq0 0 --> 1f.
-[] eq0 1 --> 0f.
-[e] eq0 (sym e) --> eq1 e.
-[i, j] eq0 (Imax i j) --> Fmin (eq0 i) (eq0 j).
-[i, j] eq0 (Imin i j) --> Fmax (eq0 i) (eq0 j).
-
-Fmax_idem : f : ceps F -> ceps (cEq F (Fmax f f) f).
-Fmax_comm : f : ceps F -> g : ceps F ->
-  ceps (cEq F (Fmax f g) (Fmax g f)).
-Fmax_dist : f : ceps F -> g : ceps F -> h : ceps F ->
-  ceps (cEq F (Fmax (Fmin f g) h) (Fmin (Fmax f h) (Fmax g h))).
-Fmax_distl : f : ceps F -> g : ceps F -> h : ceps F ->
-  ceps (cEq F (Fmax f (Fmin g h)) (Fmin (Fmax f g) (Fmax f h))).
-Fmin_idem : f : ceps F -> ceps (cEq F (Fmin f f) f).
-Fmin_comm : f : ceps F -> g : ceps F ->
-  ceps (cEq F (Fmin f g) (Fmin g f)).
-Fmin_dist : f : ceps F -> g : ceps F -> h : ceps F ->
-  ceps (cEq F (Fmin (Fmax f g) h) (Fmax (Fmin f h) (Fmin g h))).
-Fmin_distl : f : ceps F -> g : ceps F -> h : ceps F ->
-  ceps (cEq F (Fmin f (Fmax g h)) (Fmax (Fmin f g) (Fmin f h))).
-
-(; opposite faces of a cube do not meet ;)
-Fdiscr : i : ceps I -> ceps (cEq F (Fmin (eq0 i) (eq1 i)) 0f).
-"""
-
-
-CUBICAL_FACETYPE = """\
-(; decoding a face to its type of witnesses.  Rewrite rules here break
-   confluence (see the quarantined first attempt), so the decoding is
-   carried by per-former isomorphism constants instead, with a
-   truncated sum standing in for the union case. ;)
-def faceType : ceps F -> cT.
-
-ftFalse : ceps (faceType 0f) -> ceps cFalse.
-ftFalseInv : ceps cFalse -> ceps (faceType 0f).
-ftTrue : ceps (faceType 1f) -> ceps cTrue.
-ftTrueInv : ceps cTrue -> ceps (faceType 1f).
-ftEq0 : i : ceps I -> ceps (faceType (eq0 i)) -> ceps (cEq I 0 i).
-ftEq0Inv : i : ceps I -> ceps (cEq I 0 i) -> ceps (faceType (eq0 i)).
-ftEq1 : i : ceps I -> ceps (faceType (eq1 i)) -> ceps (cEq I 1 i).
-ftEq1Inv : i : ceps I -> ceps (cEq I 1 i) -> ceps (faceType (eq1 i)).
-ftMin : f : ceps F -> g : ceps F -> ceps (faceType (Fmin f g)) ->
-  ceps (cSig (faceType f) (w : ceps (faceType f) => faceType g)).
-ftMinInv : f : ceps F -> g : ceps F ->
-  ceps (cSig (faceType f) (w : ceps (faceType f) => faceType g)) ->
-  ceps (faceType (Fmin f g)).
-
-(; a sum whose eliminator demands agreement of the branches, so the
-   decoded union can stay a proposition ;)
-TruncSum : cT -> cT -> cT.
-tsInl : A : cT -> B : cT -> ceps A -> ceps (TruncSum A B).
-tsInr : A : cT -> B : cT -> ceps B -> ceps (TruncSum A B).
-def tsElim : A : cT -> B : cT -> l : Lev -> tau : T l ->
-    f : (ceps A -> eps l tau) -> g : (ceps B -> eps l tau) ->
-    coh : (a : ceps A -> b : ceps B -> tCubicalEq l tau (f a) (g b)) ->
-    ceps (TruncSum A B) -> eps l tau.
-[A, B, l, tau, f, g, coh, a] tsElim A B l tau f g coh (tsInl A B a) --> f a.
-[A, B, l, tau, f, g, coh, b] tsElim A B l tau f g coh (tsInr A B b) --> g b.
-
-ftMax : f : ceps F -> g : ceps F -> ceps (faceType (Fmax f g)) ->
-  ceps (TruncSum (faceType f) (faceType g)).
-ftMaxInv : f : ceps F -> g : ceps F ->
-  ceps (TruncSum (faceType f) (faceType g)) ->
-  ceps (faceType (Fmax f g)).
-
-(; face witnesses are irrelevant, propositionally ;)
-faceIrrel : f : ceps F -> a : ceps (faceType f) -> b : ceps (faceType f) ->
-  ceps (cEq (faceType f) a b).
-
-(; projections out of an intersection witness ;)
-def fp1 (f : ceps F) (g : ceps F) (e : ceps (faceType (Fmin f g))) :
-    ceps (faceType f) :=
-  xp1 cL (faceType f) (w : ceps (faceType f) => faceType g) (ftMin f g e).
-def fp2 (f : ceps F) (g : ceps F) (e : ceps (faceType (Fmin f g))) :
-    ceps (faceType g) :=
-  xp2 cL (faceType f) (w : ceps (faceType f) => faceType g) (ftMin f g e).
-"""
-
-
-CUBICAL_SYSTEMS = """\
-(; a binary system: two partial terms that agree on the intersection
-   of their faces glue to a term on the union ;)
-def TermSys : l : Lev -> f1 : ceps F -> f2 : ceps F ->
-    tau : T l ->
-    A1 : (ceps (faceType f1) -> eps l tau) ->
-    A2 : (ceps (faceType f2) -> eps l tau) ->
-    coh : (e : ceps (faceType (Fmin f1 f2)) ->
-           tCubicalEq l tau (A1 (fp1 f1 f2 e)) (A2 (fp2 f1 f2 e))) ->
-    ceps (faceType (Fmax f1 f2)) -> eps l tau.
-"""
-
-
-CUBICAL_COMP = """\
-(; composition: a line of types, a partial line of terms over a face,
-   and a base point matching the partial line at 0 yield a point at 1,
-   equal to the partial line there ;)
-def primCompTerm : l : Lev -> phi : ceps F -> A : (ceps I -> T l) ->
-    u : (ceps (faceType phi) -> i : ceps I -> eps l (A i)) ->
-    a0 : eps l (A 0) ->
-    coh : (e : ceps (faceType phi) -> tCubicalEq l (A 0) a0 (u e 0)) ->
-    eps l (A 1).
-
-def primCompEq : l : Lev -> phi : ceps F -> A : (ceps I -> T l) ->
-    u : (ceps (faceType phi) -> i : ceps I -> eps l (A i)) ->
-    a0 : eps l (A 0) ->
-    coh : (e : ceps (faceType phi) -> tCubicalEq l (A 0) a0 (u e 0)) ->
-    e : ceps (faceType phi) ->
-    tCubicalEq l (A 1) (primCompTerm l phi A u a0 coh) (u e 1).
-"""
-
-
-EXAMPLES_2LTT = """\
-(; a base level and enough opaque material to exercise the rules ;)
-l0 : Lev.
-exA : T l0.
-exB : eps l0 exA -> T l0.
-exa : eps l0 exA.
-exb : eps l0 (exB exa).
-
-def exPair : tSig l0 exA exB := pair l0 exA exB exa exb.
-def exFst : eps l0 exA := p1 l0 exA exB exPair.
-def exSnd : eps l0 (exB exFst) := p2 l0 exA exB exPair.
-
-def exUp : tc l0 exA := isoUp l0 exA exa.
-def exBack : eps l0 exA := isoDown l0 exA exUp.
-
-(; the lifted code has the same inhabitants ;)
-def exLifted : eps (lsuc l0) (lUp l0 exA) := exa.
-
-def exTwo : eps l0 (Nat l0) := succ l0 (succ l0 (zero l0)).
-def exDouble : eps l0 (Nat l0) -> eps l0 (Nat l0) :=
-  natElim l0 (n : eps l0 (Nat l0) => Nat l0)
-    (zero l0)
-    (n : eps l0 (Nat l0) => m : eps l0 (Nat l0) => succ l0 (succ l0 m)).
-
-def exId : eps l0 (Pi l0 exA (x : eps l0 exA => exA)) :=
-  (x : eps l0 exA => x).
-def exApplied : eps l0 exA := exId exa.
-
-def exReflA : tTEq l0 exA exA := refl (lsuc l0) (t l0) exA.
-"""
-
-
-EXAMPLES_FILLING = """\
-(; filling: reparameterize a composition along a connection to draw
-   the line from the base point to the composite ;)
-phi0 : ceps F.
-A0 : ceps I -> T l0.
-u0 : ceps (faceType phi0) -> i : ceps I -> eps l0 (A0 i).
-a00 : eps l0 (A0 0).
-coh0 : e : ceps (faceType phi0) -> tCubicalEq l0 (A0 0) a00 (u0 e 0).
-
-def fillLine : j : ceps I -> eps l0 (A0 j) :=
-  (j : ceps I => primCompTerm l0 phi0
-     (i : ceps I => A0 (Imin i j))
-     (w : ceps (faceType phi0) => i : ceps I => u0 w (Imin i j))
-     a00
-     coh0).
-"""
-
-
-FIRST_ATTEMPT_FACETYPE = """\
-(; Face decoding by rewrite rules.  Well-typed, but the union and
-   intersection rules overlap the face lattice rules without rejoining:
-   kept out of the shipped theory, as analyzer input only. ;)
-def faceType : ceps F -> cT.
-[] faceType 0f --> cFalse.
-[] faceType 1f --> cTrue.
-[a] faceType (eq1 a) --> cEq I 1 a.
-[a] faceType (eq0 a) --> cEq I 0 a.
-[a, b] faceType (Fmax a b) --> cSum (faceType a) (faceType b).
-[a, b] faceType (Fmin a b) --> cSig (faceType a) (_ => faceType b).
-"""
-
-
-CORRECTIONS = """\
-# Rule-set audit notes
-
-The algebraic rule blocks (interval and faces) are exactly the sets the
-semantic oracles validate.  This file records the lines where a naive
-transcription or a mechanical duality completion goes wrong, and the
-shape conventions the corpus follows.  Every claim here is enforced by
-a test.
-
-## Rejected rule variants
-
-- `Imax i 1 --> 0` (a miscopy of the absorption row): unsound.  The
-  four-element algebra refutes it at `i := Top`; the correct right-unit
-  form is `Imax i 0 --> i`, dual to `Imin i 1 --> i`.
-- `Imax i 1 --> 1` appears once, not twice: the absorption row and the
-  unit row would otherwise duplicate it.
-- `[i] sym i --> Fmax i i` mixes the interval and face carriers and is
-  ill-typed; it exists only as a negative fixture in the tests.
-
-## Completed lines
-
-- The path endpoint rule at `1` is `app A u v p 1 --> v`; the
-  annotation discipline of `app` (both endpoints are arguments) forces
-  the right-hand side.
-- Equation constants quantify over witnesses, so their statements are
-  wrapped in the level-`cL` decoder: a bare code such as
-  `cEq I (Imax i i) i` is a term, not a declarable type; the shipped
-  form is `ceps (cEq I (Imax i i) i)`.
-- The external decoder consumes external codes: `xeps : i : Lev ->
-  xT i -> Type`.
-
-## Rule-set shape
-
-- 15 interval rules: four unit/absorption rows per operation (8), two
-  endpoint negations, two De Morgan distributions, one involution, two
-  associativity orientations.
-- 20 face rules: eight unit/absorption rows, two associativity
-  orientations, and ten endpoint-test substitution rules (five per
-  test).
-- Idempotence, commutativity and both distributivity orientations are
-  external equation constants for both carriers; none is a rewrite
-  rule (non-left-linearity and unjoinable pairs, respectively).
-- `faceType` carries no rewrite rules.  Its decoding is the family of
-  `ft*`/`ft*Inv` isomorphism constants, with `TruncSum` as the target
-  of the union case.  The rule-based decoding survives only in
-  `quarantine/faces-first-attempt.dk` as analyzer input: merged with
-  the face lattice it yields a non-joinable overlap whose ground form
-  is `cTrue` versus `cSig cTrue (_ => cTrue)`.
-
-## Defined here, used freely
-
-`tc`, `clift`, `crefl`, `CubicalEq`/`tCubicalEq`, `fp1`/`fp2` and the
-`TruncSum` block are definitions this corpus supplies; each is the
-unique level- and type-correct composition of the declared constants
-it is built from.
-"""
-
-
 # -- configuration and builders -------------------------------------------
+
+_THEORY_DIR = Path(__file__).with_name("theories")
 
 NAT_STRENGTHS = ("none", "external_eq", "definitional")
 
@@ -654,86 +83,77 @@ FULL_CONFIG = TheoryConfig(
     cubical=True,
 )
 
-_CUBICAL_BLOCKS = (
-    ("07-cubical-core.dk", CUBICAL_CORE),
-    ("08-cubical-interval.dk", CUBICAL_INTERVAL),
-    ("09-cubical-paths.dk", CUBICAL_PATHS),
-    ("10-cubical-faces.dk", CUBICAL_FACES),
-    ("11-cubical-facetype.dk", CUBICAL_FACETYPE),
-    ("12-cubical-systems.dk", CUBICAL_SYSTEMS),
-    ("13-cubical-comp.dk", CUBICAL_COMP),
-)
+_CUBICAL_BLOCKS = tuple(_THEORY_DIR / n for n in (
+    "07-cubical-core.dk",
+    "08-cubical-interval.dk",
+    "09-cubical-paths.dk",
+    "10-cubical-faces.dk",
+    "11-cubical-facetype.dk",
+    "12-cubical-systems.dk",
+    "13-cubical-comp.dk",
+))
 
 
-def blocks_for(cfg: TheoryConfig) -> list[tuple[str, str]]:
-    """The (file name, source) blocks a configuration selects, in
-    dependency order.  File names are stable across configurations."""
-    out = [("01-2ltt-core.dk", CORE_2LTT)]
+def blocks_for(cfg: TheoryConfig) -> list[Path]:
+    """The corpus files a configuration selects, in dependency order.
+    File names are stable across configurations: the `external_eq`
+    number morphism sits in a subdirectory under the same name as the
+    definitional one."""
+    out = [_THEORY_DIR / "01-2ltt-core.dk"]
     if cfg.t1_injectivity:
-        out.append(("02-axioms-t1.dk", BLOCK_T1))
+        out.append(_THEORY_DIR / "02-axioms-t1.dk")
     if cfg.t2_primitive_iso_as_rewrite:
-        out.append(("03-axioms-t2.dk", BLOCK_T2))
+        out.append(_THEORY_DIR / "03-axioms-t2.dk")
     if cfg.t3_repletion:
-        out.append(("04-axioms-t3.dk", BLOCK_T3))
+        out.append(_THEORY_DIR / "04-axioms-t3.dk")
     if cfg.include_weak_univalence:
-        out.append(("05-univalence.dk", BLOCK_UNIVALENCE))
+        out.append(_THEORY_DIR / "05-univalence.dk")
     if cfg.nat_morphism_strength == "external_eq":
-        out.append(("06-nat-morphism.dk", BLOCK_NAT_EXTERNAL))
+        out.append(_THEORY_DIR / "nat-external_eq" / "06-nat-morphism.dk")
     elif cfg.nat_morphism_strength == "definitional":
-        out.append(("06-nat-morphism.dk", BLOCK_NAT_DEFINITIONAL))
+        out.append(_THEORY_DIR / "06-nat-morphism.dk")
     if cfg.cubical:
         out.extend(_CUBICAL_BLOCKS)
-    out.append(("14-examples-2ltt.dk", EXAMPLES_2LTT))
+    out.append(_THEORY_DIR / "14-examples-2ltt.dk")
     if cfg.cubical:
-        out.append(("15-examples-filling.dk", EXAMPLES_FILLING))
+        out.append(_THEORY_DIR / "15-examples-filling.dk")
     return out
 
 
-_BUILD_CACHE: dict[tuple[tuple[str, str], ...], Signature] = {}
+def _parse(path: Path, consts: set[str], defs: set[str]) -> list[Declaration]:
+    return parse_file(path.read_text(), path.name, consts, defs)
 
 
-def _sig_namespace(sig: Signature) -> tuple[set[str], set[str]]:
-    consts = set(sig.consts)
-    defs = {n for n, info in sig.consts.items() if not info.static}
-    return consts, defs
+_BUILD_CACHE: dict[tuple[Path, ...], Signature] = {}
 
 
 def build_theory(cfg: TheoryConfig,
                  fuel_steps: int = DEFAULT_FUEL) -> Signature:
     """Parse and check the blocks `cfg` selects into a fresh Signature.
 
-    Checked signatures are cached per block-name prefix, so sweeping
-    every flag combination re-checks each shared prefix once.
+    Checked signatures are cached per file-path prefix, so sweeping
+    every flag combination reads and re-checks each shared prefix once.
     """
-    blocks = blocks_for(cfg)
-    # key on contents, not names: flag variants may share a file name
-    key = tuple(blocks)
-    best = 0
-    for k in range(len(key), 0, -1):
-        if key[:k] in _BUILD_CACHE:
-            best = k
-            break
+    key = tuple(blocks_for(cfg))
+    best = len(key)
+    while best and key[:best] not in _BUILD_CACHE:
+        best -= 1
     if best == len(key):
         return _BUILD_CACHE[key].copy()
     sig = _BUILD_CACHE[key[:best]].copy() if best else Signature()
-    consts, defs = _sig_namespace(sig)
+    consts, defs = sig.namespace()
     for idx in range(best, len(key)):
-        fname, text = blocks[idx]
-        decls = parse_file(text, fname, consts, defs)
-        check_signature(decls, fuel_steps, sig=sig)
+        check_signature(_parse(key[idx], consts, defs), fuel_steps, sig=sig)
         _BUILD_CACHE[key[:idx + 1]] = sig.copy()
     return sig
 
 
 def build_2ltt(cfg: TheoryConfig) -> list[Declaration]:
     """Parse the two-layer blocks (cubical excluded) in order."""
-    flat = replace(cfg, cubical=False)
     consts: set[str] = set()
     defs: set[str] = set()
-    out: list[Declaration] = []
-    for fname, text in blocks_for(flat):
-        out.extend(parse_file(text, fname, consts, defs))
-    return out
+    return [d for p in blocks_for(replace(cfg, cubical=False))
+            for d in _parse(p, consts, defs)]
 
 
 def build_cubical(cfg: TheoryConfig) -> list[Declaration]:
@@ -741,35 +161,34 @@ def build_cubical(cfg: TheoryConfig) -> list[Declaration]:
     the namespace but are not returned)."""
     if not cfg.cubical:
         raise ValueError("build_cubical requires cfg.cubical")
-    flat = replace(cfg, cubical=False)
     consts: set[str] = set()
     defs: set[str] = set()
-    for fname, text in blocks_for(flat):
-        parse_file(text, fname, consts, defs)
-    out: list[Declaration] = []
-    for fname, text in _CUBICAL_BLOCKS:
-        out.extend(parse_file(text, fname, consts, defs))
-    return out
+    for p in blocks_for(replace(cfg, cubical=False)):
+        _parse(p, consts, defs)
+    return [d for p in _CUBICAL_BLOCKS for d in _parse(p, consts, defs)]
 
 
-_FIRST_ATTEMPT_CONTEXT = (
-    ("01-2ltt-core.dk", CORE_2LTT),
-    ("07-cubical-core.dk", CUBICAL_CORE),
-    ("08-cubical-interval.dk", CUBICAL_INTERVAL),
-    ("09-cubical-paths.dk", CUBICAL_PATHS),
-    ("10-cubical-faces.dk", CUBICAL_FACES),
-)
+_FIRST_ATTEMPT = _THEORY_DIR / "quarantine" / "faces-first-attempt.dk"
+_FIRST_ATTEMPT_CONTEXT = tuple(_THEORY_DIR / n for n in (
+    "01-2ltt-core.dk",
+    "07-cubical-core.dk",
+    "08-cubical-interval.dk",
+    "09-cubical-paths.dk",
+    "10-cubical-faces.dk",
+))
+
+
+def _first_attempt_files() -> list[list[Declaration]]:
+    consts: set[str] = set()
+    defs: set[str] = set()
+    return [_parse(p, consts, defs)
+            for p in (*_FIRST_ATTEMPT_CONTEXT, _FIRST_ATTEMPT)]
 
 
 def first_attempt_facetype() -> list[Declaration]:
     """The quarantined rule-based face decoding, parsed in the
     namespace it needs (core through faces, no shipped faceType)."""
-    consts: set[str] = set()
-    defs: set[str] = set()
-    for fname, text in _FIRST_ATTEMPT_CONTEXT:
-        parse_file(text, fname, consts, defs)
-    return parse_file(FIRST_ATTEMPT_FACETYPE, "faces-first-attempt.dk",
-                      consts, defs)
+    return _first_attempt_files()[-1]
 
 
 _FIRST_ATTEMPT_SIG: list[Signature] = []
@@ -779,15 +198,9 @@ def first_attempt_signature(fuel_steps: int = DEFAULT_FUEL) -> Signature:
     """Core-through-faces plus the first-attempt faceType rules, as one
     checked signature.  It type-checks; what fails is confluence."""
     if not _FIRST_ATTEMPT_SIG:
-        consts: set[str] = set()
-        defs: set[str] = set()
         sig = Signature()
-        for fname, text in _FIRST_ATTEMPT_CONTEXT:
-            decls = parse_file(text, fname, consts, defs)
+        for decls in _first_attempt_files():
             check_signature(decls, fuel_steps, sig=sig)
-        decls = parse_file(FIRST_ATTEMPT_FACETYPE, "faces-first-attempt.dk",
-                           consts, defs)
-        check_signature(decls, fuel_steps, sig=sig)
         _FIRST_ATTEMPT_SIG.append(sig)
     return _FIRST_ATTEMPT_SIG[0].copy()
 
@@ -1148,28 +561,16 @@ def filling_example(lev: Level = L0) -> tuple[Term, Term]:
 
 # -- on-disk corpus -------------------------------------------------------
 
-def theory_files(cfg: TheoryConfig = FULL_CONFIG) -> list[tuple[str, str]]:
-    return blocks_for(cfg)
-
-
 def write_theory_files(dest: str | Path,
                        cfg: TheoryConfig = FULL_CONFIG) -> list[Path]:
-    """Serialize the corpus under `dest`: the selected blocks, the
+    """Copy the corpus under `dest`: the selected blocks, the
     quarantined first attempt under quarantine/, and the audit notes.
     Returns the written paths."""
     root = Path(dest)
-    root.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for fname, text in theory_files(cfg):
-        p = root / fname
-        p.write_text(text)
-        written.append(p)
-    qdir = root / "quarantine"
-    qdir.mkdir(exist_ok=True)
-    q = qdir / "faces-first-attempt.dk"
-    q.write_text(FIRST_ATTEMPT_FACETYPE)
-    written.append(q)
-    notes = root / "CORRECTIONS.md"
-    notes.write_text(CORRECTIONS)
-    written.append(notes)
-    return written
+    (root / "quarantine").mkdir(parents=True, exist_ok=True)
+    copies = [(p, root / p.name) for p in blocks_for(cfg)]
+    copies.append((_FIRST_ATTEMPT, root / "quarantine" / _FIRST_ATTEMPT.name))
+    copies.append((_THEORY_DIR / "CORRECTIONS.md", root / "CORRECTIONS.md"))
+    for src, dst in copies:
+        dst.write_bytes(src.read_bytes())
+    return [dst for _, dst in copies]

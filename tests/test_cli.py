@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from morgandk.cli import main
 from morgandk.parser import parse_term
 from morgandk.terms import alpha_eq
+from morgandk.theory import FULL_CONFIG, blocks_for
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
 CORPUS = sorted(str(p) for p in THEORIES.glob("*.dk"))
@@ -173,6 +175,31 @@ def test_cp_empty_file(capsys, tmp_path):
     empty.write_text("")
     code, out, _ = run(capsys, "cp", str(empty))
     assert code == 0 and "critical pairs: 0" in out
+
+
+@pytest.mark.parametrize("nat", ["none", "external_eq", "definitional"])
+def test_export_then_check(capsys, tmp_path, nat):
+    flags = ("t1", "t2", "t3", "univalence", "cubical", f"nat={nat}")
+    code, _, _ = run(capsys, "export", str(tmp_path),
+                     *(f"--flag={f}" for f in flags))
+    assert code == 0
+    cfg = replace(FULL_CONFIG, nat_morphism_strength=nat)
+    files = [str(tmp_path / p.name) for p in blocks_for(cfg)]
+    code, out, err = run(capsys, "check", *files)
+    assert code == 0, err
+    assert out.count("checked ") == len(files)
+
+
+def test_export_is_the_shipped_corpus(capsys, tmp_path):
+    code, _, _ = run(capsys, "export", str(tmp_path))
+    assert code == 0
+    exported = {p.relative_to(tmp_path) for p in tmp_path.rglob("*")
+                if p.is_file()}
+    shipped = {p.relative_to(THEORIES) for p in THEORIES.rglob("*")
+               if p.is_file() and p.parent.name != "nat-external_eq"}
+    assert exported == shipped
+    for rel in exported:
+        assert (tmp_path / rel).read_bytes() == (THEORIES / rel).read_bytes()
 
 
 def test_export(capsys, tmp_path):

@@ -103,14 +103,17 @@ def _decl_equiv(a, b) -> bool:
     return a.name == b.name and alpha_eq(a.ty, b.ty)
 
 
-@pytest.mark.parametrize("fname,text", blocks_for(FULL_CONFIG),
+CORPUS_BLOCKS = [(p.name, p.read_text()) for p in blocks_for(FULL_CONFIG)]
+
+
+@pytest.mark.parametrize("fname,text", CORPUS_BLOCKS,
                          ids=lambda v: v if isinstance(v, str) and
                          v.endswith(".dk") else None)
 def test_roundtrip_corpus_block(fname, text):
     consts: set[str] = set()
     defs: set[str] = set()
     # feed every earlier block so cross-block references resolve
-    for f2, t2 in blocks_for(FULL_CONFIG):
+    for f2, t2 in CORPUS_BLOCKS:
         if f2 == fname:
             break
         parse_file(t2, f2, consts, defs)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from morgandk.algebra import interval_eq, interval_from_term, Holds as AHolds
 from morgandk.parser import parse_term
@@ -204,3 +204,34 @@ def test_match_soundness(t):
     for v, s in sub.items():
         instantiated = subst(instantiated, v, s)
     assert alpha_eq(instantiated, t)
+
+
+def _conv_pairs():
+    # an unrelated term converts rarely, so most partners are rewrites
+    # or an eta expansion of the first term
+    def partners(t):
+        return st.one_of(
+            _interval_terms(),
+            st.just(App(Const("sym"), App(Const("sym"), t))),
+            st.just(app(Const("Imin"), Const("1"), t)),
+            st.just(app(Const("Imax"), t, Const("0"))),
+            st.just(Lam("x", None, App(t, Var("x"))))).map(lambda u: (t, u))
+    return _interval_terms().flatmap(partners)
+
+
+@settings(deadline=None)
+@given(_conv_pairs(), st.booleans())
+def test_incremental_conv_agrees_with_normal_form_comparison(full_sig, pair,
+                                                              use_nf):
+    # uncached reducers, so neither side reuses the other's work; the
+    # claim holds where the budget suffices, and an uncached reducer
+    # spends steps exponentially in nested sym
+    a, b = pair
+    try:
+        if use_nf:
+            b = full_sig.reducer(Fuel(500), cached=False).normalize(b)
+        incremental = full_sig.reducer(Fuel(500), cached=False).conv(a, b)
+        reference = full_sig.reducer(Fuel(500), cached=False).conv_norm(a, b)
+    except FuelExhausted:
+        return
+    assert incremental == reference

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,7 @@ from morgandk.theory import (CL, EXTERNAL, FULL_CONFIG, INTERNAL, L0,
                              blocks_for, build_2ltt, build_cubical,
                              build_theory, encode, encode_context,
                              filling_example, first_attempt_facetype,
-                             first_attempt_signature, interval_face_rules,
-                             theory_files)
+                             first_attempt_signature, interval_face_rules)
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
 
@@ -220,11 +222,6 @@ def test_filling_example_shape(full_sig):
     assert red.conv(got, ty)
 
 
-def test_on_disk_corpus_matches_builtin():
-    for fname, text in theory_files():
-        assert (THEORIES / fname).read_text() == text
-
-
 def test_corpus_files_parse_as_their_own_reexport(tmp_path):
     from morgandk.theory import write_theory_files
     written = write_theory_files(tmp_path)
@@ -232,3 +229,38 @@ def test_corpus_files_parse_as_their_own_reexport(tmp_path):
     assert "01-2ltt-core.dk" in names
     assert "faces-first-attempt.dk" in names
     assert "CORRECTIONS.md" in names
+
+
+def test_package_build_ships_the_corpus(tmp_path):
+    # build_py copies package data through the src/morgandk/theories
+    # symlink; the built package must carry real files and use them
+    pytest.importorskip("setuptools")
+    root = THEORIES.parent
+    lib, egg = tmp_path / "lib", tmp_path / "egg"
+    egg.mkdir()
+    setup = "from setuptools import setup; setup()"
+    subprocess.run([sys.executable, "-c", setup, "-q",
+                    "egg_info", "--egg-base", str(egg),
+                    "build_py", "--build-lib", str(lib)],
+                   cwd=root, check=True, capture_output=True)
+    built = lib / "morgandk" / "theories"
+    shipped = {p.relative_to(THEORIES) for p in THEORIES.rglob("*")
+               if p.is_file()}
+    assert {p.relative_to(built) for p in built.rglob("*")
+            if p.is_file()} == shipped
+    assert not any(p.is_symlink() for p in (built, *built.rglob("*")))
+    script = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "import morgandk.theory as t\n"
+        "assert t.__file__.startswith(sys.argv[1]), t.__file__\n"
+        "for nat in t.NAT_STRENGTHS:\n"
+        "    cfg = replace(t.FULL_CONFIG, nat_morphism_strength=nat)\n"
+        "    t.build_theory(cfg)\n"
+        "t.first_attempt_signature()\n"
+        "t.write_theory_files(sys.argv[2])\n")
+    subprocess.run([sys.executable, "-c", script, str(lib),
+                    str(tmp_path / "export")],
+                   cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(lib)},
+                   check=True)
+    assert (tmp_path / "export" / "CORRECTIONS.md").is_file()
