@@ -423,13 +423,14 @@ def audit_equation(ty: Term) -> Verdict:
     """Audit an external-equation constant by its declared type.
 
     The type must be a Pi telescope ending in `ceps (cEq I lhs rhs)` or
-    `ceps (cEq F lhs rhs)`; bound variables become generators.
+    `ceps (cEq F lhs rhs)`; bound variables become generators named
+    after their binders.
     """
-    from .terms import Pi  # local: keep the module's import surface small
+    from .terms import Pi, Var, instantiate  # local: a small import surface
 
     core = ty
     while isinstance(core, Pi):
-        core = core.cod
+        core = instantiate(core.cod, Var(core.var))
     head, args = spine(core)
     if not (isinstance(head, Const) and head.name == "ceps" and len(args) == 1):
         raise OutOfDomain(f"equation type does not end in ceps: {core!r}")

@@ -27,7 +27,7 @@ from .parser import (Declaration, DefinableConst, Definition, RuleDecl,
 from .rewrite import (DEFAULT_FUEL, Fuel, Reducer, RewriteRule,
                       RuleCompileError, compile_rule)
 from .terms import (App, Const, Ctx, KIND, Lam, Pi, Sort, TYPE, Term, Var,
-                    free_vars, fresh_name, spine, subst)
+                    abstract, instantiate, open_binder, spine)
 
 __all__ = [
     "TypeCheckError", "ConstInfo", "Signature",
@@ -154,19 +154,21 @@ def infer(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> Term:
                 raise TypeCheckError("application of a non-function",
                                      actual=tf, kind="not-a-function")
             check(sig, ctx, a, tf.dom, red)
-            return subst(tf.cod, tf.var, a)
-        case Lam(v, dom, body):
+            return instantiate(tf.cod, a)
+        case Lam(hint, dom, body):
             if dom is None:
                 raise TypeCheckError(
                     "cannot infer the type of an unannotated abstraction")
             _check_is_type(sig, ctx, dom, red)
+            v, body = open_binder(hint, body, ctx.names())
             tb = infer(sig, ctx.push(v, dom), body, red)
             if tb == KIND:
                 raise TypeCheckError("an abstraction cannot produce a kind",
                                      kind="sort-error")
-            return Pi(v, dom, tb)
-        case Pi(v, dom, cod):
+            return Pi(hint, dom, abstract(tb, v))
+        case Pi(hint, dom, cod):
             _check_is_type(sig, ctx, dom, red)
+            v, cod = open_binder(hint, cod, ctx.names())
             s = red.whnf(infer(sig, ctx.push(v, dom), cod, red))
             if not isinstance(s, Sort):
                 raise TypeCheckError("product codomain must be a type or a kind",
@@ -191,16 +193,8 @@ def check(sig: Signature, ctx: Ctx, t: Term, ty: Term, red: Reducer) -> None:
         if t.dom is not None and not red.conv(t.dom, w.dom):
             raise TypeCheckError("domain annotation does not match",
                                  expected=w.dom, actual=t.dom)
-        v, body = t.var, t.body
-        if w.var == v:
-            cod = w.cod
-        else:
-            if v in free_vars(w.cod):
-                nv = fresh_name(v, free_vars(w.cod) | free_vars(body))
-                body = subst(body, v, Var(nv))
-                v = nv
-            cod = subst(w.cod, w.var, Var(v))
-        check(sig, ctx.push(v, w.dom), body, cod, red)
+        v, body = open_binder(t.var, t.body, ctx.names())
+        check(sig, ctx.push(v, w.dom), body, instantiate(w.cod, Var(v)), red)
         return
     it = infer(sig, ctx, t, red)
     if not red.conv(it, ty):
@@ -247,7 +241,7 @@ def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
                         raise TypeCheckError(
                             f"over-applied constant {head.name!r} in pattern")
                     walk(a, w.dom)
-                    ty = subst(w.cod, w.var, a)
+                    ty = instantiate(w.cod, a)
                 # the computed type of this subpattern is not compared with
                 # `expected`: it mentions pattern variables the match will
                 # only later determine, and sound rules routinely refine it
@@ -267,7 +261,7 @@ def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
         if not isinstance(w, Pi):
             raise TypeCheckError(f"rule head {rule.head!r} is over-applied")
         walk(p, w.dom)
-        ty = subst(w.cod, w.var, p)
+        ty = instantiate(w.cod, p)
 
     ctx = Ctx()
     for v in order:

@@ -3,7 +3,8 @@ algebraic oracles, run the confluence analyzer, export the corpus.
 
 Exit codes, uniformly: 0 success, 1 semantic failure (type error,
 refuted equation, non-joinable pair), 2 input problem (missing file,
-parse error, out-of-domain oracle query), 3 fuel exhausted.  All
+parse error, bad flag or fuel, out-of-domain oracle query), 3 resource
+exhausted (fuel, or recursion depth on a deeply nested term).  All
 orderings in reports follow declaration order, so identical inputs
 print identical output.
 """
@@ -33,7 +34,14 @@ _ORACLE_CONSTS = frozenset(
     {"0", "1", "sym", "Imin", "Imax", "0f", "1f", "eq0", "eq1",
      "Fmin", "Fmax"})
 
-_FLAG_NAMES = ("t1", "t2", "t3", "univalence", "cubical")
+# theory flag -> the TheoryConfig field it switches on
+_FLAGS = {"t1": "t1_injectivity", "t2": "t2_primitive_iso_as_rewrite",
+          "t3": "t3_repletion", "univalence": "include_weak_univalence",
+          "cubical": "cubical"}
+
+
+class _InputError(Exception):
+    """A bad flag or fuel setting."""
 
 
 def _config_from_flags(flags: list[str] | None) -> TheoryConfig:
@@ -43,22 +51,17 @@ def _config_from_flags(flags: list[str] | None) -> TheoryConfig:
         return FULL_CONFIG
     cfg = TheoryConfig()
     for f in flags:
-        if f == "t1":
-            cfg = replace(cfg, t1_injectivity=True)
-        elif f == "t2":
-            cfg = replace(cfg, t2_primitive_iso_as_rewrite=True)
-        elif f == "t3":
-            cfg = replace(cfg, t3_repletion=True)
-        elif f == "univalence":
-            cfg = replace(cfg, include_weak_univalence=True)
-        elif f == "cubical":
-            cfg = replace(cfg, cubical=True)
+        if f in _FLAGS:
+            cfg = replace(cfg, **{_FLAGS[f]: True})
         elif f.startswith("nat="):
-            cfg = replace(cfg, nat_morphism_strength=f[len("nat="):])
+            try:
+                cfg = replace(cfg, nat_morphism_strength=f[len("nat="):])
+            except ValueError as e:
+                raise _InputError(str(e)) from None
         else:
-            raise ValueError(
+            raise _InputError(
                 f"unknown flag {f!r}: expected one of "
-                f"{', '.join(_FLAG_NAMES)} or nat=<strength>")
+                f"{', '.join(_FLAGS)} or nat=<strength>")
     return cfg
 
 
@@ -67,9 +70,13 @@ def _resolve_fuel(arg_fuel: int | None) -> int:
         fuel = arg_fuel
     else:
         env = os.environ.get(FUEL_ENV)
-        fuel = int(env) if env else DEFAULT_FUEL
+        try:
+            fuel = int(env) if env else DEFAULT_FUEL
+        except ValueError:
+            raise _InputError(
+                f"{FUEL_ENV} must be an integer, got {env!r}") from None
     if fuel <= 0:
-        raise ValueError(f"fuel must be positive, got {fuel}")
+        raise _InputError(f"fuel must be positive, got {fuel}")
     return fuel
 
 
@@ -297,10 +304,7 @@ def main(argv=None) -> int:
     except (OracleError, OutOfDomain) as e:
         _diag(f"oracle error: {e}")
         return 2
-    except OSError as e:
-        _diag(f"error: {e}")
-        return 2
-    except ValueError as e:
+    except (OSError, _InputError) as e:
         _diag(f"error: {e}")
         return 2
     except TypeCheckError as e:
@@ -308,6 +312,9 @@ def main(argv=None) -> int:
         return 1
     except FuelExhausted:
         _diag("error: fuel exhausted")
+        return 3
+    except RecursionError:
+        _diag("error: recursion depth exhausted: the input is nested too deeply")
         return 3
 
 

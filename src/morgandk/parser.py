@@ -12,10 +12,11 @@ Terms: `x : A -> B` (product), `A -> B` (non-dependent product),
 `x : A => b` and `x => b` (abstraction), juxtaposition (application),
 `Type` (the sort of types).  Comments are `(; ... ;)` and nest.
 
-Identifier resolution happens at parse time: binder-bound names and rule
-pattern variables become Var, previously declared names become Const.
-Anything else is a free Var in term position but an error inside rewrite
-rules, where an unbound identifier is always a mistake.
+Identifier resolution happens at parse time: binder-bound names become
+de Bruijn indices (Bound), rule pattern variables become Var, previously
+declared names become Const.  Anything else is a free Var in term
+position but an error inside rewrite rules, where an unbound identifier
+is always a mistake.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .terms import (App, Const, Lam, Pi, Sort, Term, TYPE, Var, free_vars,
-                    fresh_name, spine)
+from .terms import (App, Bound, Const, Lam, Pi, Sort, Term, TYPE, Var,
+                    free_vars, occurs, open_binder, spine)
 
 __all__ = [
     "SourceSpan", "ParseError", "Token",
@@ -90,6 +91,9 @@ class RuleDecl:
 
 
 Declaration = Union[StaticConst, DefinableConst, Definition, RuleDecl]
+
+# enclosing binder names, innermost first (None: a non-dependent arrow)
+Scope = tuple[Optional[str], ...]
 
 _SYMBOLS = (":=", "-->", "->", "=>", ":", "(", ")", "[", "]", ",", ".")
 
@@ -166,7 +170,8 @@ class _Parser:
         self.file = file
         self.consts = consts
         self.defs = defs if defs is not None else set()
-        self.strict = False  # inside a rewrite rule: no free identifiers
+        # inside a rewrite rule: its pattern variables; no free identifiers
+        self.pat_vars: Optional[frozenset[str]] = None
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -200,62 +205,62 @@ class _Parser:
 
     # -- terms ------------------------------------------------------------
 
-    def term(self, bound: frozenset[str]) -> Term:
+    def term(self, scope: Scope) -> Term:
         t = self.peek()
         if t.kind == "ident" and t.text != "Type" and self.peek(1).kind == "sym":
             nxt = self.peek(1).text
             if nxt == ":":
                 name = self.next().text
                 self.next()
-                dom = self.appl(bound)
+                dom = self.appl(scope)
                 if self.at_sym("->"):
                     self.next()
-                    return Pi(name, dom, self.term(bound | {name}))
+                    return Pi(name, dom, self.term((name,) + scope))
                 if self.at_sym("=>"):
                     self.next()
-                    return Lam(name, dom, self.term(bound | {name}))
+                    return Lam(name, dom, self.term((name,) + scope))
                 self.fail("expected '->' or '=>' after binder")
             if nxt == "=>":
                 name = self.next().text
                 self.next()
-                return Lam(name, None, self.term(bound | {name}))
-        left = self.appl(bound)
+                return Lam(name, None, self.term((name,) + scope))
+        left = self.appl(scope)
         if self.at_sym("->"):
             self.next()
-            cod = self.term(bound)
-            v = fresh_name("_", free_vars(cod))
-            return Pi(v, left, cod)
+            return Pi("_", left, self.term((None,) + scope))
         return left
 
-    def appl(self, bound: frozenset[str]) -> Term:
-        t = self.atom(bound)
+    def appl(self, scope: Scope) -> Term:
+        t = self.atom(scope)
         while True:
             nxt = self.peek()
             if nxt.kind == "ident" and not (
                     nxt.text != "Type" and self.peek(1).kind == "sym"
                     and self.peek(1).text == ":"):
-                t = App(t, self.atom(bound))
+                t = App(t, self.atom(scope))
             elif self.at_sym("("):
-                t = App(t, self.atom(bound))
+                t = App(t, self.atom(scope))
             else:
                 return t
 
-    def atom(self, bound: frozenset[str]) -> Term:
+    def atom(self, scope: Scope) -> Term:
         t = self.peek()
         if self.at_sym("("):
             self.next()
-            inner = self.term(bound)
+            inner = self.term(scope)
             self.expect_sym(")")
             return inner
         if t.kind == "ident":
             self.next()
             if t.text == "Type":
                 return TYPE
-            if t.text in bound:
+            if t.text in scope:
+                return Bound(scope.index(t.text))
+            if t.text in (self.pat_vars or ()):
                 return Var(t.text)
             if t.text in self.consts:
                 return Const(t.text)
-            if self.strict:
+            if self.pat_vars is not None:
                 self.fail(f"unbound identifier {t.text!r} in rewrite rule", t)
             return Var(t.text)
         self.fail(f"expected a term, found {t.text!r}", t)
@@ -280,7 +285,7 @@ class _Parser:
             return self.definition(start)
         name_tok = self.expect_ident()
         self.expect_sym(":")
-        ty = self.term(frozenset())
+        ty = self.term(())
         self.expect_sym(".")
         self.declare(name_tok.text, name_tok)
         return StaticConst(name_tok.text, ty, self.span(name_tok))
@@ -289,19 +294,19 @@ class _Parser:
         name_tok = self.expect_ident()
         name = name_tok.text
         params: list[tuple[str, Term]] = []
-        bound: frozenset[str] = frozenset()
+        scope: Scope = ()
         while self.at_sym("("):
             self.next()
             p = self.expect_ident()
             self.expect_sym(":")
-            pty = self.term(bound)
+            pty = self.term(scope)
             self.expect_sym(")")
             params.append((p.text, pty))
-            bound = bound | {p.text}
+            scope = (p.text,) + scope
         ty: Optional[Term] = None
         if self.at_sym(":"):
             self.next()
-            ty = self.term(bound)
+            ty = self.term(scope)
         if self.at_sym("."):
             self.next()
             if ty is None:
@@ -312,7 +317,7 @@ class _Parser:
             self.declare(name, name_tok, definable=True)
             return DefinableConst(name, ty, self.span(name_tok))
         self.expect_sym(":=")
-        body = self.term(bound)
+        body = self.term(scope)
         self.expect_sym(".")
         for p, pty in reversed(params):
             body = Lam(p, pty, body)
@@ -338,14 +343,13 @@ class _Parser:
                 else:
                     break
         self.expect_sym("]")
-        self.strict = True
+        self.pat_vars = frozenset(pat_vars)
         try:
-            bound = frozenset(pat_vars)
-            lhs = self.term(bound)
+            lhs = self.term(())
             self.expect_sym("-->")
-            rhs = self.term(bound)
+            rhs = self.term(())
         finally:
-            self.strict = False
+            self.pat_vars = None
         self.expect_sym(".")
         head, _ = spine(lhs)
         if not (isinstance(head, Const) and head.name in self.defs):
@@ -376,7 +380,7 @@ def parse_file(text: str, file: str = "<input>",
 def parse_term(text: str, consts: set[str] | frozenset[str] = frozenset(),
                file: str = "<term>") -> Term:
     p = _Parser(tokenize(text, file), file, set(consts))
-    t = p.term(frozenset())
+    t = p.term(())
     if p.peek().kind != "eof":
         p.fail(f"trailing input {p.peek().text!r}")
     return t
@@ -398,14 +402,14 @@ def _pp(t: Term, level: int) -> str:
         case App(f, a):
             s = f"{_pp(f, 1)} {_pp(a, 2)}"
             return f"({s})" if level > 1 else s
-        case Lam(v, dom, body):
-            if dom is None:
-                s = f"{v} => {_pp(body, 0)}"
-            else:
-                s = f"{v} : {_pp(dom, 1)} => {_pp(body, 0)}"
+        case Lam(hint, dom, body):
+            v, body = open_binder(hint, body, free_vars(body))
+            ann = "" if dom is None else f" : {_pp(dom, 1)}"
+            s = f"{v}{ann} => {_pp(body, 0)}"
             return f"({s})" if level > 0 else s
-        case Pi(v, dom, cod):
-            if v in free_vars(cod):
+        case Pi(hint, dom, cod):
+            if occurs(cod):
+                v, cod = open_binder(hint, cod, free_vars(cod))
                 s = f"{v} : {_pp(dom, 1)} -> {_pp(cod, 0)}"
             else:
                 s = f"{_pp(dom, 1)} -> {_pp(cod, 0)}"

@@ -22,8 +22,9 @@ from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .algebra import Fails, Holds, Verdict
-from .terms import (App, Const, Lam, Pi, Sort, Term, Var, alpha_eq, app,
-                    free_vars, fresh_name, msubst, spine, subst)
+from .terms import (App, Bound, Const, Lam, Pi, Sort, Term, Var, app,
+                    free_vars, fresh_name, instantiate, msubst, occurs,
+                    shift, spine)
 
 __all__ = [
     "DEFAULT_FUEL", "Fuel", "FuelExhausted",
@@ -116,9 +117,8 @@ class ReplayError(Exception):
 def _eta_body(t: Term) -> Optional[Term]:
     """If t is  x => f x  with x not free in f, return f."""
     if (isinstance(t, Lam) and isinstance(t.body, App)
-            and isinstance(t.body.arg, Var) and t.body.arg.name == t.var
-            and t.var not in free_vars(t.body.fn)):
-        return t.body.fn
+            and t.body.arg == Bound(0) and not occurs(t.body.fn)):
+        return shift(t.body.fn, -1, 1)
     return None
 
 
@@ -154,7 +154,7 @@ class Reducer:
             head, args = spine(t)
             if isinstance(head, Lam) and args:
                 self.fuel.tick()
-                t = app(subst(head.body, head.var, args[0]), *args[1:])
+                t = app(instantiate(head.body, args[0]), *args[1:])
                 continue
             nxt = None
             if isinstance(head, Const):
@@ -186,12 +186,11 @@ class Reducer:
             case Lam(v, d, b):
                 nb = self.normalize(b)
                 nd = self.normalize(d) if d is not None else None
-                contracted = _eta_body(Lam(v, nd, nb))
+                t = Lam(v, nd, nb)
+                contracted = _eta_body(t)
                 if contracted is not None:
                     self.fuel.tick()
                     t = contracted
-                else:
-                    t = Lam(v, nd, nb)
             case Pi(v, d, c):
                 t = Pi(v, self.normalize(d), self.normalize(c))
             case _:
@@ -207,54 +206,41 @@ class Reducer:
         """Incremental conversion: weak-head both sides, compare outer
         structure, recurse.  Eta: an abstraction converts with anything
         whose application to the bound variable converts with its body."""
-        if alpha_eq(a, b):
+        if a == b:
             return True
         a = self.whnf(a)
         b = self.whnf(b)
         match a, b:
             case Sort(x), Sort(y):
                 return x == y
-            case Pi(v1, d1, c1), Pi(v2, d2, c2):
-                if not self.conv(d1, d2):
-                    return False
-                w = fresh_name(v1, free_vars(c1) | free_vars(c2))
-                return self.conv(subst(c1, v1, Var(w)), subst(c2, v2, Var(w)))
-            case Lam(v1, _, b1), Lam(v2, _, b2):
-                w = fresh_name(v1, free_vars(b1) | free_vars(b2))
-                return self.conv(subst(b1, v1, Var(w)), subst(b2, v2, Var(w)))
-            case (Lam(v, _, body), other) | (other, Lam(v, _, body)):
-                if isinstance(other, (Sort, Pi)):
-                    return False
-                w = fresh_name(v, free_vars(body) | free_vars(other))
-                return self.conv(subst(body, v, Var(w)), App(other, Var(w)))
+            case Pi(_, d1, c1), Pi(_, d2, c2):
+                return self.conv(d1, d2) and self.conv(c1, c2)
+            case Lam(_, _, b1), Lam(_, _, b2):
+                return self.conv(b1, b2)
+            case (Lam(_, _, body), other) | (other, Lam(_, _, body)):
+                return not isinstance(other, (Sort, Pi)) and self.conv(
+                    body, App(shift(other, 1), Bound(0)))
             case _:
                 h1, args1 = spine(a)
                 h2, args2 = spine(b)
-                if len(args1) != len(args2) or type(h1) is not type(h2):
+                # after whnf a head is a constant, a free or bound
+                # variable, or a sort (an applied product is ill-typed)
+                if len(args1) != len(args2) or isinstance(h1, Pi) or h1 != h2:
                     return False
-                match h1, h2:
-                    case Const(x), Const(y):
-                        same = x == y
-                    case Var(x), Var(y):
-                        same = x == y
-                    case Sort(x), Sort(y):
-                        same = x == y
-                    case _:
-                        same = False
-                return same and all(
-                    self.conv(x, y) for x, y in zip(args1, args2))
+                return all(self.conv(x, y) for x, y in zip(args1, args2))
 
     def conv_norm(self, a: Term, b: Term) -> bool:
         """Reference conversion: compare full normal forms.  Agrees with
-        conv wherever the budget suffices; the incremental version is
-        tested against this one."""
-        return alpha_eq(self.normalize(a), self.normalize(b))
+        conv wherever the budget suffices, except that `==` compares
+        lambda domain annotations, which conv ignores; the incremental
+        version is tested against this one."""
+        return self.normalize(a) == self.normalize(b)
 
     # traced reduction
 
     def _rule_step_at_root(self, t: Term) -> Optional[tuple[str, Term]]:
         if isinstance(t, App) and isinstance(t.fn, Lam):
-            return "beta", subst(t.fn.body, t.fn.var, t.arg)
+            return "beta", instantiate(t.fn.body, t.arg)
         contracted = _eta_body(t)
         if contracted is not None:
             return "eta", contracted
@@ -303,7 +289,7 @@ class Reducer:
             if name == "beta":
                 if not (isinstance(sub_t, App) and isinstance(sub_t.fn, Lam)):
                     raise ReplayError(f"no beta redex at {'/'.join(pos) or 'root'}")
-                repl = subst(sub_t.fn.body, sub_t.fn.var, sub_t.arg)
+                repl = instantiate(sub_t.fn.body, sub_t.arg)
             elif name == "eta":
                 repl = _eta_body(sub_t)
                 if repl is None:
@@ -330,13 +316,13 @@ def _match(pat: Term, t: Term, sub: dict[str, Term],
            whnf: Optional[Callable[[Term], Term]] = None) -> bool:
     """The one first-order matcher: extend `sub` so that `pat` instantiates
     to `t`.  A repeated pattern variable compares its matches with `eq`
-    (alpha-equality by default); with `whnf`, the subject is weak-head
-    normalized wherever the pattern demands a constant or an
-    application."""
+    (`==`, which is alpha-equivalence, by default); with `whnf`, the
+    subject is weak-head normalized wherever the pattern demands a
+    constant or an application."""
     match pat:
         case Var(v):
             if v in sub:
-                return (eq or alpha_eq)(sub[v], t)
+                return eq(sub[v], t) if eq is not None else sub[v] == t
             sub[v] = t
             return True
         case Const(c):
@@ -356,7 +342,7 @@ def match_pattern(pat: Term, t: Term,
                   ) -> Optional[dict[str, Term]]:
     """First-order match of an applicative pattern against a term, with no
     reduction of the subject.  A repeated pattern variable compares its
-    matches with `conv` when given, alpha-equality otherwise.  Returns the
+    matches with `conv` when given, `==` otherwise.  Returns the
     substitution on success."""
     sub: dict[str, Term] = {}
     return sub if _match(pat, t, sub, conv) else None
@@ -541,6 +527,6 @@ def joinable(red: Reducer, cp: CriticalPair) -> Verdict:
     A fuel shortage surfaces as FuelExhausted, never as a verdict."""
     left = red.normalize(cp.left)
     right = red.normalize(cp.right)
-    if alpha_eq(left, right):
+    if left == right:
         return Holds()
     return Fails((left, right))

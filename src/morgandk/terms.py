@@ -1,21 +1,27 @@
-"""Core term syntax for a lambda-Pi kernel with named binders.
+"""Core term syntax for a lambda-Pi kernel, in locally nameless form.
+
+Bound variables are de Bruijn indices (`Bound(0)` is the nearest
+enclosing binder); free variables and rule pattern variables stay named
+(`Var`).  A binder keeps the name it was written with only as a hint for
+printing: hints take no part in `==` or `hash`, so `==` is
+alpha-equivalence and substitution never renames.  Lambda domain
+annotations do take part in `==` (conversion ignores them).
 
 Terms are immutable, so they can be shared freely and used as dict keys.
-Substitution is capture-avoiding; alpha equivalence ignores binder names
-and lambda domain annotations (Pi domains are always compared).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 __all__ = [
-    "Sort", "Const", "Var", "App", "Lam", "Pi", "Term",
+    "Sort", "Const", "Var", "Bound", "App", "Lam", "Pi", "Term",
     "TYPE", "KIND",
-    "app", "spine", "pi_chain", "lam_chain",
-    "free_vars", "fresh_name", "subst", "msubst", "alpha_eq",
-    "Ctx",
+    "app", "spine", "lam", "pi",
+    "free_vars", "fresh_name", "occurs",
+    "abstract", "instantiate", "open_binder", "shift", "subst", "msubst",
+    "alpha_eq", "Ctx",
 ]
 
 
@@ -39,6 +45,11 @@ class Var:
 
 
 @dataclass(frozen=True)
+class Bound:
+    index: int
+
+
+@dataclass(frozen=True)
 class App:
     fn: "Term"
     arg: "Term"
@@ -46,19 +57,19 @@ class App:
 
 @dataclass(frozen=True)
 class Lam:
-    var: str
+    var: str = field(compare=False)  # printing hint
     dom: Optional["Term"]  # annotation is optional on lambdas
     body: "Term"
 
 
 @dataclass(frozen=True)
 class Pi:
-    var: str
+    var: str = field(compare=False)  # printing hint
     dom: "Term"
     cod: "Term"
 
 
-Term = Union[Sort, Const, Var, App, Lam, Pi]
+Term = Union[Sort, Const, Var, Bound, App, Lam, Pi]
 
 
 def app(fn: Term, *args: Term) -> Term:
@@ -78,34 +89,27 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def pi_chain(binders: Iterable[tuple[str, Term]], cod: Term) -> Term:
-    out = cod
-    for name, dom in reversed(list(binders)):
-        out = Pi(name, dom, out)
-    return out
+def lam(name: str, dom: Optional[Term], body: Term) -> Lam:
+    """The abstraction `name : dom => body`, binding the free `name`."""
+    return Lam(name, dom, abstract(body, name))
 
 
-def lam_chain(binders: Iterable[tuple[str, Optional[Term]]], body: Term) -> Term:
-    out = body
-    for name, dom in reversed(list(binders)):
-        out = Lam(name, dom, out)
-    return out
+def pi(name: str, dom: Term, cod: Term) -> Pi:
+    """The product `name : dom -> cod`, binding the free `name`."""
+    return Pi(name, dom, abstract(cod, name))
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """Names of unbound Var occurrences in t."""
+    """Names of the Var occurrences in t."""
     match t:
         case Var(n):
             return frozenset((n,))
         case App(f, a):
             return free_vars(f) | free_vars(a)
-        case Lam(v, dom, body):
-            fv = free_vars(body) - {v}
-            if dom is not None:
-                fv |= free_vars(dom)
-            return fv
-        case Pi(v, dom, cod):
-            return (free_vars(cod) - {v}) | free_vars(dom)
+        case Lam(_, dom, body):
+            return free_vars(dom) | free_vars(body)  # a missing dom has none
+        case Pi(_, dom, cod):
+            return free_vars(dom) | free_vars(cod)
         case _:
             return frozenset()
 
@@ -119,99 +123,100 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{base}_{n}"
 
 
-def subst(t: Term, name: str, repl: Term) -> Term:
-    """Substitute repl for the free variable `name` in t, renaming binders
-    when they would capture a free variable of repl."""
+def occurs(t: Term, index: int = 0) -> bool:
+    """Whether the bound variable `index`, counted from t's top, occurs in t."""
     match t:
-        case Var(n):
-            return repl if n == name else t
-        case Sort() | Const():
-            return t
+        case Bound(i):
+            return i == index
         case App(f, a):
-            return App(subst(f, name, repl), subst(a, name, repl))
-        case Lam(v, dom, body):
-            nd = subst(dom, name, repl) if dom is not None else None
-            if v == name or name not in free_vars(body):
-                return t if nd is dom else Lam(v, nd, body)
-            if v in free_vars(repl):
-                w = fresh_name(v, free_vars(repl) | free_vars(body) | {name})
-                body = subst(body, v, Var(w))
-                v = w
-            return Lam(v, nd, subst(body, name, repl))
-        case Pi(v, dom, cod):
-            nd = subst(dom, name, repl)
-            if v == name or name not in free_vars(cod):
-                return t if nd is dom else Pi(v, nd, cod)
-            if v in free_vars(repl):
-                w = fresh_name(v, free_vars(repl) | free_vars(cod) | {name})
-                cod = subst(cod, v, Var(w))
-                v = w
-            return Pi(v, nd, subst(cod, name, repl))
-    raise TypeError(f"not a term: {t!r}")
+            return occurs(f, index) or occurs(a, index)
+        case Lam(_, dom, body):
+            return occurs(dom, index) or occurs(body, index + 1)
+        case Pi(_, dom, cod):
+            return occurs(dom, index) or occurs(cod, index + 1)
+        case _:
+            return False
+
+
+def _rebuild(t: Term, leaf: Callable[[Term, int], Term], depth: int) -> Term:
+    """Rebuild t with each Var and Bound replaced by `leaf(node, depth)`,
+    where depth counts the binders above the node.  Unchanged subterms
+    are shared, and a missing lambda domain stays None.  Dispatches on
+    the exact class: on this hot path that is twice as fast as `match`."""
+    cls = t.__class__
+    if cls is App:
+        f, a = _rebuild(t.fn, leaf, depth), _rebuild(t.arg, leaf, depth)
+        return t if f is t.fn and a is t.arg else App(f, a)
+    if cls is Var or cls is Bound:
+        return leaf(t, depth)
+    if cls is Lam:
+        d, b = _rebuild(t.dom, leaf, depth), _rebuild(t.body, leaf, depth + 1)
+        return t if d is t.dom and b is t.body else Lam(t.var, d, b)
+    if cls is Pi:
+        d, c = _rebuild(t.dom, leaf, depth), _rebuild(t.cod, leaf, depth + 1)
+        return t if d is t.dom and c is t.cod else Pi(t.var, d, c)
+    return t
+
+
+def shift(t: Term, by: int, cutoff: int = 0) -> Term:
+    """Add `by` to every bound index of t at or above `cutoff` (counted
+    from t's top): the indices that point past t's own binders."""
+    def leaf(v, depth):
+        if isinstance(v, Bound) and v.index >= cutoff + depth:
+            return Bound(v.index + by)
+        return v
+    return _rebuild(t, leaf, 0) if by else t
+
+
+def abstract(t: Term, name: str) -> Term:
+    """The body of a binder over the free variable `name` wrapped around
+    t: occurrences of `name` become that binder's index, and indices
+    that already pointed past t move up by one."""
+    def leaf(v, depth):
+        if isinstance(v, Var):
+            return Bound(depth) if v.name == name else v
+        return Bound(v.index + 1) if v.index >= depth else v
+    return _rebuild(t, leaf, 0)
+
+
+def instantiate(body: Term, arg: Term) -> Term:
+    """Open a binder's body with `arg`: the binder's index becomes arg,
+    shifted under the binders it passes, and indices pointing further
+    out move down by one."""
+    def leaf(v, depth):
+        if isinstance(v, Var) or v.index < depth:
+            return v
+        return shift(arg, depth) if v.index == depth else Bound(v.index - 1)
+    return _rebuild(body, leaf, 0)
+
+
+def open_binder(hint: str, body: Term,
+                avoid: frozenset[str] | set[str]) -> tuple[str, Term]:
+    """Open a binder's body with a free variable named after its hint,
+    renamed apart from `avoid`.  Returns the name and the opened body."""
+    v = fresh_name(hint, avoid)
+    return v, instantiate(body, Var(v))
 
 
 def msubst(t: Term, sub: dict[str, Term]) -> Term:
-    """Simultaneous capture-avoiding substitution of several variables.
+    """Simultaneous substitution of free variables: a replacement is
+    inserted as is (never substituted again) and shifted under the
+    binders it passes."""
+    def leaf(v, depth):
+        if isinstance(v, Var) and v.name in sub:
+            return shift(sub[v.name], depth)
+        return v
+    return _rebuild(t, leaf, 0) if sub else t
 
-    Not the same as folding subst: a replacement term may contain a free
-    variable that is also a substituted name, and must not be rewritten
-    again."""
-    if not sub:
-        return t
-    match t:
-        case Var(n):
-            return sub.get(n, t)
-        case Sort() | Const():
-            return t
-        case App(f, a):
-            return App(msubst(f, sub), msubst(a, sub))
-        case Lam(v, dom, body):
-            nd = msubst(dom, sub) if dom is not None else None
-            inner = {k: r for k, r in sub.items() if k != v and k in free_vars(body)}
-            if not inner:
-                return Lam(v, nd, body)
-            clash = frozenset().union(*(free_vars(r) for r in inner.values()))
-            if v in clash:
-                w = fresh_name(v, clash | free_vars(body))
-                body = subst(body, v, Var(w))
-                v = w
-            return Lam(v, nd, msubst(body, inner))
-        case Pi(v, dom, cod):
-            nd = msubst(dom, sub)
-            inner = {k: r for k, r in sub.items() if k != v and k in free_vars(cod)}
-            if not inner:
-                return Pi(v, nd, cod)
-            clash = frozenset().union(*(free_vars(r) for r in inner.values()))
-            if v in clash:
-                w = fresh_name(v, clash | free_vars(cod))
-                cod = subst(cod, v, Var(w))
-                v = w
-            return Pi(v, nd, msubst(cod, inner))
-    raise TypeError(f"not a term: {t!r}")
+
+def subst(t: Term, name: str, repl: Term) -> Term:
+    """Substitute repl for the free variable `name` in t."""
+    return msubst(t, {name: repl})
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Equality up to renaming of bound variables."""
-    return _alpha(a, b, {}, {}, 0)
-
-
-def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
-    match a, b:
-        case Sort(x), Sort(y):
-            return x == y
-        case Const(x), Const(y):
-            return x == y
-        case Var(x), Var(y):
-            return ea.get(x, x) == eb.get(y, y)
-        case App(f1, a1), App(f2, a2):
-            return _alpha(f1, f2, ea, eb, depth) and _alpha(a1, a2, ea, eb, depth)
-        case Lam(v1, _, b1), Lam(v2, _, b2):
-            return _alpha(b1, b2, {**ea, v1: depth}, {**eb, v2: depth}, depth + 1)
-        case Pi(v1, d1, c1), Pi(v2, d2, c2):
-            return _alpha(d1, d2, ea, eb, depth) and _alpha(
-                c1, c2, {**ea, v1: depth}, {**eb, v2: depth}, depth + 1)
-        case _:
-            return False
+    """Equality up to renaming of bound variables, which is `==`."""
+    return a == b
 
 
 @dataclass(frozen=True)

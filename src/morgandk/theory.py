@@ -25,7 +25,7 @@ from pathlib import Path
 from .check import DEFAULT_FUEL, Signature, check_signature
 from .parser import Declaration, parse_file
 from .rewrite import RewriteRule
-from .terms import App, Const, Ctx, Lam, Pi, Term, Var, app
+from .terms import App, Const, Ctx, Lam, Term, Var, app, lam, pi
 
 __all__ = [
     "TheoryConfig", "FULL_CONFIG", "NAT_STRENGTHS",
@@ -424,15 +424,15 @@ def _decoder(layer: str) -> Const:
 
 def _bind(layer: str, lev: Level, var: str, dom: "Ast", cod: "Ast") -> Lam:
     ann = app(_decoder(layer), lev.term(), encode(dom, lev, layer))
-    return Lam(var, ann, encode(cod, lev, layer))
+    return lam(var, ann, encode(cod, lev, layer))
 
 
 def encode(e: Ast, lev: Level, layer: str = INTERNAL) -> Term:
     """Translate surface syntax to a kernel term at level `lev`.
 
-    Homomorphic: variables keep their names, every former maps to the
-    constant of the same name in the current layer, fully applied, with
-    bound variables annotated by the decoded domain.  The three
+    Homomorphic: free variables keep their names, every former maps to
+    the constant of the same name in the current layer, fully applied,
+    with bound variables annotated by the decoded domain.  The three
     coercion nodes are the only places the layer changes; using them in
     the wrong layer raises EncodeError.
     """
@@ -480,7 +480,7 @@ def encode(e: Ast, lev: Level, layer: str = INTERNAL) -> Term:
             return app(_former(layer, "succ"), lt, encode(n, lev, layer))
         case ALam(var, dom, body):
             ann = app(_decoder(layer), lt, encode(dom, lev, layer))
-            return Lam(var, ann, encode(body, lev, layer))
+            return lam(var, ann, encode(body, lev, layer))
         case AApp(fn, arg):
             return App(encode(fn, lev, layer), encode(arg, lev, layer))
         case APair(var, dom, cod, fst, snd):
@@ -548,14 +548,14 @@ def filling_example(lev: Level = L0) -> tuple[Term, Term]:
     def imin(a: Term, b: Term) -> Term:
         return app(Const("Imin"), a, b)
 
-    line = Lam("i", ceps_i, App(Const("A0"), imin(Var("i"), Var("j"))))
-    sides = Lam("w", ceps_face,
-                Lam("i", ceps_i,
+    line = lam("i", ceps_i, App(Const("A0"), imin(Var("i"), Var("j"))))
+    sides = lam("w", ceps_face,
+                lam("i", ceps_i,
                     app(Const("u0"), Var("w"), imin(Var("i"), Var("j")))))
     body = app(Const("primCompTerm"), lt, Const("phi0"), line, sides,
                Const("a00"), Const("coh0"))
-    term = Lam("j", ceps_i, body)
-    ty = Pi("j", ceps_i, app(Const("eps"), lt, App(Const("A0"), Var("j"))))
+    term = lam("j", ceps_i, body)
+    ty = pi("j", ceps_i, app(Const("eps"), lt, App(Const("A0"), Var("j"))))
     return term, ty
 
 

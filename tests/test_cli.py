@@ -107,6 +107,30 @@ def test_reduce_rejects_nonpositive_fuel(capsys):
     assert code == 2 and "positive" in err
 
 
+def test_reduce_rejects_bad_fuel_env(capsys, monkeypatch):
+    monkeypatch.setenv("MORGANDK_FUEL", "lots")
+    code, _, err = run(capsys, "reduce", "x")
+    assert code == 2 and "MORGANDK_FUEL" in err
+
+
+def test_reduce_too_deep_is_resource_exhaustion(capsys):
+    depth = 1200
+    numeral = "succ l0 (" * depth + "zero l0" + ")" * depth
+    code, out, err = run(capsys, "reduce", f"exDouble ({numeral})")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
+    # only flag and fuel validation map to exit 2; any other ValueError
+    # is a bug and propagates
+    def broken(*args):
+        raise ValueError("internal")
+    monkeypatch.setattr("morgandk.cli.build_theory", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["reduce", "x"])
+
+
 def test_flag_composition(capsys):
     code, out, _ = run(capsys, "reduce", "--flag", "t3",
                        "c l0 (repletion l0 A B e)")
@@ -120,6 +144,8 @@ def test_flag_composition(capsys):
 def test_unknown_flag(capsys):
     code, _, err = run(capsys, "reduce", "--flag", "t9", "x")
     assert code == 2
+    code, _, err = run(capsys, "reduce", "--flag", "nat=strong", "x")
+    assert code == 2 and "nat_morphism_strength" in err
 
 
 def test_oracle_examples(capsys):

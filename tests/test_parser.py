@@ -3,7 +3,8 @@ import pytest
 from morgandk.parser import (Definition, ParseError, RuleDecl, StaticConst,
                              parse_file, parse_term, pretty,
                              print_declaration)
-from morgandk.terms import TYPE, App, Const, Lam, Pi, Sort, Var, alpha_eq
+from morgandk.terms import (TYPE, App, Const, Lam, Pi, Sort, Var, alpha_eq,
+                            lam, pi)
 from morgandk.theory import FULL_CONFIG, blocks_for
 
 
@@ -34,7 +35,7 @@ def test_empty_input():
 
 def test_parse_term_lambda():
     t = parse_term("x : A => x")
-    assert t == Lam("x", Var("A"), Var("x"))
+    assert t == lam("x", Var("A"), Var("x"))
 
 
 def test_parse_term_left_assoc():
@@ -45,15 +46,15 @@ def test_parse_term_left_assoc():
 
 def test_parse_term_pi():
     t = parse_term("i : Lev -> T (lsuc i)", frozenset({"Lev", "T", "lsuc"}))
-    assert t == Pi("i", Const("Lev"),
+    assert t == pi("i", Const("Lev"),
                    App(Const("T"), App(Const("lsuc"), Var("i"))))
 
 
 def test_annotation_may_end_in_application():
     # the domain of A extends to `T i`; the arrow after it is the binder's
     t = parse_term("i : Lev => A : T i => A", frozenset({"Lev", "T"}))
-    assert t == Lam("i", Const("Lev"),
-                    Lam("A", App(Const("T"), Var("i")), Var("A")))
+    assert t == lam("i", Const("Lev"),
+                    lam("A", App(Const("T"), Var("i")), Var("A")))
 
 
 def test_pretty_sort():
@@ -61,7 +62,7 @@ def test_pretty_sort():
 
 
 def test_pretty_reparses():
-    t = Lam("x", None, Var("x"))
+    t = lam("x", None, Var("x"))
     assert alpha_eq(parse_term(pretty(t)), t)
 
 

@@ -7,7 +7,7 @@ from morgandk.rewrite import (CriticalPair, Fails, Fuel, FuelExhausted,
                               Holds, Reducer, ReplayError, RuleCompileError,
                               compile_rule, critical_pairs, joinable,
                               match_pattern)
-from morgandk.terms import App, Const, Lam, Var, alpha_eq, app, subst
+from morgandk.terms import App, Const, Var, alpha_eq, app, lam, subst
 
 
 def _pt(text: str, sig):
@@ -38,8 +38,27 @@ def test_match_bare_variable():
 
 def test_whnf_beta(full_sig):
     red = full_sig.reducer()
-    t = App(Lam("x", None, Var("x")), Const("0"))
+    t = App(lam("x", None, Var("x")), Const("0"))
     assert red.whnf(t) == Const("0")
+
+
+def test_alpha_variants_share_a_cache_entry(full_sig):
+    a = _pt("x => sym (sym x)", full_sig)
+    b = _pt("y => sym (sym y)", full_sig)
+    assert a == b and hash(a) == hash(b)
+    nf_cache: dict = {}
+    red = Reducer(full_sig.rules, Fuel(), {}, nf_cache)
+    nf = red.normalize(a)
+    entries = len(nf_cache)
+    assert red.normalize(b) is nf
+    assert len(nf_cache) == entries
+
+
+def test_conv_ignores_lambda_domains(full_sig):
+    a = _pt("x : A => x", full_sig)
+    b = _pt("x : B => x", full_sig)
+    assert a != b
+    assert full_sig.reducer().conv(a, b)
 
 
 def test_whnf_universe_decode(full_sig):
@@ -215,7 +234,7 @@ def _conv_pairs():
             st.just(App(Const("sym"), App(Const("sym"), t))),
             st.just(app(Const("Imin"), Const("1"), t)),
             st.just(app(Const("Imax"), t, Const("0"))),
-            st.just(Lam("x", None, App(t, Var("x"))))).map(lambda u: (t, u))
+            st.just(lam("x", None, App(t, Var("x"))))).map(lambda u: (t, u))
     return _interval_terms().flatmap(partners)
 
 

@@ -1,8 +1,9 @@
 from hypothesis import given, strategies as st
 
-from morgandk.terms import (TYPE, App, Const, Ctx, Lam, Pi, Sort, Var,
-                            alpha_eq, app, free_vars, fresh_name, spine,
-                            subst)
+from morgandk.parser import parse_term, pretty
+from morgandk.terms import (TYPE, App, Bound, Const, Ctx, Lam, Sort, Var,
+                            abstract, alpha_eq, app, free_vars, fresh_name,
+                            instantiate, lam, pi, shift, spine, subst)
 
 
 def test_subst_identity_target():
@@ -16,27 +17,36 @@ def test_subst_homomorphic():
 
 
 def test_subst_capture_avoidance():
-    # substituting a free x under Lam x must rename the binder
-    t = Lam("x", None, Var("y"))
+    # substituting a free x under a binder written x cannot capture it:
+    # the body stays the free x, and the printer renames the binder
+    t = lam("x", None, Var("y"))
     got = subst(t, "y", Var("x"))
     assert isinstance(got, Lam)
-    assert got.var != "x"
     assert got.body == Var("x")
+    assert pretty(got) == "x_0 => x"
 
 
 def test_alpha_eq_binders():
-    assert alpha_eq(Lam("x", None, Var("x")), Lam("y", None, Var("y")))
-    assert not alpha_eq(Lam("x", None, Lam("y", None, Var("x"))),
-                        Lam("a", None, Lam("b", None, Var("b"))))
-    a = Pi("x", Const("I"), Const("A"))
-    b = Pi("z", Const("I"), Const("A"))
+    assert alpha_eq(lam("x", None, Var("x")), lam("y", None, Var("y")))
+    assert not alpha_eq(lam("x", None, lam("y", None, Var("x"))),
+                        lam("a", None, lam("b", None, Var("b"))))
+    a = pi("x", Const("I"), Const("A"))
+    b = pi("z", Const("I"), Const("A"))
     assert alpha_eq(a, b)
 
 
 def test_free_vars():
-    assert free_vars(Lam("x", None, Var("x"))) == frozenset()
+    assert free_vars(lam("x", None, Var("x"))) == frozenset()
     assert free_vars(App(Var("f"), Var("x"))) == {"f", "x"}
-    assert free_vars(Pi("x", Var("A"), App(Var("B"), Var("x")))) == {"A", "B"}
+    assert free_vars(pi("x", Var("A"), App(Var("B"), Var("x")))) == {"A", "B"}
+
+
+def test_instantiate_shifts_under_binders():
+    # the body `y => #1` refers past y to the binder being opened
+    body = Lam("y", None, Bound(1))
+    assert instantiate(body, Bound(0)) == Lam("y", None, Bound(1))
+    assert instantiate(body, Var("a")) == Lam("y", None, Var("a"))
+    assert shift(body, 1) == Lam("y", None, Bound(2))
 
 
 def test_spine_left_associative():
@@ -64,15 +74,15 @@ def test_sorts():
 _names = st.sampled_from(["x", "y", "z"])
 
 
-def _terms():
-    leaves = st.one_of(_names.map(Var), st.sampled_from(
+def _terms(names=_names):
+    leaves = st.one_of(names.map(Var), st.sampled_from(
         [Const("0"), Const("1"), TYPE]))
     return st.recursive(
         leaves,
         lambda sub: st.one_of(
             st.tuples(sub, sub).map(lambda p: App(*p)),
-            st.tuples(_names, sub, sub).map(lambda t: Lam(t[0], t[1], t[2])),
-            st.tuples(_names, sub, sub).map(lambda t: Pi(t[0], t[1], t[2]))),
+            st.tuples(names, st.none() | sub, sub).map(lambda t: lam(*t)),
+            st.tuples(names, sub, sub).map(lambda t: pi(*t))),
         max_leaves=12)
 
 
@@ -86,3 +96,23 @@ def test_subst_removes_the_variable(t, x, s):
     if x in free_vars(s):
         return
     assert x not in free_vars(subst(t, x, s))
+
+
+@given(_terms(), _names)
+def test_instantiate_undoes_abstract(t, x):
+    assert instantiate(abstract(t, x), Var(x)) == t
+
+
+@given(_terms(), _terms())
+def test_instantiate_undoes_shift(t, s):
+    assert instantiate(shift(t, 1), s) == t
+
+
+# binder hints that collide with free names, and with the printer's
+# own renamings of them
+_hints = st.sampled_from(["x", "y", "x_0"])
+
+
+@given(_terms(_hints))
+def test_print_then_parse_is_identity(t):
+    assert parse_term(pretty(t), frozenset({"0", "1"})) == t

@@ -8,7 +8,7 @@ import pytest
 
 from morgandk.check import Signature, check_signature, infer
 from morgandk.parser import parse_term
-from morgandk.terms import App, Const, Ctx, Lam, Var, alpha_eq, app
+from morgandk.terms import App, Const, Ctx, Var, alpha_eq, app, lam
 from morgandk.theory import (CL, EXTERNAL, FULL_CONFIG, INTERNAL, L0,
                              NAT_STRENGTHS, AApp, ALam, ANat, APair, ASig,
                              AVar, AZero, EncodeError, Level, TheoryConfig,
@@ -171,7 +171,7 @@ def test_encode_sigma_shape():
     got = encode(ASig("x", ANat(), ANat()), L0)
     want = app(Const("Sig"), Const("l0"),
                app(Const("Nat"), Const("l0")),
-               Lam("x", app(Const("eps"), Const("l0"),
+               lam("x", app(Const("eps"), Const("l0"),
                             app(Const("Nat"), Const("l0"))),
                    app(Const("Nat"), Const("l0"))))
     assert got == want
