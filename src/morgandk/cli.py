@@ -3,10 +3,10 @@ algebraic oracles, run the confluence analyzer, export the corpus.
 
 Exit codes, uniformly: 0 success, 1 semantic failure (type error,
 refuted equation, non-joinable pair), 2 input problem (missing file,
-parse error, bad flag or fuel, out-of-domain oracle query), 3 resource
-exhausted (fuel, or recursion depth on a deeply nested term).  All
-orderings in reports follow declaration order, so identical inputs
-print identical output.
+parse error, bad flag or fuel, oracle query out of domain or over the
+generator cap), 3 resource exhausted (fuel, or recursion depth on a
+deeply nested term).  All orderings in reports follow declaration
+order, so identical inputs print identical output.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .terms import (App, Bound, Const, Lam, Pi, Sort, Term, TYPE, Var,
-                    free_vars, occurs, open_binder, spine)
+                    occurs, open_binder, spine)
 
 __all__ = [
     "SourceSpan", "ParseError", "Token",
@@ -403,18 +403,34 @@ def _pp(t: Term, level: int) -> str:
             s = f"{_pp(f, 1)} {_pp(a, 2)}"
             return f"({s})" if level > 1 else s
         case Lam(hint, dom, body):
-            v, body = open_binder(hint, body, free_vars(body))
+            v, body = open_binder(hint, body, _names(body))
             ann = "" if dom is None else f" : {_pp(dom, 1)}"
             s = f"{v}{ann} => {_pp(body, 0)}"
             return f"({s})" if level > 0 else s
         case Pi(hint, dom, cod):
             if occurs(cod):
-                v, cod = open_binder(hint, cod, free_vars(cod))
+                v, cod = open_binder(hint, cod, _names(cod))
                 s = f"{v} : {_pp(dom, 1)} -> {_pp(cod, 0)}"
             else:
                 s = f"{_pp(dom, 1)} -> {_pp(cod, 0)}"
             return f"({s})" if level > 0 else s
     raise TypeError(f"not a term: {t!r}")
+
+
+def _names(t: Term) -> set[str]:
+    """The free variables and the constants of t.  A binder printed over
+    t must avoid both: re-parsing would read either name as the binder."""
+    match t:
+        case Const(n) | Var(n):
+            return {n}
+        case App(f, a):
+            return _names(f) | _names(a)
+        case Lam(_, dom, body):
+            return _names(dom) | _names(body)  # a missing dom has none
+        case Pi(_, dom, cod):
+            return _names(dom) | _names(cod)
+        case _:
+            return set()
 
 
 def print_declaration(d: Declaration) -> str:

@@ -1,12 +1,18 @@
+import ast
+import itertools
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from morgandk.algebra import (Chain3, DM4Value, Eq0, Eq1, Fails, FBot,
-                              FJoin, FMeet, FTop, Gen, Holds, Join, Meet,
-                              Neg, One, OutOfDomain, Zero, audit_equation,
-                              canonical_dnf, check_rule_sound, eval_face,
-                              eval_interval, face_eq, face_from_term,
-                              interval_eq, interval_eq_canonical,
+import morgandk.algebra
+from morgandk.algebra import (MAX_GENERATORS, Chain3, DM4Value, Eq0, Eq1,
+                              Fails, FBot, FJoin, FMeet, FTop, Gen, Holds,
+                              Join, Meet, Neg, One, OracleError, OutOfDomain,
+                              Zero, audit_equation, canonical_dnf,
+                              check_rule_sound, eval_face, eval_interval,
+                              face_eq, face_from_term, face_generators,
+                              generators, interval_eq, interval_eq_canonical,
                               interval_from_term)
 from morgandk.parser import parse_term
 from morgandk.rewrite import compile_rule
@@ -130,8 +136,8 @@ def test_audit_equation(full_sig):
 _gens = st.sampled_from(["i", "j", "k"])
 
 
-def _iexprs():
-    leaves = st.one_of(_gens.map(Gen),
+def _iexprs(gens=_gens):
+    leaves = st.one_of(gens.map(Gen),
                        st.sampled_from([Zero(), One()]))
     return st.recursive(
         leaves,
@@ -170,3 +176,99 @@ def test_canonical_dnf_is_minimal_and_involution_stable(a):
     nf = canonical_dnf(a)
     assert not any(m1 < m2 for m1 in nf for m2 in nf)
     assert canonical_dnf(Neg(Neg(a))) == nf
+
+
+# -- the bit-parallel deciders against a per-assignment sweep ---------------
+
+# The sweep order the deciders promise: generators sorted by name, the
+# first varying slowest, values in these orders.
+_DM4_ORDER = (DM4Value.TOP, DM4Value.A, DM4Value.B, DM4Value.BOT)
+_CHAIN3_ORDER = (Chain3.ONE, Chain3.HALF, Chain3.ZERO)
+
+
+def _first_refutation(names, values, differ):
+    for point in itertools.product(values, repeat=len(names)):
+        rho = dict(zip(sorted(names), point))
+        if differ(rho):
+            return rho
+    return None
+
+
+def _witness(verdict):
+    return None if isinstance(verdict, Holds) else verdict.witness
+
+
+_gens4 = st.sampled_from(["i", "j", "k", "l"])
+
+
+def _faces(gens):
+    leaves = st.one_of(_iexprs(gens).map(Eq0), _iexprs(gens).map(Eq1),
+                       st.sampled_from([FBot(), FTop()]))
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda p: FMeet(*p)),
+            st.tuples(sub, sub).map(lambda p: FJoin(*p))),
+        max_leaves=6)
+
+
+@given(_iexprs(_gens4), _iexprs(_gens4))
+def test_interval_eq_agrees_with_sweep_and_dnf(a, b):
+    expected = _first_refutation(
+        generators(a) | generators(b), _DM4_ORDER,
+        lambda rho: eval_interval(a, rho) is not eval_interval(b, rho))
+    verdict = interval_eq(a, b)
+    assert _witness(verdict) == expected
+    assert interval_eq_canonical(a, b) == (expected is None)
+
+
+@given(_faces(_gens4), _faces(_gens4))
+def test_face_eq_agrees_with_sweep(a, b):
+    expected = _first_refutation(
+        face_generators(a) | face_generators(b), _CHAIN3_ORDER,
+        lambda rho: eval_face(a, rho) != eval_face(b, rho))
+    assert _witness(face_eq(a, b)) == expected
+
+
+def _chain(gens, ops):
+    e = gens[0]
+    for g, op in zip(gens[1:], itertools.cycle(ops)):
+        e = op(e, g)
+    return e
+
+
+def test_interval_eq_ten_generators():
+    gens = [Gen(f"g{k}") for k in range(10)]
+    lhs = _chain(gens, (Meet, Join))
+    rhs = Join(lhs, Neg(gens[3]))
+    v = interval_eq(lhs, rhs)
+    assert isinstance(v, Fails)
+    assert sorted(v.witness) == [g.name for g in gens]
+    assert eval_interval(lhs, v.witness) is not eval_interval(rhs, v.witness)
+    assert not interval_eq_canonical(lhs, rhs)
+
+
+def test_generator_cap():
+    gens = [Gen(f"g{k:02d}") for k in range(MAX_GENERATORS + 1)]
+    big = _chain(gens, (Join,))
+    with pytest.raises(OracleError, match=f"{MAX_GENERATORS + 1} generators"
+                                          f".* at most {MAX_GENERATORS}"):
+        interval_eq(big, One())
+    with pytest.raises(OracleError, match=f"{MAX_GENERATORS + 1} generators"):
+        face_eq(Eq1(big), FTop())
+
+
+def test_algebra_imports_only_terms():
+    # The auditor must not share code with the kernel it audits.  ast.walk
+    # also visits function bodies, so audit_equation's local import counts.
+    tree = ast.parse(Path(morgandk.algebra.__file__).read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    relative = {(node.level, node.module) for node in imports
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in imports if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in imports
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert relative == {(1, "terms")}
+    assert not any(name.split(".")[0] == "morgandk" for name in absolute)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from morgandk import algebra
 from morgandk.cli import main
 from morgandk.parser import parse_term
 from morgandk.terms import alpha_eq
@@ -64,6 +65,12 @@ def test_reduce_builtin_theory(capsys):
     assert code == 0 and out.strip() == "i"
     code, out, _ = run(capsys, "reduce", "x")
     assert code == 0 and out.strip() == "x"
+
+
+def test_reduce_keeps_a_captured_constant_free(capsys):
+    # the constant function into l0, not the identity
+    code, out, _ = run(capsys, "reduce", "(x => l0 => x) l0")
+    assert code == 0 and out.strip() == "l0_0 => l0"
 
 
 def test_reduce_under_files(capsys, tmp_path):
@@ -170,6 +177,19 @@ def test_oracle_json_witness(capsys):
 def test_oracle_out_of_domain(capsys):
     code, _, err = run(capsys, "oracle", "interval", "eq0 i", "0")
     assert code == 2 and "oracle error" in err
+
+
+def test_oracle_generator_cap(capsys, monkeypatch):
+    def no_masks(*args):
+        raise AssertionError("masks built for a query over the cap")
+    monkeypatch.setattr(algebra, "_generator_masks", no_masks)
+    names = [f"g{k:02d}" for k in range(algebra.MAX_GENERATORS + 1)]
+    lhs = names[-1]
+    for name in reversed(names[:-1]):
+        lhs = f"Imax {name} ({lhs})"
+    code, _, err = run(capsys, "oracle", "interval", lhs, "1")
+    assert code == 2 and "oracle error" in err
+    assert f"{len(names)} generators" in err
 
 
 def test_cp_shipped_rules_all_join(capsys):

@@ -74,15 +74,18 @@ def test_sorts():
 _names = st.sampled_from(["x", "y", "z"])
 
 
-def _terms(names=_names):
+def _terms(names=_names, hints=None, consts=("0", "1")):
+    """Terms over free variables `names`, binders named from `hints`
+    (default: `names`) and constants `consts`."""
+    hints = names if hints is None else hints
     leaves = st.one_of(names.map(Var), st.sampled_from(
-        [Const("0"), Const("1"), TYPE]))
+        [*map(Const, consts), TYPE]))
     return st.recursive(
         leaves,
         lambda sub: st.one_of(
             st.tuples(sub, sub).map(lambda p: App(*p)),
-            st.tuples(names, st.none() | sub, sub).map(lambda t: lam(*t)),
-            st.tuples(names, sub, sub).map(lambda t: pi(*t))),
+            st.tuples(hints, st.none() | sub, sub).map(lambda t: lam(*t)),
+            st.tuples(hints, sub, sub).map(lambda t: pi(*t))),
         max_leaves=12)
 
 
@@ -108,11 +111,17 @@ def test_instantiate_undoes_shift(t, s):
     assert instantiate(shift(t, 1), s) == t
 
 
-# binder hints that collide with free names, and with the printer's
-# own renamings of them
-_hints = st.sampled_from(["x", "y", "x_0"])
+# binder hints that collide with free names, with the printer's own
+# renamings of them, and with a constant
+_hints = st.sampled_from(["x", "y", "x_0", "c"])
 
 
-@given(_terms(_hints))
+@given(_terms(st.sampled_from(["x", "y", "x_0"]), _hints, ("0", "1", "c")))
 def test_print_then_parse_is_identity(t):
-    assert parse_term(pretty(t), frozenset({"0", "1"})) == t
+    assert parse_term(pretty(t), frozenset({"0", "1", "c"})) == t
+
+
+def test_binder_named_after_a_constant_is_renamed():
+    t = lam("A", None, App(Const("A"), Var("A")))
+    assert pretty(t) == "A_0 => A A_0"
+    assert parse_term(pretty(t), frozenset({"A"})) == t
