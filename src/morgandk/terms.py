@@ -8,11 +8,16 @@ alpha-equivalence and substitution never renames.  Lambda domain
 annotations do take part in `==` (conversion ignores them).
 
 Terms are immutable, so they can be shared freely and used as dict keys.
+The classes are slotted, and each compound node (`App`, `Lam`, `Pi`)
+computes its hash once and keeps it: a term-keyed cache probe then
+costs O(1) instead of a walk of the whole subterm, and hashing a term
+recurses only into children that have not been hashed yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional, Union
 
 __all__ = [
@@ -25,8 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sort:
+class _Node:
+    """Slotted base of the term classes.  Its one slot, `_h`, holds the
+    hash of a compound node once it has been computed; it is no field,
+    so it takes no part in construction, `==` or `repr`."""
+
+    __slots__ = ("_h",)
+
+
+@dataclass(frozen=True, slots=True)
+class Sort(_Node):
     kind: str  # "TYPE" or "KIND"
 
 
@@ -34,39 +47,60 @@ TYPE = Sort("TYPE")
 KIND = Sort("KIND")
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, slots=True)
+class Const(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, slots=True)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Bound:
+@dataclass(frozen=True, slots=True)
+class Bound(_Node):
     index: int
 
 
-@dataclass(frozen=True)
-class App:
+def _memo_hash(*fields: str):
+    """`__hash__` for a compound node: the dataclass value, the hash of
+    the compared fields as a tuple, computed once and kept in `_h`."""
+    children = attrgetter(*fields)
+
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            h = hash(children(self))
+            object.__setattr__(self, "_h", h)
+            return h
+    return __hash__
+
+
+@dataclass(frozen=True, slots=True)
+class App(_Node):
     fn: "Term"
     arg: "Term"
 
+    __hash__ = _memo_hash("fn", "arg")
 
-@dataclass(frozen=True)
-class Lam:
+
+@dataclass(frozen=True, slots=True)
+class Lam(_Node):
     var: str = field(compare=False)  # printing hint
     dom: Optional["Term"]  # annotation is optional on lambdas
     body: "Term"
 
+    __hash__ = _memo_hash("dom", "body")
 
-@dataclass(frozen=True)
-class Pi:
+
+@dataclass(frozen=True, slots=True)
+class Pi(_Node):
     var: str = field(compare=False)  # printing hint
     dom: "Term"
     cod: "Term"
+
+    __hash__ = _memo_hash("dom", "cod")
 
 
 Term = Union[Sort, Const, Var, Bound, App, Lam, Pi]

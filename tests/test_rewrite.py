@@ -7,7 +7,8 @@ from morgandk.rewrite import (CriticalPair, Fails, Fuel, FuelExhausted,
                               Holds, Reducer, ReplayError, RuleCompileError,
                               compile_rule, critical_pairs, joinable,
                               match_pattern)
-from morgandk.terms import App, Const, Var, alpha_eq, app, lam, subst
+from morgandk.terms import (App, Bound, Const, Lam, Pi, Sort, Var, alpha_eq,
+                            app, lam, subst)
 
 
 def _pt(text: str, sig):
@@ -167,6 +168,45 @@ def test_fuel_exhaustion(full_sig):
         red.normalize(t)
     assert full_sig.reducer(fuel=Fuel(1000), cached=False).normalize(t) \
         == _pt("succ l0 (succ l0 (succ l0 (succ l0 (zero l0))))", full_sig)
+
+
+def _numeral(n):
+    t = App(Const("zero"), Const("l0"))
+    for _ in range(n):
+        t = app(Const("succ"), Const("l0"), t)
+    return t
+
+
+def _successors(t):
+    """n if t is the numeral with n successors, else None.  Iterative,
+    since `==` on a numeral hundreds deep overflows the stack."""
+    n = 0
+    while isinstance(t, App) and t.fn == App(Const("succ"), Const("l0")):
+        n, t = n + 1, t.arg
+    return n if t == App(Const("zero"), Const("l0")) else None
+
+
+def test_cached_normalization_hashes_each_term_a_bounded_number_of_times(
+        full_sig, monkeypatch):
+    # every cache probe used to re-hash the whole subterm, which is
+    # quadratic in the depth: 437,569 hashes here
+    calls = [0]
+    for cls in (Sort, Const, Var, Bound, App, Lam, Pi):
+        def counted(t, h=cls.__dict__["__hash__"]):
+            calls[0] += 1
+            return h(t)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    red = full_sig.copy().reducer()
+    nf = red.normalize(App(Const("exDouble"), _numeral(100)))
+    assert _successors(nf) == 200
+    assert calls[0] <= 20_000, calls[0]
+
+
+def test_cached_normalization_of_a_deep_numeral(full_sig):
+    # the recursion inside hashing overflowed the stack at ~250 deep
+    red = full_sig.copy().reducer()
+    nf = red.normalize(App(Const("exDouble"), _numeral(400)))
+    assert _successors(nf) == 800
 
 
 def test_trace_replays(full_sig):

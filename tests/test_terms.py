@@ -1,7 +1,10 @@
+import dataclasses
+
+import pytest
 from hypothesis import given, strategies as st
 
 from morgandk.parser import parse_term, pretty
-from morgandk.terms import (TYPE, App, Bound, Const, Ctx, Lam, Sort, Var,
+from morgandk.terms import (TYPE, App, Bound, Const, Ctx, Lam, Pi, Sort, Var,
                             abstract, alpha_eq, app, free_vars, fresh_name,
                             instantiate, lam, pi, shift, spine, subst)
 
@@ -125,3 +128,66 @@ def test_binder_named_after_a_constant_is_renamed():
     t = lam("A", None, App(Const("A"), Var("A")))
     assert pretty(t) == "A_0 => A A_0"
     assert parse_term(pretty(t), frozenset({"A"})) == t
+
+
+def _subterms(t):
+    """Every node of t, t first."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        todo += [c for c in (getattr(t, f.name) for f in dataclasses.fields(t))
+                 if isinstance(c, (Sort, Const, Var, Bound, App, Lam, Pi))]
+
+
+def _rebuilt(t, hint=lambda h: h):
+    """An equal term made of new nodes, binder hints mapped by `hint`."""
+    match t:
+        case App(f, a):
+            return App(_rebuilt(f, hint), _rebuilt(a, hint))
+        case Lam(v, d, b):
+            return Lam(hint(v), None if d is None else _rebuilt(d, hint),
+                       _rebuilt(b, hint))
+        case Pi(v, d, c):
+            return Pi(hint(v), _rebuilt(d, hint), _rebuilt(c, hint))
+        case _:
+            return dataclasses.replace(t)
+
+
+@given(_terms(), st.booleans(), st.booleans())
+def test_hash_does_not_depend_on_what_was_hashed_before(t, warm_t, warm_u):
+    u = _rebuilt(t)
+    for s, warm in ((t, warm_t), (u, warm_u)):
+        if warm:
+            for sub in _subterms(s):
+                hash(sub)
+    assert u == t and hash(u) == hash(t)
+
+
+@given(_terms())
+def test_alpha_variants_hash_alike(t):
+    u = _rebuilt(t, lambda h: h + "'")
+    assert u == t and hash(u) == hash(t)
+
+
+@given(_terms())
+def test_hash_is_the_hash_of_the_compared_fields(t):
+    # the dataclass value, so set and dict order are as before
+    for s in _subterms(t):
+        match s:
+            case App(f, a):
+                assert hash(s) == hash((f, a))
+            case Lam(_, d, b):
+                assert hash(s) == hash((d, b))
+            case Pi(_, d, c):
+                assert hash(s) == hash((d, c))
+
+
+@given(_terms())
+def test_terms_are_slotted_and_frozen(t):
+    for s in _subterms(t):
+        assert not hasattr(s, "__dict__")
+        hash(s)  # a memoised hash leaves the node frozen
+        field = dataclasses.fields(s)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, getattr(s, field))
