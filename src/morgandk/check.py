@@ -32,7 +32,6 @@ from .terms import (App, Const, Ctx, KIND, Lam, Pi, Sort, TYPE, Term, Var,
 __all__ = [
     "TypeCheckError", "ConstInfo", "Signature",
     "infer", "check", "check_rule", "check_declaration", "check_signature",
-    "whnf", "normalize", "convertible",
 ]
 
 
@@ -79,21 +78,17 @@ class ConstInfo:
 
 
 class Signature:
-    """Declared constants plus head-indexed rewrite rules, with caches
-    for reduction that are dropped whenever the rule set changes."""
+    """Declared constants plus head-indexed rewrite rules.  It keeps no
+    reduction cache: each `reducer` owns its own, for one query."""
 
     def __init__(self):
         self.consts: dict[str, ConstInfo] = {}
         self.order: list[str] = []
         self.rules: dict[str, list[RewriteRule]] = {}
         self.provenance: dict[str, Optional[SourceSpan]] = {}
-        self._whnf_cache: dict[Term, Term] = {}
-        self._nf_cache: dict[Term, Term] = {}
 
     def reducer(self, fuel: Optional[Fuel] = None, cached: bool = True) -> Reducer:
-        if cached:
-            return Reducer(self.rules, fuel, self._whnf_cache, self._nf_cache)
-        return Reducer(self.rules, fuel)
+        return Reducer(self.rules, fuel, cached)
 
     def add_const(self, info: ConstInfo,
                   span: Optional[SourceSpan] = None) -> None:
@@ -106,8 +101,6 @@ class Signature:
 
     def add_rule(self, rule: RewriteRule) -> None:
         self.rules.setdefault(rule.head, []).append(rule)
-        self._whnf_cache.clear()
-        self._nf_cache.clear()
 
     def rule_list(self) -> list[RewriteRule]:
         """Every installed rule, in declaration order of the head and
@@ -337,17 +330,3 @@ def check_signature(decls: Sequence[Declaration],
         check_declaration(sig, d, fuel_steps)
     return sig
 
-
-# -- convenience entry points over a checked signature ---------------------
-
-def whnf(sig: Signature, t: Term, fuel_steps: int = DEFAULT_FUEL) -> Term:
-    return sig.reducer(Fuel(fuel_steps)).whnf(t)
-
-
-def normalize(sig: Signature, t: Term, fuel_steps: int = DEFAULT_FUEL) -> Term:
-    return sig.reducer(Fuel(fuel_steps)).normalize(t)
-
-
-def convertible(sig: Signature, a: Term, b: Term,
-                fuel_steps: int = DEFAULT_FUEL) -> bool:
-    return sig.reducer(Fuel(fuel_steps)).conv(a, b)

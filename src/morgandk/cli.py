@@ -145,7 +145,7 @@ def cmd_reduce(args) -> int:
             return 2
         sig = _check_files(paths, fuel)
     else:
-        sig = build_theory(_config_from_flags(args.flag), fuel)
+        sig = build_theory(_config_from_flags(args.flag))
     term = parse_term(args.term, frozenset(sig.consts))
     red = sig.reducer(fuel=Fuel(fuel))
     if args.trace:

@@ -123,21 +123,22 @@ def _eta_body(t: Term) -> Optional[Term]:
 
 
 class Reducer:
-    """Reduction engine over a fixed head-indexed rule set.
+    """Reduction engine over a fixed head-indexed rule set, serving one
+    query: one declaration check, one critical pair, one `reduce`.
 
-    Caches (when provided) are keyed by the term alone, so they are only
-    sound while the rule set does not change; the owning signature clears
-    them on mutation.  A cache hit costs no fuel.
+    With `cached` it owns a whnf and a normal-form cache, keyed by the
+    term alone; a cache hit costs no fuel.  Both die with the reducer, so
+    a query's verdict, its fuel use and its printed binder names never
+    depend on what an earlier query reduced.  The rule set must not
+    change while the reducer is in use.
     """
 
     def __init__(self, rules: dict[str, list[RewriteRule]],
-                 fuel: Optional[Fuel] = None,
-                 whnf_cache: Optional[dict[Term, Term]] = None,
-                 nf_cache: Optional[dict[Term, Term]] = None):
+                 fuel: Optional[Fuel] = None, cached: bool = True):
         self.rules = rules
         self.fuel = fuel if fuel is not None else Fuel()
-        self.whnf_cache = whnf_cache
-        self.nf_cache = nf_cache
+        self.whnf_cache: Optional[dict[Term, Term]] = {} if cached else None
+        self.nf_cache: Optional[dict[Term, Term]] = {} if cached else None
 
     # matching, modulo reduction
 
@@ -228,13 +229,6 @@ class Reducer:
                 if len(args1) != len(args2) or isinstance(h1, Pi) or h1 != h2:
                     return False
                 return all(self.conv(x, y) for x, y in zip(args1, args2))
-
-    def conv_norm(self, a: Term, b: Term) -> bool:
-        """Reference conversion: compare full normal forms.  Agrees with
-        conv wherever the budget suffices, except that `==` compares
-        lambda domain annotations, which conv ignores; the incremental
-        version is tested against this one."""
-        return self.normalize(a) == self.normalize(b)
 
     # traced reduction
 

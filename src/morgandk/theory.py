@@ -6,31 +6,31 @@ terms.
 
 The corpus is the `theories/` directory next to this module, one
 theory file per block.  `blocks_for` names the files a configuration
-selects; `build_theory` parses and checks them, caching checked
-signatures by file-path prefix so sweeping the whole flag lattice
-reads and checks each shared prefix once.  `write_theory_files`
-copies the selected files out, so the exported corpus is the shipped
-one byte for byte.
+selects; `build_theory` parses and checks them under the default fuel.
+Checked signatures are cached by file-path prefix, one cache for every
+builder, so sweeping the whole flag lattice reads and checks each
+shared prefix once.  `write_theory_files` copies the selected files
+out, so the exported corpus is the shipped one byte for byte.
 
 The first-attempt decoding of faces by rewrite rules is kept out of
 every built signature: it breaks confluence (see the analyzer tests)
-and exists only as a fixture, exposed through `first_attempt_facetype`.
+and exists only as a fixture, checked on top of the core and faces
+blocks by `first_attempt_signature`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from .check import DEFAULT_FUEL, Signature, check_signature
-from .parser import Declaration, parse_file
+from .check import Signature, check_signature
+from .parser import parse_file
 from .rewrite import RewriteRule
 from .terms import App, Const, Ctx, Lam, Term, Var, app, lam, pi
 
 __all__ = [
     "TheoryConfig", "FULL_CONFIG", "NAT_STRENGTHS",
-    "blocks_for", "build_theory", "build_2ltt", "build_cubical",
-    "first_attempt_facetype", "first_attempt_signature",
+    "blocks_for", "build_theory", "first_attempt_signature",
     "INTERVAL_FACE_HEADS", "interval_face_rules",
     "Level", "L0", "CL",
     "EncodeError", "INTERNAL", "EXTERNAL",
@@ -120,89 +120,48 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
     return out
 
 
-def _parse(path: Path, consts: set[str], defs: set[str]) -> list[Declaration]:
-    return parse_file(path.read_text(), path.name, consts, defs)
-
-
 _BUILD_CACHE: dict[tuple[Path, ...], Signature] = {}
 
 
-def build_theory(cfg: TheoryConfig,
-                 fuel_steps: int = DEFAULT_FUEL) -> Signature:
-    """Parse and check the blocks `cfg` selects into a fresh Signature.
-
-    Checked signatures are cached per file-path prefix, so sweeping
-    every flag combination reads and re-checks each shared prefix once.
-    """
-    key = tuple(blocks_for(cfg))
-    best = len(key)
-    while best and key[:best] not in _BUILD_CACHE:
+def _build(paths: tuple[Path, ...]) -> Signature:
+    """Parse and check `paths` in order into a fresh Signature, starting
+    from the longest prefix already checked and caching every new
+    prefix.  The shipped corpus is always checked under the default
+    fuel, so a built signature does not depend on a caller's budget."""
+    best = len(paths)
+    while best and paths[:best] not in _BUILD_CACHE:
         best -= 1
-    if best == len(key):
-        return _BUILD_CACHE[key].copy()
-    sig = _BUILD_CACHE[key[:best]].copy() if best else Signature()
+    if best == len(paths):
+        return _BUILD_CACHE[paths].copy()
+    sig = _BUILD_CACHE[paths[:best]].copy() if best else Signature()
     consts, defs = sig.namespace()
-    for idx in range(best, len(key)):
-        check_signature(_parse(key[idx], consts, defs), fuel_steps, sig=sig)
-        _BUILD_CACHE[key[:idx + 1]] = sig.copy()
+    for idx in range(best, len(paths)):
+        path = paths[idx]
+        check_signature(parse_file(path.read_text(), path.name, consts, defs),
+                        sig=sig)
+        _BUILD_CACHE[paths[:idx + 1]] = sig.copy()
     return sig
 
 
-def build_2ltt(cfg: TheoryConfig) -> list[Declaration]:
-    """Parse the two-layer blocks (cubical excluded) in order."""
-    consts: set[str] = set()
-    defs: set[str] = set()
-    return [d for p in blocks_for(replace(cfg, cubical=False))
-            for d in _parse(p, consts, defs)]
-
-
-def build_cubical(cfg: TheoryConfig) -> list[Declaration]:
-    """Parse the cubical blocks of `cfg` (its two-layer blocks supply
-    the namespace but are not returned)."""
-    if not cfg.cubical:
-        raise ValueError("build_cubical requires cfg.cubical")
-    consts: set[str] = set()
-    defs: set[str] = set()
-    for p in blocks_for(replace(cfg, cubical=False)):
-        _parse(p, consts, defs)
-    return [d for p in _CUBICAL_BLOCKS for d in _parse(p, consts, defs)]
+def build_theory(cfg: TheoryConfig) -> Signature:
+    """Parse and check the blocks `cfg` selects into a fresh Signature."""
+    return _build(tuple(blocks_for(cfg)))
 
 
 _FIRST_ATTEMPT = _THEORY_DIR / "quarantine" / "faces-first-attempt.dk"
-_FIRST_ATTEMPT_CONTEXT = tuple(_THEORY_DIR / n for n in (
+_FIRST_ATTEMPT_PATHS = tuple(_THEORY_DIR / n for n in (
     "01-2ltt-core.dk",
     "07-cubical-core.dk",
     "08-cubical-interval.dk",
     "09-cubical-paths.dk",
     "10-cubical-faces.dk",
-))
+)) + (_FIRST_ATTEMPT,)
 
 
-def _first_attempt_files() -> list[list[Declaration]]:
-    consts: set[str] = set()
-    defs: set[str] = set()
-    return [_parse(p, consts, defs)
-            for p in (*_FIRST_ATTEMPT_CONTEXT, _FIRST_ATTEMPT)]
-
-
-def first_attempt_facetype() -> list[Declaration]:
-    """The quarantined rule-based face decoding, parsed in the
-    namespace it needs (core through faces, no shipped faceType)."""
-    return _first_attempt_files()[-1]
-
-
-_FIRST_ATTEMPT_SIG: list[Signature] = []
-
-
-def first_attempt_signature(fuel_steps: int = DEFAULT_FUEL) -> Signature:
+def first_attempt_signature() -> Signature:
     """Core-through-faces plus the first-attempt faceType rules, as one
     checked signature.  It type-checks; what fails is confluence."""
-    if not _FIRST_ATTEMPT_SIG:
-        sig = Signature()
-        for decls in _first_attempt_files():
-            check_signature(decls, fuel_steps, sig=sig)
-        _FIRST_ATTEMPT_SIG.append(sig)
-    return _FIRST_ATTEMPT_SIG[0].copy()
+    return _build(_FIRST_ATTEMPT_PATHS)
 
 
 INTERVAL_FACE_HEADS = frozenset(

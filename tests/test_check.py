@@ -1,7 +1,7 @@
 import pytest
 
 from morgandk.check import (Signature, TypeCheckError, check_declaration,
-                            check_signature, convertible, infer, normalize)
+                            check_signature, infer)
 from morgandk.parser import parse_file, parse_term
 from morgandk.terms import TYPE, Const, Ctx, Var, app
 
@@ -119,10 +119,10 @@ def test_empty_signature():
 
 
 def test_convenience_wrappers(full_sig):
-    assert normalize(full_sig, _pt("sym (sym i)", full_sig)) == Var("i")
-    assert convertible(full_sig,
-                       _pt("eps (lsuc l0) (lUp l0 exA)", full_sig),
-                       _pt("eps l0 exA", full_sig))
+    assert full_sig.reducer().normalize(_pt("sym (sym i)", full_sig)) \
+        == Var("i")
+    assert full_sig.reducer().conv(_pt("eps (lsuc l0) (lUp l0 exA)", full_sig),
+                                   _pt("eps l0 exA", full_sig))
 
 
 def test_prefix_monotonicity(full_sig):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from morgandk import algebra
+from morgandk import algebra, theory
 from morgandk.cli import main
 from morgandk.parser import parse_term
 from morgandk.terms import alpha_eq
@@ -36,6 +36,15 @@ def test_check_quarantine_merge_types_fine(capsys):
                      str(THEORIES / "10-cubical-faces.dk"),
                      QUARANTINE)
     assert code == 0
+
+
+def test_check_fuel_is_per_declaration(capsys):
+    # checking the whole corpus takes 157 rewrite steps, but no single
+    # declaration takes more than 50
+    code, _, _ = run(capsys, "check", "--fuel", "50", *CORPUS)
+    assert code == 0
+    code, _, err = run(capsys, "check", "--fuel", "20", *CORPUS)
+    assert code == 3 and "fuel" in err
 
 
 def test_check_missing_file(capsys):
@@ -107,6 +116,17 @@ def test_reduce_fuel_flag_and_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "reduce", "--fuel", "1000", "exDouble exTwo")
     assert code == 0
     assert out.strip() == "succ l0 (succ l0 (succ l0 (succ l0 (zero l0))))"
+
+
+def test_reduce_fuel_bounds_only_the_term(capsys, monkeypatch):
+    # with no files the built-in corpus is checked under the default
+    # fuel, even from a cold build cache
+    monkeypatch.setattr(theory, "_BUILD_CACHE", {})
+    code, out, err = run(capsys, "reduce", "--fuel", "20", "Imin 1 i")
+    assert (code, out, err) == (0, "i\n", "")
+    monkeypatch.setattr(theory, "_BUILD_CACHE", {})
+    code, _, err = run(capsys, "reduce", "--fuel", "2", "exDouble exTwo")
+    assert code == 3 and "fuel" in err
 
 
 def test_reduce_rejects_nonpositive_fuel(capsys):

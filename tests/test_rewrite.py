@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morgandk.algebra import interval_eq, interval_from_term, Holds as AHolds
-from morgandk.parser import parse_term
-from morgandk.rewrite import (CriticalPair, Fails, Fuel, FuelExhausted,
-                              Holds, Reducer, ReplayError, RuleCompileError,
-                              compile_rule, critical_pairs, joinable,
-                              match_pattern)
+from morgandk.parser import parse_term, pretty
+from morgandk.rewrite import (DEFAULT_FUEL, CriticalPair, Fails, Fuel,
+                              FuelExhausted, Holds, Reducer, ReplayError,
+                              RuleCompileError, compile_rule, critical_pairs,
+                              joinable, match_pattern)
 from morgandk.terms import (App, Bound, Const, Lam, Pi, Sort, Var, alpha_eq,
                             app, lam, subst)
+from morgandk.theory import interval_face_rules
 
 
 def _pt(text: str, sig):
@@ -47,12 +48,11 @@ def test_alpha_variants_share_a_cache_entry(full_sig):
     a = _pt("x => sym (sym x)", full_sig)
     b = _pt("y => sym (sym y)", full_sig)
     assert a == b and hash(a) == hash(b)
-    nf_cache: dict = {}
-    red = Reducer(full_sig.rules, Fuel(), {}, nf_cache)
+    red = Reducer(full_sig.rules, Fuel())
     nf = red.normalize(a)
-    entries = len(nf_cache)
+    entries = len(red.nf_cache)
     assert red.normalize(b) is nf
-    assert len(nf_cache) == entries
+    assert len(red.nf_cache) == entries
 
 
 def test_conv_ignores_lambda_domains(full_sig):
@@ -290,7 +290,64 @@ def test_incremental_conv_agrees_with_normal_form_comparison(full_sig, pair,
         if use_nf:
             b = full_sig.reducer(Fuel(500), cached=False).normalize(b)
         incremental = full_sig.reducer(Fuel(500), cached=False).conv(a, b)
-        reference = full_sig.reducer(Fuel(500), cached=False).conv_norm(a, b)
+        # `==` also compares lambda domains, which conv ignores; the
+        # generated lambdas carry none
+        red = full_sig.reducer(Fuel(500), cached=False)
+        reference = red.normalize(a) == red.normalize(b)
     except FuelExhausted:
         return
     assert incremental == reference
+
+
+# -- verdicts depend on the input alone -------------------------------------
+# Each reducer owns its caches, so one query cannot hand its work, or
+# the fuel that work saved, to the next.
+
+def _pair_verdicts(sig, pairs, fuel_steps, cached=True):
+    out = {}
+    for cp in pairs:
+        red = sig.reducer(Fuel(fuel_steps), cached=cached)
+        try:
+            v = joinable(red, cp)
+        except FuelExhausted:
+            out[cp.rule1, cp.rule2, cp.position] = "out of fuel"
+            continue
+        out[cp.rule1, cp.rule2, cp.position] = (
+            "joins" if isinstance(v, Holds)
+            else tuple(pretty(t) for t in v.witness))
+    return out
+
+
+def test_pair_verdicts_do_not_depend_on_pair_order(full_sig):
+    pairs = critical_pairs(interval_face_rules(full_sig))
+    assert len(pairs) == 89
+    for b in range(1, 5):
+        forward = _pair_verdicts(full_sig.copy(), pairs, b)
+        backward = _pair_verdicts(full_sig.copy(), pairs[::-1], b)
+        assert forward == backward, b
+
+
+def test_cached_pair_report_equals_uncached(full_sig):
+    pairs = critical_pairs(interval_face_rules(full_sig))
+    cached = _pair_verdicts(full_sig.copy(), pairs, DEFAULT_FUEL)
+    assert set(cached.values()) == {"joins"}
+    assert _pair_verdicts(full_sig.copy(), pairs, DEFAULT_FUEL,
+                          cached=False) == cached
+
+
+def test_fuel_use_does_not_depend_on_a_warm_up(full_sig):
+    sig = full_sig.copy()
+    t = _pt("exDouble exTwo", sig)
+    with pytest.raises(FuelExhausted):
+        sig.reducer(Fuel(3)).normalize(t)
+    sig.reducer().normalize(t)
+    with pytest.raises(FuelExhausted):
+        sig.reducer(Fuel(3)).normalize(t)
+
+
+def test_printed_normal_types_do_not_depend_on_order(full_sig):
+    def printed(names):
+        sig = full_sig.copy()
+        return {n: pretty(sig.reducer().normalize(sig.consts[n].ty))
+                for n in names}
+    assert printed(full_sig.order) == printed(full_sig.order[::-1])

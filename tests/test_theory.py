@@ -2,19 +2,19 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from morgandk.check import Signature, check_signature, infer
+from morgandk.check import infer
 from morgandk.parser import parse_term
 from morgandk.terms import App, Const, Ctx, Var, alpha_eq, app, lam
 from morgandk.theory import (CL, EXTERNAL, FULL_CONFIG, INTERNAL, L0,
                              NAT_STRENGTHS, AApp, ALam, ANat, APair, ASig,
                              AVar, AZero, EncodeError, Level, TheoryConfig,
-                             blocks_for, build_2ltt, build_cubical,
-                             build_theory, encode, encode_context,
-                             filling_example, first_attempt_facetype,
+                             blocks_for, build_theory, encode,
+                             encode_context, filling_example,
                              first_attempt_signature, interval_face_rules)
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
@@ -106,15 +106,9 @@ def test_bad_nat_strength_rejected():
 
 
 def test_build_2ltt_is_checkable_and_flat():
-    decls = build_2ltt(FULL_CONFIG)
-    sig = check_signature(decls)
+    sig = build_theory(replace(FULL_CONFIG, cubical=False))
     assert "WeakUnivalence" in sig.consts
     assert "cL" not in sig.consts
-
-
-def test_build_cubical_requires_flag():
-    with pytest.raises(ValueError):
-        build_cubical(TheoryConfig())
 
 
 def test_cubical_path_beta(full_sig):
@@ -145,16 +139,14 @@ def test_interval_face_rule_count(full_sig):
 
 
 def test_first_attempt_contains_union_rule():
-    decls = first_attempt_facetype()
-    from morgandk.parser import RuleDecl
-    rules = [d for d in decls if isinstance(d, RuleDecl)]
+    rules = first_attempt_signature().rules["faceType"]
     assert len(rules) == 6
-    assert any(isinstance(d.lhs, App)
-               and alpha_eq(d.rhs, _rhs_sum(d)) for d in rules)
+    assert any(isinstance(r.lhs, App)
+               and alpha_eq(r.rhs, _rhs_sum(r)) for r in rules)
 
 
-def _rhs_sum(d):
-    a, b = d.pat_vars[:2] if len(d.pat_vars) >= 2 else ("a", "b")
+def _rhs_sum(r):
+    a, b = r.pat_vars[:2] if len(r.pat_vars) >= 2 else ("a", "b")
     return app(Const("cSum"), App(Const("faceType"), Var(a)),
                App(Const("faceType"), Var(b)))
 

@@ -1,0 +1,80 @@
+"""The benchmark's layer tracer (`perfbench/layertrace.py`) wraps kernel
+functions by name from outside `src/`.  These tests keep the names it
+pins and the reducer attributes it reads in place, and check that it
+leaves the package as it found it."""
+
+import gc
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from morgandk import cli, terms  # noqa: F401  (the tracer rebinds cli too)
+from morgandk.parser import parse_term
+from morgandk.rewrite import Reducer
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+
+@pytest.fixture(scope="module")
+def layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _package_attributes(layertrace):
+    """Every attribute the tracer may replace, by (owner, name)."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "morgandk" or name.startswith("morgandk."):
+            out.update(((name, k), v) for k, v in vars(mod).items())
+    for mod_name, attr, _ in layertrace.WRAPPED:
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(importlib.import_module(f"morgandk.{mod_name}"),
+                          cls_name)
+            out[cls, meth] = cls.__dict__[meth]
+    for cls_name in layertrace.TERM_CLASSES:
+        cls = getattr(terms, cls_name)
+        out[cls, "__hash__"] = cls.__dict__["__hash__"]
+        out[cls, "__eq__"] = cls.__dict__["__eq__"]
+    return out
+
+
+def test_every_wrapped_name_resolves(layertrace):
+    for mod_name, attr, _ in layertrace.WRAPPED:
+        owner = importlib.import_module(f"morgandk.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (mod_name, attr)
+
+
+def test_reducer_exposes_its_caches():
+    assert Reducer({}).whnf_cache == {} and Reducer({}).nf_cache == {}
+    red = Reducer({}, cached=False)
+    assert red.whnf_cache is None and red.nf_cache is None
+
+
+def test_tracer_install_and_uninstall_round_trip(layertrace, full_sig):
+    before = _package_attributes(layertrace)
+    callbacks = list(gc.callbacks)
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        t = parse_term("sym (sym i)", frozenset(full_sig.consts))
+        full_sig.reducer().normalize(t)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counters()
+    assert counts["calls"]["rewrite.Reducer.normalize"] > 0
+    assert counts["extra"]["nf_cache_misses"] > 0
+    assert counts["extra"]["whnf_cache_misses"] > 0
+    after = _package_attributes(layertrace)
+    assert after.keys() == before.keys()
+    changed = [key for key, value in before.items() if after[key] is not value]
+    assert not changed
+    assert list(gc.callbacks) == callbacks
