@@ -21,6 +21,7 @@ is always a mistake.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -30,7 +31,7 @@ from .terms import (App, Bound, Const, Lam, Pi, Sort, Term, TYPE, Var,
 __all__ = [
     "SourceSpan", "ParseError", "Token",
     "StaticConst", "DefinableConst", "Definition", "RuleDecl", "Declaration",
-    "tokenize", "parse_file", "parse_term",
+    "tokenize", "identifiers", "parse_file", "parse_term",
     "pretty", "print_declaration",
 ]
 
@@ -100,6 +101,18 @@ _SYMBOLS = (":=", "-->", "->", "=>", ":", "(", ")", "[", "]", ",", ".")
 
 def _ident_char(c: str) -> bool:
     return c.isalnum() or c == "_" or c == "'"
+
+
+# `\w` is exactly `str.isalnum()` or "_", so a match is a maximal run of
+# `_ident_char` characters
+_IDENT_RUN = re.compile(r"[\w']+")
+
+
+def identifiers(text: str) -> frozenset[str]:
+    """Every maximal run of identifier characters in `text`, comments
+    included.  A superset of the identifiers `tokenize` reads, so of
+    every name a parse of `text` can look up in its namespace."""
+    return frozenset(_IDENT_RUN.findall(text))
 
 
 def tokenize(text: str, file: str = "<input>") -> list[Token]:

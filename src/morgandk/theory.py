@@ -7,10 +7,13 @@ terms.
 The corpus is the `theories/` directory next to this module, one
 theory file per block.  `blocks_for` names the files a configuration
 selects; `build_theory` parses and checks them under the default fuel.
-Checked signatures are cached by file-path prefix, one cache for every
-builder, so sweeping the whole flag lattice reads and checks each
-shared prefix once.  `write_theory_files` copies the selected files
-out, so the exported corpus is the shipped one byte for byte.
+Two caches, one for every builder, make sweeping the whole flag lattice
+cheap.  Checked signatures are cached by file-path prefix, so each
+shared prefix is checked once.  Parses are cached by file path and the
+names the file mentions that the namespace before it declares, so each
+file is parsed once per way its names resolve: once in all for the
+shipped lattice.  `write_theory_files` copies the selected files out,
+so the exported corpus is the shipped one byte for byte.
 
 The first-attempt decoding of faces by rewrite rules is kept out of
 every built signature: it breaks confluence (see the analyzer tests)
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .check import Signature, check_signature
-from .parser import parse_file
+from .parser import Declaration, identifiers, parse_file
 from .rewrite import RewriteRule
 from .terms import App, Const, Ctx, Lam, Term, Var, app, lam, pi
 
@@ -122,12 +125,50 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
 
 _BUILD_CACHE: dict[tuple[Path, ...], Signature] = {}
 
+# path -> (the file's identifiers, {(declared names, definable names)
+# among them: (declarations, the names they declare, the definable ones
+# among those)}).  Every namespace lookup the parser makes is on one of
+# the file's identifiers, so two namespaces that agree on them give equal
+# parses.  Declarations and terms are immutable, so the signatures built
+# from a parse share it.
+_PARSE_CACHE: dict[Path, tuple[frozenset[str], dict]] = {}
+
+
+def _parse(path: Path, consts: set[str],
+           defs: set[str]) -> tuple[Declaration, ...]:
+    """`parse_file` on a corpus file, updating `consts` and `defs` in
+    place as it does, with the parse cached by what the file's names
+    see.  A failed parse raises as `parse_file` does and caches
+    nothing."""
+    known = _PARSE_CACHE.get(path)
+    if known is not None:
+        names, parses = known
+        hit = parses.get((names & consts, names & defs))
+        if hit is not None:
+            decls, declared, definable = hit
+            consts |= declared
+            defs |= definable
+            return decls
+    text = path.read_text()
+    names, parses = known or (identifiers(text), {})
+    seen = (names & consts, names & defs)
+    consts_before, defs_before = set(consts), set(defs)
+    decls = tuple(parse_file(text, path.name, consts, defs))
+    parses[seen] = (decls, frozenset(consts - consts_before),
+                    frozenset(defs - defs_before))
+    _PARSE_CACHE[path] = (names, parses)
+    return decls
+
 
 def _build(paths: tuple[Path, ...]) -> Signature:
     """Parse and check `paths` in order into a fresh Signature, starting
     from the longest prefix already checked and caching every new
-    prefix.  The shipped corpus is always checked under the default
-    fuel, so a built signature does not depend on a caller's budget."""
+    prefix.  Each file is parsed once per (path, names the file mentions
+    that are declared or definable before it) and its declarations are
+    shared by every prefix that reaches it that way; the check runs for
+    every new prefix, because its verdict depends on the signature.  The
+    shipped corpus is always checked under the default fuel, so a built
+    signature does not depend on a caller's budget."""
     best = len(paths)
     while best and paths[:best] not in _BUILD_CACHE:
         best -= 1
@@ -137,8 +178,7 @@ def _build(paths: tuple[Path, ...]) -> Signature:
     consts, defs = sig.namespace()
     for idx in range(best, len(paths)):
         path = paths[idx]
-        check_signature(parse_file(path.read_text(), path.name, consts, defs),
-                        sig=sig)
+        check_signature(_parse(path, consts, defs), sig=sig)
         _BUILD_CACHE[paths[:idx + 1]] = sig.copy()
     return sig
 

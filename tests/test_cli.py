@@ -69,6 +69,15 @@ def test_check_parse_error(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_check_parse_error_located_in_a_later_file(capsys, tmp_path):
+    good, bad = tmp_path / "good.dk", tmp_path / "bad.dk"
+    good.write_text("A : Type.\n")
+    bad.write_text("B : A.\n(; the next line is cut short ;)\nC : A -> ).\n")
+    code, _, err = run(capsys, "check", str(good), str(bad))
+    assert code == 2
+    assert err == f"parse error: {bad}:3:10: expected a term, found ')'\n"
+
+
 def test_reduce_builtin_theory(capsys):
     code, out, _ = run(capsys, "reduce", "sym (sym i)")
     assert code == 0 and out.strip() == "i"

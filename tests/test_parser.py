@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from morgandk.parser import (Definition, ParseError, RuleDecl, StaticConst,
-                             parse_file, parse_term, pretty,
-                             print_declaration)
+                             identifiers, parse_file, parse_term, pretty,
+                             print_declaration, tokenize)
 from morgandk.terms import (TYPE, App, Const, Lam, Pi, Sort, Var, alpha_eq,
                             lam, pi)
 from morgandk.theory import FULL_CONFIG, blocks_for
@@ -124,3 +125,18 @@ def test_roundtrip_corpus_block(fname, text):
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert _decl_equiv(a, b), print_declaration(a)
+
+
+# identifier characters (non-ASCII letters and digits among them) and the
+# pieces that end an identifier: symbols, blanks and comment brackets
+_PIECES = list("ab_'9é²٣Ω ;\t\n") + [
+    "(;", ";)", ":=", "-->", "->", "=>", ":", "(", ")", "[", "]", ",", "."]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_identifiers_cover_every_identifier_token(text):
+    try:
+        toks = tokenize(text)
+    except ParseError:
+        return
+    assert {t.text for t in toks if t.kind == "ident"} <= identifiers(text)

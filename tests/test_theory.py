@@ -2,13 +2,15 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from morgandk import parser, theory
 from morgandk.check import infer
-from morgandk.parser import parse_term
+from morgandk.parser import ParseError, parse_file, parse_term
 from morgandk.terms import App, Const, Ctx, Var, alpha_eq, app, lam
 from morgandk.theory import (CL, EXTERNAL, FULL_CONFIG, INTERNAL, L0,
                              NAT_STRENGTHS, AApp, ALam, ANat, APair, ASig,
@@ -29,6 +31,12 @@ def _flat_configs():
             (False, True), (False, True), (False, True),
             NAT_STRENGTHS, (False, True)):
         yield TheoryConfig(t1, t2, t3, nat, univ, cubical=False)
+
+
+def _all_configs():
+    for cfg in _flat_configs():
+        yield cfg
+        yield replace(cfg, cubical=True)
 
 
 def test_every_flat_config_builds():
@@ -256,3 +264,106 @@ def test_package_build_ships_the_corpus(tmp_path):
                    cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(lib)},
                    check=True)
     assert (tmp_path / "export" / "CORRECTIONS.md").is_file()
+
+
+# (constants, rules) each corpus file adds to a signature, as counted
+# before the builds shared parses
+_FILE_COUNTS = {
+    "01-2ltt-core.dk": (62, 30), "02-axioms-t1.dk": (1, 0),
+    "03-axioms-t2.dk": (1, 4), "04-axioms-t3.dk": (1, 1),
+    "05-univalence.dk": (5, 4), "06-nat-morphism.dk": (1, 2),
+    "nat-external_eq/06-nat-morphism.dk": (3, 0),
+    "07-cubical-core.dk": (15, 13), "08-cubical-interval.dk": (14, 15),
+    "09-cubical-paths.dk": (3, 3), "10-cubical-faces.dk": (16, 20),
+    "11-cubical-facetype.dk": (20, 4), "12-cubical-systems.dk": (1, 0),
+    "13-cubical-comp.dk": (2, 0), "14-examples-2ltt.dk": (16, 11),
+    "15-examples-filling.dk": (6, 1),
+}
+
+CORPUS_DIR = blocks_for(TheoryConfig())[0].parent
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    monkeypatch.setattr(theory, "_BUILD_CACHE", {})
+    monkeypatch.setattr(theory, "_PARSE_CACHE", {})
+
+
+def test_cold_sweep_parses_each_file_once(cold_caches, monkeypatch):
+    tokenized, parsed = Counter(), Counter()
+    tokenize, parse = parser.tokenize, theory.parse_file
+
+    def counting_tokenize(text, file="<input>"):
+        tokenized[file, text] += 1
+        return tokenize(text, file)
+
+    def counting_parse(text, file, *namespace):
+        parsed[file, text] += 1
+        return parse(text, file, *namespace)
+
+    monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+    monkeypatch.setattr(theory, "parse_file", counting_parse)
+    paths = set()
+    for cfg in _all_configs():
+        sig = build_theory(cfg)
+        blocks = blocks_for(cfg)
+        paths.update(blocks)
+        added = [_FILE_COUNTS[str(p.relative_to(CORPUS_DIR))] for p in blocks]
+        assert (len(sig.consts), len(sig.rule_list())) == (
+            sum(c for c, _ in added), sum(r for _, r in added)), cfg
+    assert len(paths) == len(_FILE_COUNTS) == 16
+    files = Counter({(p.name, p.read_text()): 1 for p in paths})
+    assert tokenized == files
+    assert parsed == files
+
+
+def test_cached_parses_equal_fresh_ones(cold_caches):
+    # file-path prefix -> uncached parse of its last file, and the
+    # namespace after it
+    fresh = {(): ((), set(), set())}
+    shown = set()
+    for cfg in _all_configs():
+        consts, defs = set(), set()
+        blocks = tuple(blocks_for(cfg))
+        for n, path in enumerate(blocks, 1):
+            if blocks[:n] not in fresh:
+                _, c, d = fresh[blocks[:n - 1]]
+                c, d = set(c), set(d)
+                fresh[blocks[:n]] = (
+                    parse_file(path.read_text(), path.name, c, d), c, d)
+            expected, fresh_consts, fresh_defs = fresh[blocks[:n]]
+            cached = theory._parse(path, consts, defs)
+            assert list(cached) == expected
+            # == skips binder hints; repr shows every field, once per parse
+            if id(cached) not in shown:
+                shown.add(id(cached))
+                assert ([repr(d) for d in cached]
+                        == [repr(d) for d in expected])
+            assert (consts, defs) == (fresh_consts, fresh_defs)
+    parses = sum(len(p) for _, p in theory._PARSE_CACHE.values())
+    assert (len(theory._PARSE_CACHE), parses) == (16, 16)
+
+
+def test_failed_parse_raises_as_parse_file_and_caches_nothing(cold_caches):
+    core, t1 = blocks_for(TheoryConfig(t1_injectivity=True))[:2]
+    consts, defs = set(), set()
+    theory._parse(core, consts, defs)
+    good = (set(consts), set(defs))
+    # declare T1, the name 02-axioms-t1.dk declares, ahead of it
+    clash = parse_file(t1.read_text(), t1.name, set(consts), set(defs))[0]
+    consts.add(clash.name)
+
+    def failure(parse_with):
+        with pytest.raises(ParseError) as err:
+            parse_with(set(consts), set(defs))
+        return str(err.value), err.value.msg, err.value.span
+
+    expected = failure(lambda c, d: parse_file(t1.read_text(), t1.name, c, d))
+    assert expected[1] == "'T1' is already declared"
+    assert failure(lambda c, d: theory._parse(t1, c, d)) == expected
+    assert t1 not in theory._PARSE_CACHE
+    # with the good parse cached, the clashing namespace misses it
+    theory._parse(t1, *good)
+    before = dict(theory._PARSE_CACHE[t1][1])
+    assert failure(lambda c, d: theory._parse(t1, c, d)) == expected
+    assert theory._PARSE_CACHE[t1][1] == before
