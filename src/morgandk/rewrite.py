@@ -484,18 +484,47 @@ def _rename_apart(rule: RewriteRule, avoid: frozenset[str]) -> RewriteRule:
                        tuple(msubst(p, ren) for p in rule.lhs_args))
 
 
+def _overlap_key(t: Term) -> Optional[tuple[str, int]]:
+    """(constant head, number of arguments) of an applicative pattern's
+    spine, or None when its head is a pattern variable."""
+    head, args = spine(t)
+    return (head.name, len(args)) if isinstance(head, Const) else None
+
+
 def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
     """All critical pairs of the rule set: proper-subterm overlaps for
     every ordered pair (a rule may overlap itself), root overlaps once
-    per unordered pair of distinct rules."""
+    per unordered pair of distinct rules.
+
+    The order is part of the contract, since the `cp` report prints the
+    pairs as they come: by the first rule's index, then the second's;
+    within one (rule1, rule2), the inner positions of rule1's left-hand
+    side in preorder, then the root overlap.
+
+    Only overlaps whose heads can agree are tried.  Two applicative
+    patterns headed by constants unify only if both spines have the
+    same head and the same number of arguments, so a subterm keyed
+    (head, arity) is tried against the rules with that key alone.  A
+    subterm headed by a pattern variable (`F x`) has no key: the
+    variable may stand for a partial application of any head, so it is
+    tried against every rule.
+    """
+    keys = [(r.head, len(r.lhs_args)) for r in rules]
+    # each rule's inner overlap sites in preorder, with their keys
+    sites = [[(pos, sub_t, _overlap_key(sub_t))
+              for pos, sub_t in _pattern_positions(r.lhs)
+              if pos and not isinstance(sub_t, Var)] for r in rules]
     out: list[CriticalPair] = []
     for i, r1 in enumerate(rules):
         avoid = frozenset(r1.pat_vars)
         for j, r2 in enumerate(rules):
+            inner = [(pos, sub_t) for pos, sub_t, k in sites[i]
+                     if k is None or k == keys[j]]
+            at_root = j > i and keys[j] == keys[i]
+            if not inner and not at_root:
+                continue
             r2r = _rename_apart(r2, avoid)
-            for pos, sub_t in _pattern_positions(r1.lhs):
-                if not pos or isinstance(sub_t, Var):
-                    continue
+            for pos, sub_t in inner:
                 mgu = unify(sub_t, r2r.lhs)
                 if mgu is None:
                     continue
@@ -504,7 +533,7 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
                     peak=_apply_unifier(r1.lhs, mgu),
                     left=_apply_unifier(r1.rhs, mgu),
                     right=_apply_unifier(_replace_at(r1.lhs, pos, r2r.rhs), mgu)))
-            if j > i:
+            if at_root:
                 mgu = unify(r1.lhs, r2r.lhs)
                 if mgu is not None:
                     out.append(CriticalPair(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from morgandk import cli, terms  # noqa: F401  (the tracer rebinds cli too)
+from morgandk import cli, rewrite, terms  # noqa: F401  (the tracer rebinds cli too)
 from morgandk.parser import parse_term
 from morgandk.rewrite import Reducer
 
@@ -78,3 +78,26 @@ def test_tracer_install_and_uninstall_round_trip(layertrace, full_sig):
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed
     assert list(gc.callbacks) == callbacks
+
+
+def test_tracer_counts_every_unify_call(layertrace, full_sig, monkeypatch):
+    # the harness's `rewrite.unify_calls` wraps the module-global name,
+    # which `critical_pairs` must call through
+    rules = full_sig.rule_list()
+    calls = [0]
+    unify = rewrite.unify
+
+    def counted(*args):
+        calls[0] += 1
+        return unify(*args)
+    with monkeypatch.context() as mp:
+        mp.setattr(rewrite, "unify", counted)
+        rewrite.critical_pairs(rules)
+    assert calls[0] > 0
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        rewrite.critical_pairs(rules)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters()["calls"]["rewrite.unify"] == calls[0]
