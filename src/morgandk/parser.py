@@ -219,64 +219,101 @@ class _Parser:
     # -- terms ------------------------------------------------------------
 
     def term(self, scope: Scope) -> Term:
-        t = self.peek()
-        if t.kind == "ident" and t.text != "Type" and self.peek(1).kind == "sym":
-            nxt = self.peek(1).text
-            if nxt == ":":
-                name = self.next().text
+        """Parse a term.  Works over an explicit stack of the
+        constructions still open, innermost last, rather than by
+        recursion, so nesting is not bounded by the interpreter's
+        recursion limit:
+
+            ("binder", name, scope)  `name :` read; the domain is parsed
+            ("arrow", scope)         an application is parsed; `->` may follow
+            ("appl", fn, scope)      an application so far (fn None: none yet)
+            ("paren",)               `(` read
+            ("pi" | "lam", name, dom)  the body is parsed
+        """
+        stack: list[tuple] = []
+        start: Optional[str] = "term"  # what to parse next in `scope`
+        done: Term  # the subterm just parsed, when `start` is None
+        while True:
+            if start == "term":
+                tok = self.peek()
+                if (tok.kind == "ident" and tok.text != "Type"
+                        and self.peek(1).kind == "sym"
+                        and self.peek(1).text in (":", "=>")):
+                    name = self.next().text
+                    if self.next().text == "=>":
+                        stack.append(("lam", name, None))
+                        scope = (name,) + scope
+                        continue
+                    stack.append(("binder", name, scope))
+                else:
+                    stack.append(("arrow", scope))
+                stack.append(("appl", None, scope))
+                start = "atom"
+                continue
+            if start == "atom":
+                tok = self.peek()
+                if self.at_sym("("):
+                    self.next()
+                    stack.append(("paren",))
+                    start = "term"
+                    continue
+                if tok.kind != "ident":
+                    self.fail(f"expected a term, found {tok.text!r}", tok)
                 self.next()
-                dom = self.appl(scope)
+                done = self._name(tok, scope)
+                start = None
+            # hand the finished subterm to the innermost open construction
+            if not stack:
+                return done
+            frame = stack.pop()
+            kind = frame[0]
+            if kind == "appl":
+                _, fn, scope = frame
+                if fn is not None:
+                    done = App(fn, done)
+                nxt = self.peek()
+                if self.at_sym("(") or (nxt.kind == "ident" and not (
+                        nxt.text != "Type" and self.peek(1).kind == "sym"
+                        and self.peek(1).text == ":")):
+                    stack.append(("appl", done, scope))
+                    start = "atom"
+            elif kind == "paren":
+                self.expect_sym(")")
+            elif kind == "arrow":
                 if self.at_sym("->"):
                     self.next()
-                    return Pi(name, dom, self.term((name,) + scope))
-                if self.at_sym("=>"):
-                    self.next()
-                    return Lam(name, dom, self.term((name,) + scope))
-                self.fail("expected '->' or '=>' after binder")
-            if nxt == "=>":
-                name = self.next().text
+                    stack.append(("pi", "_", done))
+                    scope = (None,) + frame[1]
+                    start = "term"
+            elif kind == "binder":
+                _, name, scope = frame
+                if self.at_sym("->"):
+                    stack.append(("pi", name, done))
+                elif self.at_sym("=>"):
+                    stack.append(("lam", name, done))
+                else:
+                    self.fail("expected '->' or '=>' after binder")
                 self.next()
-                return Lam(name, None, self.term((name,) + scope))
-        left = self.appl(scope)
-        if self.at_sym("->"):
-            self.next()
-            return Pi("_", left, self.term((None,) + scope))
-        return left
-
-    def appl(self, scope: Scope) -> Term:
-        t = self.atom(scope)
-        while True:
-            nxt = self.peek()
-            if nxt.kind == "ident" and not (
-                    nxt.text != "Type" and self.peek(1).kind == "sym"
-                    and self.peek(1).text == ":"):
-                t = App(t, self.atom(scope))
-            elif self.at_sym("("):
-                t = App(t, self.atom(scope))
+                scope = (name,) + scope
+                start = "term"
+            elif kind == "pi":
+                done = Pi(frame[1], frame[2], done)
             else:
-                return t
+                done = Lam(frame[1], frame[2], done)
 
-    def atom(self, scope: Scope) -> Term:
-        t = self.peek()
-        if self.at_sym("("):
-            self.next()
-            inner = self.term(scope)
-            self.expect_sym(")")
-            return inner
-        if t.kind == "ident":
-            self.next()
-            if t.text == "Type":
-                return TYPE
-            if t.text in scope:
-                return Bound(scope.index(t.text))
-            if t.text in (self.pat_vars or ()):
-                return Var(t.text)
-            if t.text in self.consts:
-                return Const(t.text)
-            if self.pat_vars is not None:
-                self.fail(f"unbound identifier {t.text!r} in rewrite rule", t)
-            return Var(t.text)
-        self.fail(f"expected a term, found {t.text!r}", t)
+    def _name(self, tok: Token, scope: Scope) -> Term:
+        """The term an identifier stands for, read where `scope` holds."""
+        if tok.text == "Type":
+            return TYPE
+        if tok.text in scope:
+            return Bound(scope.index(tok.text))
+        if tok.text in (self.pat_vars or ()):
+            return Var(tok.text)
+        if tok.text in self.consts:
+            return Const(tok.text)
+        if self.pat_vars is not None:
+            self.fail(f"unbound identifier {tok.text!r} in rewrite rule", tok)
+        return Var(tok.text)
 
     # -- declarations -----------------------------------------------------
 
@@ -402,32 +439,47 @@ def parse_term(text: str, consts: set[str] | frozenset[str] = frozenset(),
 # -- printing -------------------------------------------------------------
 
 def pretty(t: Term) -> str:
-    return _pp(t, 0)
-
-
-def _pp(t: Term, level: int) -> str:
+    """A term in the surface syntax.  Works over an explicit stack of
+    what is left to print, rather than by recursion, and joins the
+    printed pieces once."""
+    out: list[str] = []
+    # strings to emit and (term, level) pairs to print, next one last;
     # level 0: anything, 1: application, 2: atom
-    match t:
-        case Sort(k):
-            return "Type" if k == "TYPE" else "Kind"
-        case Const(n) | Var(n):
-            return n
-        case App(f, a):
-            s = f"{_pp(f, 1)} {_pp(a, 2)}"
-            return f"({s})" if level > 1 else s
-        case Lam(hint, dom, body):
-            v, body = open_binder(hint, body, _names(body))
-            ann = "" if dom is None else f" : {_pp(dom, 1)}"
-            s = f"{v}{ann} => {_pp(body, 0)}"
-            return f"({s})" if level > 0 else s
-        case Pi(hint, dom, cod):
-            if occurs(cod):
-                v, cod = open_binder(hint, cod, _names(cod))
-                s = f"{v} : {_pp(dom, 1)} -> {_pp(cod, 0)}"
-            else:
-                s = f"{_pp(dom, 1)} -> {_pp(cod, 0)}"
-            return f"({s})" if level > 0 else s
-    raise TypeError(f"not a term: {t!r}")
+    todo: list = [(t, 0)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        t, level = item
+        match t:
+            case Sort(k):
+                out.append("Type" if k == "TYPE" else "Kind")
+                continue
+            case Const(n) | Var(n):
+                out.append(n)
+                continue
+            case App(f, a):
+                pieces = [(f, 1), " ", (a, 2)]
+                bracket = level > 1
+            case Lam(hint, dom, body):
+                v, body = open_binder(hint, body, _names(body))
+                ann = [] if dom is None else [" : ", (dom, 1)]
+                pieces = [v, *ann, " => ", (body, 0)]
+                bracket = level > 0
+            case Pi(hint, dom, cod):
+                if occurs(cod):
+                    v, cod = open_binder(hint, cod, _names(cod))
+                    pieces = [v, " : ", (dom, 1), " -> ", (cod, 0)]
+                else:
+                    pieces = [(dom, 1), " -> ", (cod, 0)]
+                bracket = level > 0
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+        if bracket:
+            pieces = ["(", *pieces, ")"]
+        todo.extend(reversed(pieces))
+    return "".join(out)
 
 
 def _names(t: Term) -> set[str]:

@@ -11,8 +11,14 @@ rules behave definitionally.
 
 Traced reduction instead takes one leftmost-outermost step at a time with
 plain syntactic matching, so every recorded step can be replayed without
-hidden work.  On well-typed terms the two strategies compute the same
-normal forms.
+hidden work.  After a step the search resumes at the position it just
+rewrote, after re-checking that position's ancestors, instead of
+starting again from the root.  On well-typed terms the two strategies
+compute the same normal forms.
+
+Normalization, traced or not, keeps its own stack or path instead of
+recursing, so a term's depth is not bounded by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -177,29 +183,57 @@ class Reducer:
         return t
 
     def normalize(self, t: Term) -> Term:
-        if self.nf_cache is not None and t in self.nf_cache:
-            return self.nf_cache[t]
-        orig = t
-        t = self.whnf(t)
-        match t:
-            case App(f, a):
-                t = App(self.normalize(f), self.normalize(a))
-            case Lam(v, d, b):
-                nb = self.normalize(b)
-                nd = self.normalize(d) if d is not None else None
-                t = Lam(v, nd, nb)
-                contracted = _eta_body(t)
-                if contracted is not None:
-                    self.fuel.tick()
-                    t = contracted
-            case Pi(v, d, c):
-                t = Pi(v, self.normalize(d), self.normalize(c))
-            case _:
-                pass
-        if self.nf_cache is not None:
-            self.nf_cache[orig] = t
-            self.nf_cache[t] = t
-        return t
+        """The normal form, eta included.  Works over an explicit stack
+        rather than by recursion: each subterm is weak-head normalized,
+        then the children of the result are normalized left to right
+        (a lambda's body before its domain) and it is rebuilt.  The
+        whnf calls, cache probes and entries and fuel ticks come in the
+        order of a recursive descent."""
+        cache = self.nf_cache
+        todo: list = [t]  # terms to normalize and (term, whnf) to rebuild
+        done: list[Term] = []  # normal forms of the children so far
+        while todo:
+            item = todo.pop()
+            if item.__class__ is tuple:
+                orig, w = item
+                cls = w.__class__
+                if cls is App:
+                    a = done.pop()
+                    t = App(done.pop(), a)
+                elif cls is Lam:
+                    nd = done.pop() if w.dom is not None else None
+                    t = Lam(w.var, nd, done.pop())
+                    contracted = _eta_body(t)
+                    if contracted is not None:
+                        self.fuel.tick()
+                        t = contracted
+                else:
+                    c = done.pop()
+                    t = Pi(w.var, done.pop(), c)
+            else:
+                if cache is not None and item in cache:
+                    done.append(cache[item])
+                    continue
+                orig = item
+                t = self.whnf(item)
+                cls = t.__class__
+                if cls is App:
+                    todo += ((orig, t), t.arg, t.fn)
+                    continue
+                if cls is Lam:
+                    todo.append((orig, t))
+                    if t.dom is not None:
+                        todo.append(t.dom)
+                    todo.append(t.body)
+                    continue
+                if cls is Pi:
+                    todo += ((orig, t), t.cod, t.dom)
+                    continue
+            if cache is not None:
+                cache[orig] = t
+                cache[t] = t
+            done.append(t)
+        return done[0]
 
     # conversion
 
@@ -247,34 +281,43 @@ class Reducer:
                         return r.name, msubst(r.rhs, sub)
         return None
 
-    def _find_step(self, t: Term,
-                   pos: tuple[str, ...]) -> Optional[tuple[tuple[str, ...], str, Term]]:
-        hit = self._rule_step_at_root(t)
-        if hit is not None:
-            return pos, hit[0], hit[1]
-        match t:
-            case App(f, a):
-                return (self._find_step(f, pos + ("fn",))
-                        or self._find_step(a, pos + ("arg",)))
-            case Lam(_, d, b):
-                found = self._find_step(d, pos + ("dom",)) if d is not None else None
-                return found or self._find_step(b, pos + ("body",))
-            case Pi(_, d, c):
-                return (self._find_step(d, pos + ("dom",))
-                        or self._find_step(c, pos + ("cod",)))
-            case _:
-                return None
-
     def normalize_traced(self, t: Term) -> tuple[Term, list[Step]]:
+        """Leftmost-outermost normalization, one recorded step at a time.
+
+        The search walks the term in preorder, keeping the path from the
+        root to the node it is at.  After a step it does not start again
+        from the root.  The positions before the rewritten one in
+        preorder are its ancestors and the subterms left of its path.
+        The search passed them all without finding a step, and a step
+        changes only the ancestors.  So it re-checks the ancestors, root
+        first, and otherwise continues the preorder at the rewritten
+        position.  The steps are those of a fresh search from the root
+        after every step."""
         steps: list[Step] = []
+        nodes: list[Term] = []  # the ancestors of `node`, root first
+        keys: list[str] = []  # the child taken at each ancestor
+        node = t
+        hit = self._rule_step_at_root(node)
         while True:
-            found = self._find_step(t, ())
-            if found is None:
-                return t, steps
+            if hit is None:
+                node = _next_in_preorder(node, nodes, keys)
+                if node is None:
+                    return t, steps
+                hit = self._rule_step_at_root(node)
+                continue
             self.fuel.tick()
-            pos, name, repl = found
-            t = _replace_at(t, pos, repl)
-            steps.append((pos, name))
+            name, node = hit
+            steps.append((tuple(keys), name))
+            t = node
+            for i in range(len(nodes) - 1, -1, -1):
+                t = nodes[i] = _with_child(nodes[i], keys[i], t)
+            for i, above in enumerate(nodes):
+                hit = self._rule_step_at_root(above)
+                if hit is not None:
+                    del nodes[i:], keys[i:]
+                    break
+            else:
+                hit = self._rule_step_at_root(node)
 
     def replay(self, t: Term, steps: Sequence[Step]) -> Term:
         by_name = {r.name: r for rs in self.rules.values() for r in rs}
@@ -342,45 +385,72 @@ def match_pattern(pat: Term, t: Term,
     return sub if _match(pat, t, sub, conv) else None
 
 
+# A position is a path of child names, which are the field names of the
+# compound nodes.
+_CHILDREN = {App: ("fn", "arg"), Lam: ("dom", "body"), Pi: ("dom", "cod")}
+
+
+def _child(t: Term, key: str, pos: tuple[str, ...]) -> Term:
+    child = getattr(t, key) if key in _CHILDREN.get(t.__class__, ()) else None
+    if child is None:  # no such child, or a lambda without a domain
+        raise ReplayError(f"position {'/'.join(pos)} does not exist")
+    return child
+
+
 def _subterm_at(t: Term, pos: tuple[str, ...]) -> Term:
     for k in pos:
-        match t, k:
-            case App(f, _), "fn":
-                t = f
-            case App(_, a), "arg":
-                t = a
-            case Lam(_, d, _), "dom" if d is not None:
-                t = d
-            case Lam(_, _, b), "body":
-                t = b
-            case Pi(_, d, _), "dom":
-                t = d
-            case Pi(_, _, c), "cod":
-                t = c
-            case _:
-                raise ReplayError(f"position {'/'.join(pos)} does not exist")
+        t = _child(t, k, pos)
     return t
 
 
+def _with_child(t: Term, key: str, child: Term) -> Term:
+    """t with its child `key` replaced by `child`."""
+    if key == "fn":
+        return App(child, t.arg)
+    if key == "arg":
+        return App(t.fn, child)
+    if key == "body":
+        return Lam(t.var, t.dom, child)
+    if key == "cod":
+        return Pi(t.var, t.dom, child)
+    if t.__class__ is Lam:
+        return Lam(t.var, child, t.body)
+    return Pi(t.var, child, t.cod)
+
+
 def _replace_at(t: Term, pos: tuple[str, ...], repl: Term) -> Term:
-    if not pos:
-        return repl
-    k, rest = pos[0], pos[1:]
-    match t, k:
-        case App(f, a), "fn":
-            return App(_replace_at(f, rest, repl), a)
-        case App(f, a), "arg":
-            return App(f, _replace_at(a, rest, repl))
-        case Lam(v, d, b), "dom" if d is not None:
-            return Lam(v, _replace_at(d, rest, repl), b)
-        case Lam(v, d, b), "body":
-            return Lam(v, d, _replace_at(b, rest, repl))
-        case Pi(v, d, c), "dom":
-            return Pi(v, _replace_at(d, rest, repl), c)
-        case Pi(v, d, c), "cod":
-            return Pi(v, d, _replace_at(c, rest, repl))
-        case _:
-            raise ReplayError(f"position {'/'.join(pos)} does not exist")
+    above = []
+    for k in pos:
+        above.append(t)
+        t = _child(t, k, pos)
+    for parent, k in zip(reversed(above), reversed(pos)):
+        repl = _with_child(parent, k, repl)
+    return repl
+
+
+def _next_in_preorder(t: Term, nodes: list[Term],
+                      keys: list[str]) -> Optional[Term]:
+    """The node after t in preorder, t's subterms included: its first
+    child, else the next sibling of t or of its nearest ancestor that
+    has one.  `nodes` and `keys` hold the path from the root to t and
+    are moved along with it.  None after the last node."""
+    children = _CHILDREN.get(t.__class__)
+    if children is not None:
+        nodes.append(t)
+        first = children[0]
+        if t.__class__ is Lam and t.dom is None:
+            first = "body"
+        keys.append(first)
+        return getattr(t, first)
+    while nodes:
+        parent, k = nodes[-1], keys[-1]
+        if k == "fn" or k == "dom":
+            k = _CHILDREN[parent.__class__][1]
+            keys[-1] = k
+            return getattr(parent, k)
+        nodes.pop()
+        keys.pop()
+    return None
 
 
 # -- critical pairs -------------------------------------------------------

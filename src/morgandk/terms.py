@@ -9,15 +9,17 @@ annotations do take part in `==` (conversion ignores them).
 
 Terms are immutable, so they can be shared freely and used as dict keys.
 The classes are slotted, and each compound node (`App`, `Lam`, `Pi`)
-computes its hash once and keeps it: a term-keyed cache probe then
-costs O(1) instead of a walk of the whole subterm, and hashing a term
-recurses only into children that have not been hashed yet.
+computes its hash when it is built, from its children's kept hashes: a
+term-keyed cache probe costs O(1), and hashing never walks a term.
+`==` on compound nodes works through an explicit list of pairs, so
+neither hashing nor equality is bounded by the interpreter's recursion
+limit.  `==` stops early at identical subterms and rejects two nodes
+whose kept hashes differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Optional, Union
 
 __all__ = [
@@ -32,8 +34,8 @@ __all__ = [
 
 class _Node:
     """Slotted base of the term classes.  Its one slot, `_h`, holds the
-    hash of a compound node once it has been computed; it is no field,
-    so it takes no part in construction, `==` or `repr`."""
+    hash of a compound node, set when the node is built; it is no field,
+    so it takes no part in `==` or `repr`."""
 
     __slots__ = ("_h",)
 
@@ -62,45 +64,110 @@ class Bound(_Node):
     index: int
 
 
-def _memo_hash(*fields: str):
-    """`__hash__` for a compound node: the dataclass value, the hash of
-    the compared fields as a tuple, computed once and kept in `_h`."""
-    children = attrgetter(*fields)
-
-    def __hash__(self):
-        try:
-            return self._h
-        except AttributeError:
-            h = hash(children(self))
-            object.__setattr__(self, "_h", h)
-            return h
-    return __hash__
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
+def _kept_hash(self) -> int:
+    return self._h
+
+
+def _reduce(self):
+    """Copies and pickles are rebuilt through the constructor, which
+    sets the kept hash."""
+    return self.__class__, tuple(map(self.__getattribute__,
+                                     self.__match_args__))
+
+
+def _eq(self, other) -> bool:
+    """`==` on compound nodes, over an explicit list of pairs rather
+    than by recursion.  Identical subterms are equal, and two nodes
+    whose kept hashes differ are not."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    todo = []
+    a, b = self, other
+    while True:
+        if a is not b:
+            cls = a.__class__
+            if cls is not b.__class__:
+                return False
+            if cls is App:
+                if a._h != b._h:
+                    return False
+                todo.append((a.arg, b.arg))
+                a, b = a.fn, b.fn
+                continue
+            if cls is Lam or cls is Pi:
+                if a._h != b._h:
+                    return False
+                todo.append((a.body, b.body) if cls is Lam else (a.cod, b.cod))
+                a, b = a.dom, b.dom  # both None on unannotated lambdas
+                continue
+            if cls is Bound:
+                if a.index != b.index:
+                    return False
+            elif cls is Sort:
+                if a.kind != b.kind:
+                    return False
+            elif a.name != b.name:  # Const, Var
+                return False
+        if not todo:
+            return True
+        a, b = todo.pop()
+
+
+# A compound node sets `_h` when it is built, to the dataclass value: the
+# hash of the compared fields as a tuple, which reads the children's kept
+# hashes.  The constructors are written out so that this costs no call
+# beyond the hash itself.
+
+@dataclass(frozen=True, slots=True, init=False)
 class App(_Node):
     fn: "Term"
     arg: "Term"
 
-    __hash__ = _memo_hash("fn", "arg")
+    def __init__(self, fn: "Term", arg: "Term"):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "_h", hash((fn, arg)))
+
+    __hash__ = _kept_hash
+    __eq__ = _eq
+    __reduce__ = _reduce
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Lam(_Node):
     var: str = field(compare=False)  # printing hint
     dom: Optional["Term"]  # annotation is optional on lambdas
     body: "Term"
 
-    __hash__ = _memo_hash("dom", "body")
+    def __init__(self, var: str, dom: Optional["Term"], body: "Term"):
+        _set(self, "var", var)
+        _set(self, "dom", dom)
+        _set(self, "body", body)
+        _set(self, "_h", hash((dom, body)))
+
+    __hash__ = _kept_hash
+    __eq__ = _eq
+    __reduce__ = _reduce
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pi(_Node):
     var: str = field(compare=False)  # printing hint
     dom: "Term"
     cod: "Term"
 
-    __hash__ = _memo_hash("dom", "cod")
+    def __init__(self, var: str, dom: "Term", cod: "Term"):
+        _set(self, "var", var)
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "_h", hash((dom, cod)))
+
+    __hash__ = _kept_hash
+    __eq__ = _eq
+    __reduce__ = _reduce
 
 
 Term = Union[Sort, Const, Var, Bound, App, Lam, Pi]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from morgandk.theory import FULL_CONFIG, build_theory, first_attempt_signature
@@ -30,3 +32,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num, label, ok in sorted(RESULTS):
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"[criterion {num:02d}] {status} - {label}")
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """For the depth tests: they show nothing under a raised limit."""
+    assert sys.getrecursionlimit() <= 1000, sys.getrecursionlimit()

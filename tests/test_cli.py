@@ -149,10 +149,36 @@ def test_reduce_rejects_bad_fuel_env(capsys, monkeypatch):
     assert code == 2 and "MORGANDK_FUEL" in err
 
 
-def test_reduce_too_deep_is_resource_exhaustion(capsys):
-    depth = 1200
-    numeral = "succ l0 (" * depth + "zero l0" + ")" * depth
-    code, out, err = run(capsys, "reduce", f"exDouble ({numeral})")
+def _numeral_text(depth):
+    return "succ l0 (" * depth + "zero l0" + ")" * depth
+
+
+@pytest.mark.parametrize("depth", [1200, 10_000])
+def test_reduce_deep_numeral(capsys, depth, default_recursion_limit):
+    # parsing, normalizing and printing keep their own stacks, so the
+    # depth is not bounded by the interpreter's recursion limit
+    code, out, err = run(capsys, "reduce",
+                         f"exDouble ({_numeral_text(depth)})")
+    assert code == 0 and err == ""
+    assert out == _numeral_text(2 * depth) + "\n"
+
+
+def test_reduce_of_deeply_nested_redexes_still_exits_3(
+        capsys, default_recursion_limit):
+    # weak-head normalizing a rule's argument during matching is still a
+    # nested call, one per nested redex (README, "Depth")
+    depth = 2000
+    code, out, err = run(capsys, "reduce",
+                         "sym (" * depth + "i" + ")" * depth)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_reduce_too_deep_is_resource_exhaustion(capsys, monkeypatch):
+    def too_deep(self, t):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr("morgandk.rewrite.Reducer.normalize", too_deep)
+    code, out, err = run(capsys, "reduce", "exDouble exTwo")
     assert code == 3 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 

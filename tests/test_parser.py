@@ -140,3 +140,23 @@ def test_identifiers_cover_every_identifier_token(text):
     except ParseError:
         return
     assert {t.text for t in toks if t.kind == "ident"} <= identifiers(text)
+
+
+def test_parse_and_print_a_deep_numeral(default_recursion_limit):
+    depth = 10_000
+    text = "succ l0 (" * depth + "zero l0" + ")" * depth
+    t = parse_term(text, frozenset({"succ", "zero", "l0"}))
+    want = App(Const("zero"), Const("l0"))
+    for _ in range(depth):
+        want = App(App(Const("succ"), Const("l0")), want)
+    assert t == want
+    assert pretty(t) == text
+
+
+def test_parse_a_long_arrow_chain(default_recursion_limit):
+    length = 10_000
+    t = parse_term(" -> ".join(["A"] * length), frozenset({"A"}))
+    for _ in range(length - 1):
+        assert isinstance(t, Pi) and t.dom == Const("A")
+        t = t.cod
+    assert t == Const("A")

@@ -178,19 +178,11 @@ def _numeral(n):
     return t
 
 
-def _successors(t):
-    """n if t is the numeral with n successors, else None.  Iterative,
-    since `==` on a numeral hundreds deep overflows the stack."""
-    n = 0
-    while isinstance(t, App) and t.fn == App(Const("succ"), Const("l0")):
-        n, t = n + 1, t.arg
-    return n if t == App(Const("zero"), Const("l0")) else None
-
-
 def test_cached_normalization_hashes_each_term_a_bounded_number_of_times(
         full_sig, monkeypatch):
     # every cache probe used to re-hash the whole subterm, which is
     # quadratic in the depth: 437,569 hashes here
+    term, want = App(Const("exDouble"), _numeral(100)), _numeral(200)
     calls = [0]
     for cls in (Sort, Const, Var, Bound, App, Lam, Pi):
         def counted(t, h=cls.__dict__["__hash__"]):
@@ -198,16 +190,36 @@ def test_cached_normalization_hashes_each_term_a_bounded_number_of_times(
             return h(t)
         monkeypatch.setattr(cls, "__hash__", counted)
     red = full_sig.copy().reducer()
-    nf = red.normalize(App(Const("exDouble"), _numeral(100)))
-    assert _successors(nf) == 200
+    nf = red.normalize(term)
     assert calls[0] <= 20_000, calls[0]
+    assert nf == want
 
 
-def test_cached_normalization_of_a_deep_numeral(full_sig):
-    # the recursion inside hashing overflowed the stack at ~250 deep
+# The depth tests below run at the interpreter's default recursion
+# limit: hashing, `==`, normalization and the traced search keep their
+# own stacks, so a term's depth is not bounded by it.
+
+def test_cached_normalization_of_a_deep_numeral(full_sig,
+                                                default_recursion_limit):
     red = full_sig.copy().reducer()
-    nf = red.normalize(App(Const("exDouble"), _numeral(400)))
-    assert _successors(nf) == 800
+    assert red.normalize(App(Const("exDouble"), _numeral(10_000))) \
+        == _numeral(20_000)
+
+
+def test_uncached_normalization_of_a_deep_numeral(full_sig,
+                                                  default_recursion_limit):
+    red = full_sig.reducer(cached=False)
+    assert red.normalize(App(Const("exDouble"), _numeral(10_000))) \
+        == _numeral(20_000)
+
+
+def test_traced_normalization_of_a_deep_numeral(full_sig,
+                                                default_recursion_limit):
+    red = full_sig.reducer(cached=False)
+    term = App(Const("exDouble"), _numeral(600))
+    nf, steps = red.normalize_traced(term)
+    assert nf == _numeral(1200) and len(steps) == 3 * 600 + 2
+    assert red.replay(term, steps) == nf
 
 
 def test_trace_replays(full_sig):
@@ -226,6 +238,81 @@ def test_replay_rejects_wrong_position(full_sig):
         red.replay(Var("unrelated"), steps)
 
 
+# -- traced reduction: the resumed search ------------------------------------
+# `normalize_traced` resumes its search at the position it just rewrote,
+# after re-checking that position's ancestors.  The loop it replaced,
+# which searched again from the root after every step, stays here as the
+# reference: the steps, their positions and the normal form must agree.
+
+def _find_step_reference(red, t, pos=()):
+    hit = red._rule_step_at_root(t)
+    if hit is not None:
+        return pos, hit[0], hit[1]
+    match t:
+        case App(f, a):
+            return (_find_step_reference(red, f, pos + ("fn",))
+                    or _find_step_reference(red, a, pos + ("arg",)))
+        case Lam(_, d, b):
+            found = (_find_step_reference(red, d, pos + ("dom",))
+                     if d is not None else None)
+            return found or _find_step_reference(red, b, pos + ("body",))
+        case Pi(_, d, c):
+            return (_find_step_reference(red, d, pos + ("dom",))
+                    or _find_step_reference(red, c, pos + ("cod",)))
+    return None
+
+
+def _normalize_traced_reference(red, t):
+    steps = []
+    while True:
+        found = _find_step_reference(red, t)
+        if found is None:
+            return t, steps
+        pos, name, repl = found
+        t = rewrite._replace_at(t, pos, repl)
+        steps.append((pos, name))
+
+
+def _same_trace(sig, t):
+    red = sig.reducer(cached=False)
+    want = _normalize_traced_reference(red, t)
+    got = red.normalize_traced(t)
+    assert got[1] == want[1]
+    assert repr(got[0]) == repr(want[0])  # binder hints included
+    return got
+
+
+def test_traced_steps_equal_the_reference_on_numerals(full_sig):
+    for n in range(61):
+        nf, _ = _same_trace(full_sig, App(Const("exDouble"), _numeral(n)))
+        assert nf == _numeral(2 * n)
+
+
+# A step deep inside a term can create a redex at an ancestor, which the
+# resumed search must find before anything below it.
+_REDEX_ABOVE = {
+    # exId unfolds to a lambda: a beta redex at its parent
+    "beta at the parent": "f (g (exId a))",
+    # the projection erases the last x in `f` of `x => f x`: an eta
+    # redex three levels up
+    "eta at a distant ancestor": "x => g (p2 l0 A B (pair l0 A B x b)) x",
+    # the inner projection makes the two `B`s of the non-left-linear
+    # projection rule equal: a match at the root
+    "non-left-linear match at the root":
+        "p2 l0 A B (pair l0 A (p2 l0 C D (pair l0 C D e B)) a b)",
+}
+
+
+@pytest.mark.parametrize("label", list(_REDEX_ABOVE))
+def test_traced_search_rechecks_the_ancestors(full_sig, label):
+    t = _pt(_REDEX_ABOVE[label], full_sig)
+    nf, steps = _same_trace(full_sig, t)
+    above = {"beta at the parent": (("arg", "arg"), "beta"),
+             "eta at a distant ancestor": ((), "eta"),
+             "non-left-linear match at the root": ((), "p2.1")}[label]
+    assert above in steps, steps
+
+
 _gen = st.sampled_from(["i", "j", "k"])
 
 
@@ -241,6 +328,11 @@ def _interval_terms():
             st.tuples(sub, sub).map(
                 lambda p: app(Const("Imax"), p[0], p[1]))),
         max_leaves=10)
+
+
+@given(_interval_terms())
+def test_traced_steps_equal_the_reference_on_interval_terms(full_sig, t):
+    _same_trace(full_sig, t)
 
 
 @given(_interval_terms())

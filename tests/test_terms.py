@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -191,3 +193,22 @@ def test_terms_are_slotted_and_frozen(t):
         field = dataclasses.fields(s)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(s, field, getattr(s, field))
+
+
+def _numeral(n, base="l0"):
+    t = App(Const("zero"), Const(base))
+    for _ in range(n):
+        t = App(App(Const("succ"), Const("l0")), t)
+    return t
+
+
+def test_eq_and_hash_of_deep_numerals_built_apart(default_recursion_limit):
+    a, b = _numeral(10_000), _numeral(10_000)
+    assert a is not b and hash(a) == hash(b) and a == b
+    assert a != _numeral(9_999) and a != _numeral(10_000, "l1")
+
+
+@given(_terms())
+def test_copies_and_pickles_keep_equality_and_hash(t):
+    for u in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert u == t and hash(u) == hash(t)
