@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
-from .terms import Term, Const, Var, spine
+from .terms import Term, Const, Pi, Var, open_binder, spine
 
 
 class OracleError(Exception):
@@ -544,11 +544,10 @@ def audit_equation(ty: Term) -> Verdict:
     `ceps (cEq F lhs rhs)`; bound variables become generators named
     after their binders.
     """
-    from .terms import Pi, Var, instantiate  # local: a small import surface
-
-    core = ty
+    core, taken = ty, set()
     while isinstance(core, Pi):
-        core = instantiate(core.cod, Var(core.var))
+        v, core = open_binder(core.var, core.cod, taken)
+        taken.add(v)
     head, args = spine(core)
     if not (isinstance(head, Const) and head.name == "ceps" and len(args) == 1):
         raise OutOfDomain(f"equation type does not end in ceps: {core!r}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .terms import (App, Bound, Const, Lam, Pi, Sort, Term, TYPE, Var,
-                    occurs, open_binder, spine)
+                    occurs, open_binder, spine, subterms)
 
 __all__ = [
     "SourceSpan", "ParseError", "Token",
@@ -485,17 +485,8 @@ def pretty(t: Term) -> str:
 def _names(t: Term) -> set[str]:
     """The free variables and the constants of t.  A binder printed over
     t must avoid both: re-parsing would read either name as the binder."""
-    match t:
-        case Const(n) | Var(n):
-            return {n}
-        case App(f, a):
-            return _names(f) | _names(a)
-        case Lam(_, dom, body):
-            return _names(dom) | _names(body)  # a missing dom has none
-        case Pi(_, dom, cod):
-            return _names(dom) | _names(cod)
-        case _:
-            return set()
+    return {s.name for s, _ in subterms(t)
+            if s.__class__ is Const or s.__class__ is Var}
 
 
 def print_declaration(d: Declaration) -> str:

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 from .algebra import Fails, Holds, Verdict
 from .terms import (App, Bound, Const, Lam, Pi, Sort, Term, Var, app,
                     free_vars, fresh_name, instantiate, msubst, occurs,
-                    shift, spine)
+                    shift, spine, subterms)
 
 __all__ = [
     "DEFAULT_FUEL", "Fuel", "FuelExhausted",
@@ -77,16 +77,12 @@ class RewriteRule:
 
 
 def _check_pattern(t: Term, pat_vars: frozenset[str]) -> None:
-    match t:
-        case Var(n):
-            if n not in pat_vars:
-                raise RuleCompileError(f"unbound variable {n!r} in pattern")
-        case Const():
-            pass
-        case App(f, a):
-            _check_pattern(f, pat_vars)
-            _check_pattern(a, pat_vars)
-        case _:
+    for s, _ in subterms(t):
+        cls = s.__class__
+        if cls is Var:
+            if s.name not in pat_vars:
+                raise RuleCompileError(f"unbound variable {s.name!r} in pattern")
+        elif cls is not Const and cls is not App:
             raise RuleCompileError(
                 "rule left-hand sides are applicative: no binders or sorts")
 
@@ -197,19 +193,22 @@ class Reducer:
             if item.__class__ is tuple:
                 orig, w = item
                 cls = w.__class__
+                # w itself when every child is already normal, so
+                # that a normal term keeps its identity
                 if cls is App:
-                    a = done.pop()
-                    t = App(done.pop(), a)
+                    a, f = done.pop(), done.pop()
+                    t = w if f == w.fn and a == w.arg else App(f, a)
                 elif cls is Lam:
-                    nd = done.pop() if w.dom is not None else None
-                    t = Lam(w.var, nd, done.pop())
+                    d = done.pop() if w.dom is not None else None
+                    b = done.pop()
+                    t = w if d == w.dom and b == w.body else Lam(w.var, d, b)
                     contracted = _eta_body(t)
                     if contracted is not None:
                         self.fuel.tick()
                         t = contracted
                 else:
-                    c = done.pop()
-                    t = Pi(w.var, done.pop(), c)
+                    c, d = done.pop(), done.pop()
+                    t = w if d == w.dom and c == w.cod else Pi(w.var, d, c)
             else:
                 if cache is not None and item in cache:
                     done.append(cache[item])
@@ -470,71 +469,39 @@ class CriticalPair:
 
 
 def unify(a: Term, b: Term) -> Optional[dict[str, Term]]:
-    """Syntactic unification of applicative pattern terms.  Returns a
-    triangular substitution, or None."""
+    """Syntactic unification of applicative pattern terms.  Returns an
+    idempotent most general unifier, or None.  No variable it binds
+    occurs in a binding, so one `msubst` applies it: each new binding
+    is substituted into the earlier ones."""
     sub: dict[str, Term] = {}
-
-    def walk(t: Term) -> Term:
-        while isinstance(t, Var) and t.name in sub:
-            t = sub[t.name]
-        return t
-
-    def occurs(name: str, t: Term) -> bool:
-        t = walk(t)
-        match t:
-            case Var(n):
-                return n == name
-            case App(f, x):
-                return occurs(name, f) or occurs(name, x)
-            case _:
-                return False
-
     todo = [(a, b)]
     while todo:
         x, y = todo.pop()
-        x, y = walk(x), walk(y)
+        if x.__class__ is Var:
+            x = sub.get(x.name, x)
+        if y.__class__ is Var:
+            y = sub.get(y.name, y)
         match x, y:
             case Var(n), Var(m) if n == m:
-                pass
+                continue
             case Var(n), _:
-                if occurs(n, y):
-                    return None
-                sub[n] = y
-            case _, Var(m):
-                if occurs(m, x):
-                    return None
-                sub[m] = x
+                t = msubst(y, sub)
+            case _, Var(n):
+                t = msubst(x, sub)
             case Const(n), Const(m) if n == m:
-                pass
+                continue
             case App(f1, a1), App(f2, a2):
                 todo.append((f1, f2))
                 todo.append((a1, a2))
+                continue
             case _:
                 return None
+        if n in free_vars(t):
+            return None
+        for k, v in sub.items():
+            sub[k] = msubst(v, {n: t})
+        sub[n] = t
     return sub
-
-
-def _resolve(t: Term, sub: dict[str, Term]) -> Term:
-    match t:
-        case Var(n) if n in sub:
-            return _resolve(sub[n], sub)
-        case App(f, a):
-            return App(_resolve(f, sub), _resolve(a, sub))
-        case _:
-            return t
-
-
-def _apply_unifier(t: Term, sub: dict[str, Term]) -> Term:
-    flat = {k: _resolve(v, sub) for k, v in sub.items()}
-    return msubst(t, flat)
-
-
-def _pattern_positions(t: Term) -> list[tuple[tuple[str, ...], Term]]:
-    out = [((), t)]
-    if isinstance(t, App):
-        out.extend(((("fn",) + p), s) for p, s in _pattern_positions(t.fn))
-        out.extend(((("arg",) + p), s) for p, s in _pattern_positions(t.arg))
-    return out
 
 
 def _rename_apart(rule: RewriteRule, avoid: frozenset[str]) -> RewriteRule:
@@ -581,9 +548,14 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
     """
     keys = [(r.head, len(r.lhs_args)) for r in rules]
     # each rule's inner overlap sites in preorder, with their keys
-    sites = [[(pos, sub_t, _overlap_key(sub_t))
-              for pos, sub_t in _pattern_positions(r.lhs)
-              if pos and not isinstance(sub_t, Var)] for r in rules]
+    sites = []
+    for r in rules:
+        inner, nodes, path = [], [], []
+        sub_t = r.lhs
+        while (sub_t := _next_in_preorder(sub_t, nodes, path)) is not None:
+            if not isinstance(sub_t, Var):
+                inner.append((tuple(path), sub_t, _overlap_key(sub_t)))
+        sites.append(inner)
     out: list[CriticalPair] = []
     for i, r1 in enumerate(rules):
         avoid = frozenset(r1.pat_vars)
@@ -600,17 +572,17 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
                     continue
                 out.append(CriticalPair(
                     r1.name, r2.name, pos,
-                    peak=_apply_unifier(r1.lhs, mgu),
-                    left=_apply_unifier(r1.rhs, mgu),
-                    right=_apply_unifier(_replace_at(r1.lhs, pos, r2r.rhs), mgu)))
+                    peak=msubst(r1.lhs, mgu),
+                    left=msubst(r1.rhs, mgu),
+                    right=msubst(_replace_at(r1.lhs, pos, r2r.rhs), mgu)))
             if at_root:
                 mgu = unify(r1.lhs, r2r.lhs)
                 if mgu is not None:
                     out.append(CriticalPair(
                         r1.name, r2.name, (),
-                        peak=_apply_unifier(r1.lhs, mgu),
-                        left=_apply_unifier(r1.rhs, mgu),
-                        right=_apply_unifier(r2r.rhs, mgu)))
+                        peak=msubst(r1.lhs, mgu),
+                        left=msubst(r1.rhs, mgu),
+                        right=msubst(r2r.rhs, mgu)))
     return out
 
 

@@ -15,18 +15,25 @@ term-keyed cache probe costs O(1), and hashing never walks a term.
 neither hashing nor equality is bounded by the interpreter's recursion
 limit.  `==` stops early at identical subterms and rejects two nodes
 whose kept hashes differ.
+
+Traversals that only read a term go through one walker, `subterms`,
+which yields every node in preorder with the number of binders above
+it and keeps its own stack: `free_vars`, `occurs`, the printer's
+choice of binder names and the rule pattern check are built on it.
+The traversals that rebuild a term (`shift`, `abstract`, `instantiate`,
+`msubst`) share `_rebuild`, which still recurses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 __all__ = [
     "Sort", "Const", "Var", "Bound", "App", "Lam", "Pi", "Term",
     "TYPE", "KIND",
     "app", "spine", "lam", "pi",
-    "free_vars", "fresh_name", "occurs",
+    "subterms", "free_vars", "fresh_name", "occurs",
     "abstract", "instantiate", "open_binder", "shift", "subst", "msubst",
     "alpha_eq", "Ctx",
 ]
@@ -200,19 +207,28 @@ def pi(name: str, dom: Term, cod: Term) -> Pi:
     return Pi(name, dom, abstract(cod, name))
 
 
+def subterms(t: Term) -> Iterator[tuple[Term, int]]:
+    """Every node of t in preorder, left to right (a binder's domain
+    before its body), each with the number of binders above it.  Keeps
+    its own stack; a missing lambda domain is skipped."""
+    todo = [(t, 0)]
+    while todo:
+        t, depth = todo.pop()
+        yield t, depth
+        cls = t.__class__
+        if cls is App:
+            todo += ((t.arg, depth), (t.fn, depth))
+        elif cls is Lam:
+            todo.append((t.body, depth + 1))
+            if t.dom is not None:
+                todo.append((t.dom, depth))
+        elif cls is Pi:
+            todo += ((t.cod, depth + 1), (t.dom, depth))
+
+
 def free_vars(t: Term) -> frozenset[str]:
     """Names of the Var occurrences in t."""
-    match t:
-        case Var(n):
-            return frozenset((n,))
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Lam(_, dom, body):
-            return free_vars(dom) | free_vars(body)  # a missing dom has none
-        case Pi(_, dom, cod):
-            return free_vars(dom) | free_vars(cod)
-        case _:
-            return frozenset()
+    return frozenset(s.name for s, _ in subterms(t) if s.__class__ is Var)
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -226,17 +242,8 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 def occurs(t: Term, index: int = 0) -> bool:
     """Whether the bound variable `index`, counted from t's top, occurs in t."""
-    match t:
-        case Bound(i):
-            return i == index
-        case App(f, a):
-            return occurs(f, index) or occurs(a, index)
-        case Lam(_, dom, body):
-            return occurs(dom, index) or occurs(body, index + 1)
-        case Pi(_, dom, cod):
-            return occurs(dom, index) or occurs(cod, index + 1)
-        case _:
-            return False
+    return any(s.__class__ is Bound and s.index == index + depth
+               for s, depth in subterms(t))
 
 
 def _rebuild(t: Term, leaf: Callable[[Term, int], Term], depth: int) -> Term:

@@ -16,7 +16,7 @@ from morgandk.algebra import (MAX_GENERATORS, Chain3, DM4Value, Eq0, Eq1,
                               interval_from_term)
 from morgandk.parser import parse_term
 from morgandk.rewrite import compile_rule
-from morgandk.terms import App, Const, Var, app
+from morgandk.terms import App, Bound, Const, Pi, Var, app
 
 
 def test_eval_meet_zero_annihilates():
@@ -131,6 +131,19 @@ def test_audit_equation(full_sig):
     assert isinstance(audit_equation(full_sig.consts["Imax_comm"].ty),
                       Holds)
     assert isinstance(audit_equation(full_sig.consts["Fdiscr"].ty), Holds)
+
+
+def test_audit_equation_keeps_binders_with_one_hint_apart():
+    # `i : I -> j : I -> i = j`, and the same with the inner binder
+    # also written `i`: two generators either way
+    def ceps(t):
+        return App(Const("ceps"), t)
+    eq = ceps(app(Const("cEq"), Const("I"), Bound(1), Bound(0)))
+    for hints in (("i", "i"), ("i", "j")):
+        ty = Pi(hints[0], ceps(Const("I")), Pi(hints[1], ceps(Const("I")), eq))
+        verdict = audit_equation(ty)
+        assert isinstance(verdict, Fails), hints
+        assert len(verdict.witness) == 2
 
 
 _gens = st.sampled_from(["i", "j", "k"])
@@ -260,7 +273,7 @@ def test_generator_cap():
 
 def test_algebra_imports_only_terms():
     # The auditor must not share code with the kernel it audits.  ast.walk
-    # also visits function bodies, so audit_equation's local import counts.
+    # also visits function bodies, so a local import would count too.
     tree = ast.parse(Path(morgandk.algebra.__file__).read_text())
     imports = [node for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))]

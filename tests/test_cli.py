@@ -174,6 +174,17 @@ def test_reduce_of_deeply_nested_redexes_still_exits_3(
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_printing_a_deep_binder_body_still_exits_3(
+        capsys, default_recursion_limit):
+    # the body normalizes, but the printer opens the binder with
+    # `open_binder`, whose substitution (`_rebuild`) still recurses
+    # (README, "Depth")
+    code, out, err = run(capsys, "reduce",
+                         "x => " + "succ l0 (" * 10_000 + "x" + ")" * 10_000)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_reduce_too_deep_is_resource_exhaustion(capsys, monkeypatch):
     def too_deep(self, t):
         raise RecursionError("maximum recursion depth exceeded")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from morgandk import parser
 from morgandk.parser import (Definition, ParseError, RuleDecl, StaticConst,
                              identifiers, parse_file, parse_term, pretty,
                              print_declaration, tokenize)
@@ -151,6 +152,14 @@ def test_parse_and_print_a_deep_numeral(default_recursion_limit):
         want = App(App(Const("succ"), Const("l0")), want)
     assert t == want
     assert pretty(t) == text
+
+
+def test_names_of_a_deep_term(default_recursion_limit):
+    depth = 10_000
+    t = Var("x")
+    for _ in range(depth):
+        t = Lam("y", Const("A"), App(App(Const("succ"), Const("l0")), t))
+    assert parser._names(t) == {"x", "A", "succ", "l0"}
 
 
 def test_parse_a_long_arrow_chain(default_recursion_limit):

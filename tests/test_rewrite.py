@@ -7,7 +7,7 @@ from morgandk import rewrite
 from morgandk.rewrite import (DEFAULT_FUEL, CriticalPair, Fails, Fuel,
                               FuelExhausted, Holds, Reducer, ReplayError,
                               RuleCompileError, compile_rule, critical_pairs,
-                              joinable, match_pattern)
+                              joinable, match_pattern, unify)
 from morgandk.terms import (App, Bound, Const, Lam, Pi, Sort, Var, alpha_eq,
                             app, free_vars, lam, msubst, spine, subst)
 from morgandk.theory import INTERVAL_FACE_HEADS, interval_face_rules
@@ -162,6 +162,17 @@ def test_compile_rule_rejects_loose_rhs_var():
         compile_rule("bad", ("i",), App(Const("sym"), Var("i")), Var("j"))
 
 
+def test_compile_rule_reports_the_first_bad_node_in_preorder():
+    # function before argument, a binder before what is under it
+    lam_x = Lam("x", None, Var("y"))
+    with pytest.raises(RuleCompileError, match="unbound variable 'y'"):
+        compile_rule("bad", (), app(Const("f"), Var("y"), lam_x), Const("c"))
+    with pytest.raises(RuleCompileError, match="applicative"):
+        compile_rule("bad", (), app(Const("f"), lam_x, Var("y")), Const("c"))
+    with pytest.raises(RuleCompileError, match="applicative"):
+        compile_rule("bad", (), app(Const("f"), Sort("TYPE")), Const("c"))
+
+
 def test_fuel_exhaustion(full_sig):
     t = _pt("exDouble exTwo", full_sig)
     red = full_sig.reducer(fuel=Fuel(2), cached=False)
@@ -211,6 +222,25 @@ def test_uncached_normalization_of_a_deep_numeral(full_sig,
     red = full_sig.reducer(cached=False)
     assert red.normalize(App(Const("exDouble"), _numeral(10_000))) \
         == _numeral(20_000)
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_normalizing_a_normal_term_returns_it(full_sig, cached,
+                                              default_recursion_limit):
+    # the cached reducer used to rebuild every node of an already normal
+    # term, and compared each rebuilt node with the original, all the
+    # way down, when caching it: quadratic in the depth
+    t = _numeral(10_000)
+    assert full_sig.reducer(cached=cached).normalize(t) is t
+
+
+def test_compile_a_deep_rule(default_recursion_limit):
+    lhs = app(Const("f"), _numeral(10_000), Var("x"))
+    rule = compile_rule("deep", ("x",), lhs, Var("x"))
+    assert rule.pat_vars == ("x",) and rule.lhs_args[1] == Var("x")
+    with pytest.raises(RuleCompileError, match="unbound variable 'y'"):
+        compile_rule("deep", ("x",), app(Const("f"), _numeral(10_000),
+                                         Var("y")), Var("x"))
 
 
 def test_traced_normalization_of_a_deep_numeral(full_sig,
@@ -449,7 +479,78 @@ def test_printed_normal_types_do_not_depend_on_order(full_sig):
 # -- critical pairs: the head index ------------------------------------------
 # `critical_pairs` tries only the overlaps whose heads can agree.  The
 # unfiltered loop it replaced stays here as the reference: the index may
-# skip work, never a pair, and never reorder the list.
+# skip work, never a pair, and never reorder the list.  The reference
+# keeps its own recursive position walk and its own unifier, the
+# triangular one `unify` replaced, so it checks the kernel against
+# independent code.
+
+def _unify_triangular(a, b):
+    """Syntactic unification with a triangular substitution: a binding
+    may mention variables bound later, so a lookup walks chains."""
+    sub = {}
+
+    def walk(t):
+        while isinstance(t, Var) and t.name in sub:
+            t = sub[t.name]
+        return t
+
+    def occurs(name, t):
+        t = walk(t)
+        match t:
+            case Var(n):
+                return n == name
+            case App(f, x):
+                return occurs(name, f) or occurs(name, x)
+            case _:
+                return False
+
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        x, y = walk(x), walk(y)
+        match x, y:
+            case Var(n), Var(m) if n == m:
+                pass
+            case Var(n), _:
+                if occurs(n, y):
+                    return None
+                sub[n] = y
+            case _, Var(m):
+                if occurs(m, x):
+                    return None
+                sub[m] = x
+            case Const(n), Const(m) if n == m:
+                pass
+            case App(f1, a1), App(f2, a2):
+                todo.append((f1, f2))
+                todo.append((a1, a2))
+            case _:
+                return None
+    return sub
+
+
+def _resolve(t, sub):
+    """t under a triangular substitution, every chain followed."""
+    match t:
+        case Var(n) if n in sub:
+            return _resolve(sub[n], sub)
+        case App(f, a):
+            return App(_resolve(f, sub), _resolve(a, sub))
+        case _:
+            return t
+
+
+def _apply_triangular(t, sub):
+    return msubst(t, {k: _resolve(v, sub) for k, v in sub.items()})
+
+
+def _pattern_positions(t):
+    out = [((), t)]
+    if isinstance(t, App):
+        out.extend(((("fn",) + p), s) for p, s in _pattern_positions(t.fn))
+        out.extend(((("arg",) + p), s) for p, s in _pattern_positions(t.arg))
+    return out
+
 
 def _critical_pairs_reference(rules):
     out = []
@@ -457,26 +558,26 @@ def _critical_pairs_reference(rules):
         avoid = frozenset(r1.pat_vars)
         for j, r2 in enumerate(rules):
             r2r = rewrite._rename_apart(r2, avoid)
-            for pos, sub_t in rewrite._pattern_positions(r1.lhs):
+            for pos, sub_t in _pattern_positions(r1.lhs):
                 if not pos or isinstance(sub_t, Var):
                     continue
-                mgu = rewrite.unify(sub_t, r2r.lhs)
+                mgu = _unify_triangular(sub_t, r2r.lhs)
                 if mgu is None:
                     continue
                 out.append(CriticalPair(
                     r1.name, r2.name, pos,
-                    peak=rewrite._apply_unifier(r1.lhs, mgu),
-                    left=rewrite._apply_unifier(r1.rhs, mgu),
-                    right=rewrite._apply_unifier(
+                    peak=_apply_triangular(r1.lhs, mgu),
+                    left=_apply_triangular(r1.rhs, mgu),
+                    right=_apply_triangular(
                         rewrite._replace_at(r1.lhs, pos, r2r.rhs), mgu)))
             if j > i:
-                mgu = rewrite.unify(r1.lhs, r2r.lhs)
+                mgu = _unify_triangular(r1.lhs, r2r.lhs)
                 if mgu is not None:
                     out.append(CriticalPair(
                         r1.name, r2.name, (),
-                        peak=rewrite._apply_unifier(r1.lhs, mgu),
-                        left=rewrite._apply_unifier(r1.rhs, mgu),
-                        right=rewrite._apply_unifier(r2r.rhs, mgu)))
+                        peak=_apply_triangular(r1.lhs, mgu),
+                        left=_apply_triangular(r1.rhs, mgu),
+                        right=_apply_triangular(r2r.rhs, mgu)))
     return out
 
 
@@ -593,3 +694,26 @@ def test_critical_pairs_equal_the_reference_on_random_rule_sets(rules):
     # no overlap is tried whose constant heads or arities disagree
     for a, b in tried:
         assert _key(a) is None or _key(a) == _key(b), (a, b)
+
+
+@settings(deadline=None)
+@example(_EDGE_CASES)
+@given(_rule_sets())
+def test_unify_agrees_with_the_triangular_reference(rules):
+    # every pair of patterns in the rule set, each side renamed apart
+    # from the other as `critical_pairs` does
+    patterns = [(r, sub_t) for r in rules
+                for _, sub_t in _pattern_positions(r.lhs)]
+    for r1, a in patterns:
+        for r2, b in patterns:
+            b = msubst(b, {v: Var(v + "'") for v in r2.pat_vars})
+            mgu = unify(a, b)
+            ref = _unify_triangular(a, b)
+            assert (mgu is None) == (ref is None), (a, b)
+            if mgu is None:
+                continue
+            assert msubst(a, mgu) == msubst(b, mgu) \
+                == _apply_triangular(a, ref) == _apply_triangular(b, ref)
+            assert mgu == {k: _resolve(v, ref) for k, v in ref.items()}
+            # idempotent: applying it again changes nothing
+            assert {k: msubst(v, mgu) for k, v in mgu.items()} == mgu

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from morgandk.parser import parse_term, pretty
 from morgandk.terms import (TYPE, App, Bound, Const, Ctx, Lam, Pi, Sort, Var,
                             abstract, alpha_eq, app, free_vars, fresh_name,
-                            instantiate, lam, pi, shift, spine, subst)
+                            instantiate, lam, occurs, pi, shift, spine, subst,
+                            subterms)
 
 
 def test_subst_identity_target():
@@ -44,6 +45,32 @@ def test_free_vars():
     assert free_vars(lam("x", None, Var("x"))) == frozenset()
     assert free_vars(App(Var("f"), Var("x"))) == {"f", "x"}
     assert free_vars(pi("x", Var("A"), App(Var("B"), Var("x")))) == {"A", "B"}
+
+
+def test_subterms_in_preorder_with_binder_depth():
+    annotated = Lam("x", Const("A"), App(Bound(0), Var("y")))
+    assert list(subterms(annotated)) == [
+        (annotated, 0), (Const("A"), 0), (annotated.body, 1),
+        (Bound(0), 1), (Var("y"), 1)]
+    bare = Lam("x", None, Pi("y", Bound(0), Bound(1)))
+    assert list(subterms(bare)) == [
+        (bare, 0), (bare.body, 1), (Bound(0), 1), (Bound(1), 2)]
+
+
+def _deep_binders(n, leaf):
+    """n lambdas, each over `f` applied to the next."""
+    t = leaf
+    for _ in range(n):
+        t = Lam("x", None, App(Const("f"), t))
+    return t
+
+
+def test_free_vars_and_occurs_of_deep_terms(default_recursion_limit):
+    depth = 10_000
+    assert free_vars(_deep_binders(depth, Var("z"))) == {"z"}
+    # under `depth` binders, index `depth` is the index 0 of the top
+    assert occurs(_deep_binders(depth, Bound(depth)))
+    assert not occurs(_deep_binders(depth, Bound(depth - 1)))
 
 
 def test_instantiate_shifts_under_binders():
