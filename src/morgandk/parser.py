@@ -93,9 +93,6 @@ class RuleDecl:
 
 Declaration = Union[StaticConst, DefinableConst, Definition, RuleDecl]
 
-# enclosing binder names, innermost first (None: a non-dependent arrow)
-Scope = tuple[Optional[str], ...]
-
 _SYMBOLS = (":=", "-->", "->", "=>", ":", "(", ")", "[", "]", ",", ".")
 
 
@@ -185,6 +182,11 @@ class _Parser:
         self.defs = defs if defs is not None else set()
         # inside a rewrite rule: its pattern variables; no free identifiers
         self.pat_vars: Optional[frozenset[str]] = None
+        # the scope: how many binders enclose the current position, and
+        # for each name the depths of the enclosing binders of that name,
+        # innermost last (a non-dependent arrow binds no name)
+        self.depth = 0
+        self.binders: dict[str, list[int]] = {}
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -218,20 +220,33 @@ class _Parser:
 
     # -- terms ------------------------------------------------------------
 
-    def term(self, scope: Scope) -> Term:
-        """Parse a term.  Works over an explicit stack of the
-        constructions still open, innermost last, rather than by
-        recursion, so nesting is not bounded by the interpreter's
-        recursion limit:
+    def bind(self, name: Optional[str]) -> None:
+        """Open a binder of `name` (None: a non-dependent arrow)."""
+        if name is not None:
+            self.binders.setdefault(name, []).append(self.depth)
+        self.depth += 1
 
-            ("binder", name, scope)  `name :` read; the domain is parsed
-            ("arrow", scope)         an application is parsed; `->` may follow
-            ("appl", fn, scope)      an application so far (fn None: none yet)
-            ("paren",)               `(` read
-            ("pi" | "lam", name, dom)  the body is parsed
+    def unbind(self, name: Optional[str]) -> None:
+        """Close the innermost binder, which `bind(name)` opened."""
+        self.depth -= 1
+        if name is not None:
+            self.binders[name].pop()
+
+    def term(self) -> Term:
+        """Parse a term in the current scope.  Works over an explicit
+        stack of the constructions still open, innermost last, rather
+        than by recursion, so nesting is not bounded by the
+        interpreter's recursion limit:
+
+            ("binder", name)  `name :` read; the domain is parsed
+            ("arrow",)        an application is parsed; `->` may follow
+            ("appl", fn)      an application so far (fn None: none yet)
+            ("paren",)        `(` read
+            ("pi" | "lam", name, dom)  the body is parsed in the scope
+                              of a binder of `name` (None: an arrow)
         """
         stack: list[tuple] = []
-        start: Optional[str] = "term"  # what to parse next in `scope`
+        start: Optional[str] = "term"  # what to parse next
         done: Term  # the subterm just parsed, when `start` is None
         while True:
             if start == "term":
@@ -242,12 +257,12 @@ class _Parser:
                     name = self.next().text
                     if self.next().text == "=>":
                         stack.append(("lam", name, None))
-                        scope = (name,) + scope
+                        self.bind(name)
                         continue
-                    stack.append(("binder", name, scope))
+                    stack.append(("binder", name))
                 else:
-                    stack.append(("arrow", scope))
-                stack.append(("appl", None, scope))
+                    stack.append(("arrow",))
+                stack.append(("appl", None))
                 start = "atom"
                 continue
             if start == "atom":
@@ -260,7 +275,7 @@ class _Parser:
                 if tok.kind != "ident":
                     self.fail(f"expected a term, found {tok.text!r}", tok)
                 self.next()
-                done = self._name(tok, scope)
+                done = self._name(tok)
                 start = None
             # hand the finished subterm to the innermost open construction
             if not stack:
@@ -268,25 +283,25 @@ class _Parser:
             frame = stack.pop()
             kind = frame[0]
             if kind == "appl":
-                _, fn, scope = frame
+                fn = frame[1]
                 if fn is not None:
                     done = App(fn, done)
                 nxt = self.peek()
                 if self.at_sym("(") or (nxt.kind == "ident" and not (
                         nxt.text != "Type" and self.peek(1).kind == "sym"
                         and self.peek(1).text == ":")):
-                    stack.append(("appl", done, scope))
+                    stack.append(("appl", done))
                     start = "atom"
             elif kind == "paren":
                 self.expect_sym(")")
             elif kind == "arrow":
                 if self.at_sym("->"):
                     self.next()
-                    stack.append(("pi", "_", done))
-                    scope = (None,) + frame[1]
+                    stack.append(("pi", None, done))
+                    self.bind(None)
                     start = "term"
             elif kind == "binder":
-                _, name, scope = frame
+                name = frame[1]
                 if self.at_sym("->"):
                     stack.append(("pi", name, done))
                 elif self.at_sym("=>"):
@@ -294,19 +309,20 @@ class _Parser:
                 else:
                     self.fail("expected '->' or '=>' after binder")
                 self.next()
-                scope = (name,) + scope
+                self.bind(name)
                 start = "term"
-            elif kind == "pi":
-                done = Pi(frame[1], frame[2], done)
             else:
-                done = Lam(frame[1], frame[2], done)
+                _, name, dom = frame
+                self.unbind(name)
+                done = (Pi if kind == "pi" else Lam)(name or "_", dom, done)
 
-    def _name(self, tok: Token, scope: Scope) -> Term:
-        """The term an identifier stands for, read where `scope` holds."""
+    def _name(self, tok: Token) -> Term:
+        """The term an identifier stands for in the current scope."""
         if tok.text == "Type":
             return TYPE
-        if tok.text in scope:
-            return Bound(scope.index(tok.text))
+        depths = self.binders.get(tok.text)
+        if depths:
+            return Bound(self.depth - 1 - depths[-1])
         if tok.text in (self.pat_vars or ()):
             return Var(tok.text)
         if tok.text in self.consts:
@@ -335,7 +351,7 @@ class _Parser:
             return self.definition(start)
         name_tok = self.expect_ident()
         self.expect_sym(":")
-        ty = self.term(())
+        ty = self.term()
         self.expect_sym(".")
         self.declare(name_tok.text, name_tok)
         return StaticConst(name_tok.text, ty, self.span(name_tok))
@@ -344,19 +360,18 @@ class _Parser:
         name_tok = self.expect_ident()
         name = name_tok.text
         params: list[tuple[str, Term]] = []
-        scope: Scope = ()
         while self.at_sym("("):
             self.next()
             p = self.expect_ident()
             self.expect_sym(":")
-            pty = self.term(scope)
+            pty = self.term()
             self.expect_sym(")")
             params.append((p.text, pty))
-            scope = (p.text,) + scope
+            self.bind(p.text)
         ty: Optional[Term] = None
         if self.at_sym(":"):
             self.next()
-            ty = self.term(scope)
+            ty = self.term()
         if self.at_sym("."):
             self.next()
             if ty is None:
@@ -367,9 +382,10 @@ class _Parser:
             self.declare(name, name_tok, definable=True)
             return DefinableConst(name, ty, self.span(name_tok))
         self.expect_sym(":=")
-        body = self.term(scope)
+        body = self.term()
         self.expect_sym(".")
         for p, pty in reversed(params):
+            self.unbind(p)
             body = Lam(p, pty, body)
             if ty is not None:
                 ty = Pi(p, pty, ty)
@@ -395,9 +411,9 @@ class _Parser:
         self.expect_sym("]")
         self.pat_vars = frozenset(pat_vars)
         try:
-            lhs = self.term(())
+            lhs = self.term()
             self.expect_sym("-->")
-            rhs = self.term(())
+            rhs = self.term()
         finally:
             self.pat_vars = None
         self.expect_sym(".")
@@ -430,7 +446,7 @@ def parse_file(text: str, file: str = "<input>",
 def parse_term(text: str, consts: set[str] | frozenset[str] = frozenset(),
                file: str = "<term>") -> Term:
     p = _Parser(tokenize(text, file), file, set(consts))
-    t = p.term(())
+    t = p.term()
     if p.peek().kind != "eof":
         p.fail(f"trailing input {p.peek().text!r}")
     return t

@@ -6,14 +6,18 @@ terms.
 
 The corpus is the `theories/` directory next to this module, one
 theory file per block.  `blocks_for` names the files a configuration
-selects; `build_theory` parses and checks them under the default fuel.
-Two caches, one for every builder, make sweeping the whole flag lattice
-cheap.  Checked signatures are cached by file-path prefix, so each
-shared prefix is checked once.  Parses are cached by file path and the
-names the file mentions that the namespace before it declares, so each
-file is parsed once per way its names resolve: once in all for the
-shipped lattice.  `write_theory_files` copies the selected files out,
-so the exported corpus is the shipped one byte for byte.
+selects; `build_theory` parses and checks them under the default fuel
+into a fresh signature.  Two caches, one for every builder, make
+sweeping the whole flag lattice cheap.  Parses are cached by file path
+and the names the file mentions that the namespace before it declares,
+so each file is parsed once per way its names resolve: once in all for
+the shipped lattice.  Checks are cached by the parse and by what the
+check can read of the signature before it: the installed constant and
+rules of every name the file's declarations reach through types and
+rule right-hand sides.  So a file is checked again only when something
+it can read differs, not whenever an earlier file does: 41 file checks
+for the 96 configurations.  `write_theory_files` copies the selected
+files out, so the exported corpus is the shipped one byte for byte.
 
 The first-attempt decoding of faces by rewrite rules is kept out of
 every built signature: it breaks confluence (see the analyzer tests)
@@ -27,9 +31,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .check import Signature, check_signature
-from .parser import Declaration, identifiers, parse_file
+from .parser import (Declaration, Definition, RuleDecl, identifiers,
+                     parse_file)
 from .rewrite import RewriteRule
-from .terms import App, Const, Ctx, Lam, Term, Var, app, lam, pi
+from .terms import (App, Const, Ctx, Lam, Term, Var, app, lam, pi,
+                    subterms)
 
 __all__ = [
     "TheoryConfig", "FULL_CONFIG", "NAT_STRENGTHS",
@@ -123,8 +129,6 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
     return out
 
 
-_BUILD_CACHE: dict[tuple[Path, ...], Signature] = {}
-
 # path -> (the file's identifiers, {(declared names, definable names)
 # among them: (declarations, the names they declare, the definable ones
 # among those)}).  Every namespace lookup the parser makes is on one of
@@ -160,26 +164,128 @@ def _parse(path: Path, consts: set[str],
     return decls
 
 
+# term -> the names of the constants in it, computed once per term for
+# the whole process.  `==` terms mention the same constants: binder hints
+# are all that `==` ignores.
+_MENTIONS: dict[Term, frozenset[str]] = {}
+
+
+def _mentions(t: Term) -> frozenset[str]:
+    got = _MENTIONS.get(t)
+    if got is None:
+        got = _MENTIONS[t] = frozenset(
+            s.name for s, _ in subterms(t) if s.__class__ is Const)
+    return got
+
+
+def _seed(decls: tuple[Declaration, ...]) -> frozenset[str]:
+    """The names a file's declarations mention or declare; rule heads
+    are among the first."""
+    names: set[str] = set()
+    for d in decls:
+        if isinstance(d, RuleDecl):
+            names |= _mentions(d.lhs) | _mentions(d.rhs)
+            continue
+        names.add(d.name)
+        if d.ty is not None:
+            names |= _mentions(d.ty)
+        if isinstance(d, Definition):
+            names |= _mentions(d.body)
+    return frozenset(names)
+
+
+def _reads(seed: frozenset[str], sig: Signature) -> tuple:
+    """What a check of declarations whose `_seed` is `seed` can read of
+    `sig`: for each name in `seed`, closed under the names that the type
+    and the rules' right-hand sides of a reached name mention, the
+    installed ConstInfo (or None) and that head's rules in order, by
+    identity.  The checker reads `sig.consts[name]` and
+    `sig.rules[name]` alone, and every term it looks a name up in is
+    built from the declarations, the types of the constants it looks
+    up, and the right-hand sides of the rules that fire; a definition's
+    body is the right-hand side of its `.def` rule."""
+    consts, rules = sig.consts, sig.rules
+    reached = set(seed)
+    todo = list(reached)
+    while todo:
+        name = todo.pop()
+        info = consts.get(name)
+        if info is None:
+            continue
+        new = _mentions(info.ty)
+        for r in rules.get(name, ()):
+            new = new | _mentions(r.rhs)
+        new = new - reached
+        if new:
+            reached |= new
+            todo += new
+    return tuple((n, id(consts.get(n)), tuple(map(id, rules.get(n, ()))))
+                 for n in sorted(reached))
+
+
+# id of a parse -> (the parse, its `_seed`, {`_reads` of a signature:
+# what checking the parse on top of it installed}).  What a check
+# installed is its constants with their provenance, in order, and the
+# new rules of each head, in the order the heads entered `sig.rules`.
+# Keyed on identity, not `==`: `==` on terms ignores binder hints, and
+# an untyped `def` takes its type from its dependencies' types as they
+# are written.  Every object a key names by id is one that an entry
+# installed, and entries are never dropped, so no id is reused while
+# its key lives.
+_CHECK_CACHE: dict[int, tuple[tuple[Declaration, ...], frozenset[str],
+                              dict[tuple, tuple]]] = {}
+
+
+def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
+    """`check_signature(decls, sig=sig)`, cached by what the check can
+    read of `sig`.  A check whose result equals an earlier one of the
+    same parse, binder hints included (`repr` shows them), installs the
+    earlier objects, so the files after it still hit.  A failed check
+    raises as `check_signature` does and caches nothing."""
+    known = _CHECK_CACHE.get(id(decls)) or (decls, _seed(decls), {})
+    _, seed, checks = known
+    reads = _reads(seed, sig)
+    hit = checks.get(reads)
+    if hit is not None:
+        for info, span in hit[0]:
+            sig.add_const(info, span)
+        for head, rs in hit[1]:
+            sig.rules.setdefault(head, []).extend(rs)
+        return
+    n_consts = len(sig.order)
+    n_rules = {head: len(rs) for head, rs in sig.rules.items()}
+    check_signature(decls, sig=sig)
+    consts = tuple((sig.consts[n], sig.provenance[n])
+                   for n in sig.order[n_consts:])
+    rules = tuple((head, tuple(rs[n_rules.get(head, 0):]))
+                  for head, rs in sig.rules.items()
+                  if len(rs) > n_rules.get(head, 0))
+    done = (consts, rules)
+    same = next((c for c in checks.values()
+                 if c == done and repr(c) == repr(done)), None)
+    if same is not None:
+        for (info, _), (old, _) in zip(consts, same[0]):
+            sig.consts[info.name] = old
+        for (head, _), (_, old_rules) in zip(rules, same[1]):
+            sig.rules[head][-len(old_rules):] = old_rules
+        done = same
+    checks[reads] = done
+    _CHECK_CACHE[id(decls)] = known
+
+
 def _build(paths: tuple[Path, ...]) -> Signature:
-    """Parse and check `paths` in order into a fresh Signature, starting
-    from the longest prefix already checked and caching every new
-    prefix.  Each file is parsed once per (path, names the file mentions
-    that are declared or definable before it) and its declarations are
-    shared by every prefix that reaches it that way; the check runs for
-    every new prefix, because its verdict depends on the signature.  The
-    shipped corpus is always checked under the default fuel, so a built
-    signature does not depend on a caller's budget."""
-    best = len(paths)
-    while best and paths[:best] not in _BUILD_CACHE:
-        best -= 1
-    if best == len(paths):
-        return _BUILD_CACHE[paths].copy()
-    sig = _BUILD_CACHE[paths[:best]].copy() if best else Signature()
-    consts, defs = sig.namespace()
-    for idx in range(best, len(paths)):
-        path = paths[idx]
-        check_signature(_parse(path, consts, defs), sig=sig)
-        _BUILD_CACHE[paths[:idx + 1]] = sig.copy()
+    """Parse and check `paths` in order into a fresh Signature.  Each
+    file is parsed once per way its names resolve (`_parse`) and checked
+    once per parse and state of what its check can read (`_check`), so
+    the signatures of a whole flag lattice share every check whose
+    inputs agree.  The shipped corpus is always checked under the
+    default fuel, so a built signature does not depend on a caller's
+    budget."""
+    sig = Signature()
+    consts: set[str] = set()
+    defs: set[str] = set()
+    for path in paths:
+        _check(_parse(path, consts, defs), sig)
     return sig
 
 

@@ -129,11 +129,11 @@ def test_reduce_fuel_flag_and_env(capsys, monkeypatch):
 
 def test_reduce_fuel_bounds_only_the_term(capsys, monkeypatch):
     # with no files the built-in corpus is checked under the default
-    # fuel, even from a cold build cache
-    monkeypatch.setattr(theory, "_BUILD_CACHE", {})
+    # fuel, even from a cold check cache
+    monkeypatch.setattr(theory, "_CHECK_CACHE", {})
     code, out, err = run(capsys, "reduce", "--fuel", "20", "Imin 1 i")
     assert (code, out, err) == (0, "i\n", "")
-    monkeypatch.setattr(theory, "_BUILD_CACHE", {})
+    monkeypatch.setattr(theory, "_CHECK_CACHE", {})
     code, _, err = run(capsys, "reduce", "--fuel", "2", "exDouble exTwo")
     assert code == 3 and "fuel" in err
 

@@ -5,8 +5,8 @@ from morgandk import parser
 from morgandk.parser import (Definition, ParseError, RuleDecl, StaticConst,
                              identifiers, parse_file, parse_term, pretty,
                              print_declaration, tokenize)
-from morgandk.terms import (TYPE, App, Const, Lam, Pi, Sort, Var, alpha_eq,
-                            lam, pi)
+from morgandk.terms import (TYPE, App, Bound, Const, Lam, Pi, Sort, Var,
+                            alpha_eq, app, lam, pi)
 from morgandk.theory import FULL_CONFIG, blocks_for
 
 
@@ -169,3 +169,20 @@ def test_parse_a_long_arrow_chain(default_recursion_limit):
         assert isinstance(t, Pi) and t.dom == Const("A")
         t = t.cod
     assert t == Const("A")
+
+
+def test_parse_a_deep_binder_chain(default_recursion_limit):
+    # each name resolves to its innermost binder, and a closed binder
+    # leaves scope: the trailing x0 is free
+    depth = 10_000
+    names = [f"x{i}" for i in range(depth)]
+    text = "(" + " => ".join(names) + " => x0 x9999 (x9999 => x9999)) x0"
+    body = app(Bound(depth - 1), Bound(0), Lam("x9999", None, Bound(0)))
+    for name in reversed(names):
+        body = Lam(name, None, body)
+    assert parse_term(text) == App(body, Var("x0"))
+    arrows = parse_term(" -> ".join(["A"] * depth) + " -> x : A -> x")
+    want = Pi("x", Var("A"), Bound(0))
+    for _ in range(depth):
+        want = Pi("_", Var("A"), want)
+    assert arrows == want

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from morgandk import parser, theory
-from morgandk.check import infer
+from morgandk import check, parser, theory
+from morgandk.check import (ConstInfo, Signature, TypeCheckError,
+                            check_signature, infer)
 from morgandk.parser import ParseError, parse_file, parse_term
-from morgandk.terms import App, Const, Ctx, Var, alpha_eq, app, lam
+from morgandk.terms import TYPE, App, Const, Ctx, Var, alpha_eq, app, lam
 from morgandk.theory import (CL, EXTERNAL, FULL_CONFIG, INTERNAL, L0,
                              NAT_STRENGTHS, AApp, ALam, ANat, APair, ASig,
                              AVar, AZero, EncodeError, Level, TheoryConfig,
@@ -285,7 +286,7 @@ CORPUS_DIR = blocks_for(TheoryConfig())[0].parent
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    monkeypatch.setattr(theory, "_BUILD_CACHE", {})
+    monkeypatch.setattr(theory, "_CHECK_CACHE", {})
     monkeypatch.setattr(theory, "_PARSE_CACHE", {})
 
 
@@ -367,3 +368,212 @@ def test_failed_parse_raises_as_parse_file_and_caches_nothing(cold_caches):
     before = dict(theory._PARSE_CACHE[t1][1])
     assert failure(lambda c, d: theory._parse(t1, c, d)) == expected
     assert theory._PARSE_CACHE[t1][1] == before
+
+
+def _shown(sig, memo=None):
+    """Everything a signature holds, binder hints included.  `memo`
+    keeps the repr of each object by id, for objects that outlive it."""
+    memo = {} if memo is None else memo
+
+    def shown(x):
+        got = memo.get(id(x))
+        if got is None:
+            got = memo[id(x)] = repr(x)
+        return got
+
+    return ([(n, shown(info)) for n, info in sig.consts.items()],
+            [shown(r) for r in sig.rule_list()],
+            [(head, [shown(r) for r in rs]) for head, rs in sig.rules.items()],
+            list(sig.order), list(sig.provenance.items()))
+
+
+def _fresh_signatures(configs):
+    """config -> `check_signature` over fresh parses of its blocks, with
+    no theory cache; each file-path prefix is checked once."""
+    by_prefix = {(): (Signature(), set(), set())}
+    out = {}
+    for cfg in configs:
+        blocks = tuple(blocks_for(cfg))
+        for n, path in enumerate(blocks, 1):
+            if blocks[:n] not in by_prefix:
+                sig, consts, defs = by_prefix[blocks[:n - 1]]
+                sig, consts, defs = sig.copy(), set(consts), set(defs)
+                check_signature(parse_file(path.read_text(), path.name,
+                                           consts, defs), sig=sig)
+                by_prefix[blocks[:n]] = (sig, consts, defs)
+        out[cfg] = by_prefix[blocks][0]
+    return out
+
+
+def test_cold_cached_builds_equal_fresh_checks(cold_caches):
+    configs = list(_all_configs())
+    fresh = _fresh_signatures(configs)
+    built = {cfg: build_theory(cfg) for cfg in configs}
+    memo = {}
+    for cfg in configs:
+        assert _shown(built[cfg], memo) == _shown(fresh[cfg], memo), cfg
+
+
+def test_cold_sweep_checks_each_file_once_per_key(cold_caches, monkeypatch):
+    files, decls = Counter(), Counter()
+    check_file, check_decl = theory.check_signature, check.check_declaration
+
+    def counting_file(ds, *args, **kwargs):
+        files[ds[0].span.file] += 1
+        return check_file(ds, *args, **kwargs)
+
+    def counting_decl(sig, d, *args):
+        decls[d.span.file] += 1
+        return check_decl(sig, d, *args)
+
+    monkeypatch.setattr(theory, "check_signature", counting_file)
+    monkeypatch.setattr(check, "check_declaration", counting_decl)
+    for cfg in _all_configs():
+        build_theory(cfg)
+    assert (sum(files.values()), sum(decls.values())) == (41, 443)
+    # the core reads none of the optional blocks
+    assert files["01-2ltt-core.dk"] == 1
+
+
+class _Recording(dict):
+    """A dict that notes every key looked up in it."""
+
+    def __init__(self, data, seen):
+        super().__init__(data)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def setdefault(self, key, default=None):
+        self.seen.add(key)
+        return super().setdefault(key, default)
+
+
+def test_a_file_check_reads_only_names_in_its_key(cold_caches, monkeypatch):
+    check_file = theory.check_signature
+    checks = 0
+
+    def recording_check(decls, sig):
+        nonlocal checks
+        keyed = {name for name, _, _ in
+                 theory._reads(theory._seed(decls), sig)}
+        seen = set()
+        sig.consts = _Recording(sig.consts, seen)
+        sig.rules = _Recording(sig.rules, seen)
+        try:
+            check_file(decls, sig=sig)
+        finally:
+            sig.consts, sig.rules = dict(sig.consts), dict(sig.rules)
+        assert seen and seen <= keyed, (decls[0].span.file, seen - keyed)
+        checks += 1
+
+    monkeypatch.setattr(theory, "check_signature", recording_check)
+    for cfg in _all_configs():
+        build_theory(cfg)
+    assert checks == 41
+
+
+def test_a_new_rule_that_a_file_reaches_forces_a_recheck(
+        cold_caches, tmp_path, monkeypatch):
+    # b.dk mentions g alone; g unfolds to `f t`, so b.dk checks exactly
+    # when a rule on f reduces that to t
+    files = {
+        "a.dk": "T : Type.\nt : T.\nP : T -> Type.\n"
+                "def f : T -> T.\ndef g : T := f t.\n",
+        "r.dk": "[x] f x --> x.\n",
+        "b.dk": "def h : P g -> P t := y => y.\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    a, r, b = (tmp_path / name for name in files)
+    checked = Counter()
+    check_file = theory.check_signature
+
+    def counting_check(decls, sig):
+        checked[decls[0].span.file] += 1
+        return check_file(decls, sig=sig)
+
+    monkeypatch.setattr(theory, "check_signature", counting_check)
+    assert "h" in theory._build((a, r, b)).consts
+    with pytest.raises(TypeCheckError) as err:
+        theory._build((a, b))
+    assert (err.value.kind, err.value.span.file) == ("mismatch", "b.dk")
+    assert checked == {"a.dk": 1, "r.dk": 1, "b.dk": 2}
+    theory._build((a, r, b))
+    assert checked == {"a.dk": 1, "r.dk": 1, "b.dk": 2}
+
+
+def test_checks_keep_binder_hints_apart(cold_caches, tmp_path):
+    # f's types in x.dk and y.dk are == and differ only in their binder
+    # hint; g takes its type from f, so each build needs its own check
+    files = {"x.dk": "T : Type.\ndef f : x : T -> T.\n",
+             "y.dk": "T : Type.\ndef f : y : T -> T.\n",
+             "g.dk": "def g := f.\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    x, y, g = (tmp_path / name for name in files)
+    for paths in ((x, g), (y, g)):
+        consts, defs = set(), set()
+        fresh = check_signature(
+            [d for p in paths
+             for d in parse_file(p.read_text(), p.name, consts, defs)])
+        assert _shown(theory._build(paths)) == _shown(fresh)
+    assert theory._build((y, g)).consts["g"].ty.var == "y"
+
+
+def test_mutating_a_built_signature_leaves_the_next_build_unchanged(
+        cold_caches):
+    sig = build_theory(FULL_CONFIG)
+    before = _shown(sig)
+    sig.consts["Imin"] = ConstInfo("Imin", TYPE, static=True)
+    del sig.consts["cL"]
+    sig.rules["Imin"].clear()
+    sig.rules["sym"].append(sig.rules["Imax"][0])
+    sig.order.reverse()
+    sig.provenance.clear()
+    assert _shown(build_theory(FULL_CONFIG)) == before
+
+
+def test_failed_check_raises_as_check_signature_and_caches_nothing(
+        cold_caches, tmp_path):
+    blocks = blocks_for(FULL_CONFIG)
+    (tmp_path / "good").mkdir()
+    (tmp_path / "bad").mkdir()
+    good = []
+    for path in blocks:
+        good.append(tmp_path / "good" / path.name)
+        good[-1].write_text(path.read_text())
+    at = [p.name for p in blocks].index("09-cubical-paths.dk")
+    broken = tmp_path / "bad" / blocks[at].name
+    broken.write_text(good[at].read_text() + "def broken : Type := Type.\n")
+    bad = good[:at] + [broken] + good[at + 1:]
+
+    consts, defs = set(), set()
+    decls = [d for p in bad
+             for d in parse_file(p.read_text(), p.name, consts, defs)]
+    with pytest.raises(TypeCheckError) as err:
+        check_signature(decls)
+    expected = (err.value.render(), err.value.span, err.value.kind)
+    assert expected[1].file == broken.name and expected[2] == "mismatch"
+
+    reference = _shown(theory._build(tuple(good)))
+    assert reference == _shown(_fresh_signatures([FULL_CONFIG])[FULL_CONFIG])
+    cached = {k: (parse, seed, dict(checks))
+              for k, (parse, seed, checks) in theory._CHECK_CACHE.items()}
+    for _ in range(2):
+        with pytest.raises(TypeCheckError) as err:
+            theory._build(tuple(bad))
+        assert (err.value.render(), err.value.span,
+                err.value.kind) == expected
+        assert theory._CHECK_CACHE == cached
+    assert _shown(theory._build(tuple(good))) == reference
