@@ -93,16 +93,16 @@ class RuleDecl:
 
 Declaration = Union[StaticConst, DefinableConst, Definition, RuleDecl]
 
-_SYMBOLS = (":=", "-->", "->", "=>", ":", "(", ")", "[", "]", ",", ".")
-
-
-def _ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_" or c == "'"
-
-
-# `\w` is exactly `str.isalnum()` or "_", so a match is a maximal run of
-# `_ident_char` characters
+# `\w` is exactly `str.isalnum()` or "_", and `\s` exactly
+# `str.isspace()`, so a match is a maximal run of identifier characters
 _IDENT_RUN = re.compile(r"[\w']+")
+# the blanks before a token, then the token: a comment opener, a symbol
+# (`:=` before `:`, `-->` before `->`), an identifier run, or any other
+# character, which is an error.  No group matches at the end of the text.
+_TOKEN = re.compile(r"\s*(?:(\(;)|(:=|-->|->|=>|[:()\[\],.])|([\w']+)"
+                    r"|(.)|\Z)", re.DOTALL)
+# inside a comment, what nests, closes or starts a line
+_COMMENT = re.compile(r"\(;|;\)|\n")
 
 
 def identifiers(text: str) -> frozenset[str]:
@@ -114,62 +114,37 @@ def identifiers(text: str) -> frozenset[str]:
 
 def tokenize(text: str, file: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("(;", i):
-            depth = 1
-            sl, sc = line, col
-            i += 2
-            col += 2
-            while i < n and depth > 0:
-                if text.startswith("(;", i):
-                    depth += 1
-                    i += 2
-                    col += 2
-                elif text.startswith(";)", i):
-                    depth -= 1
-                    i += 2
-                    col += 2
-                elif text[i] == "\n":
-                    i += 1
-                    line += 1
-                    col = 1
+    i, line, bol = 0, 1, 0  # bol: where the current line begins
+    while True:
+        m = _TOKEN.match(text, i)
+        kind = m.lastindex
+        start = m.start(kind) if kind else m.end()
+        nl = text.rfind("\n", i, start)
+        if nl >= 0:
+            line += text.count("\n", i, start)
+            bol = nl + 1
+        col = start - bol + 1
+        if kind is None:
+            toks.append(Token("eof", "", line, col))
+            return toks
+        i = m.end()
+        if kind == 1:
+            opened, depth = SourceSpan(file, line, col), 1
+            while depth:
+                c = _COMMENT.search(text, i)
+                if c is None:
+                    raise ParseError("unterminated comment", opened)
+                i = c.end()
+                if c.group() == "\n":
+                    line, bol = line + 1, i
                 else:
-                    i += 1
-                    col += 1
-            if depth > 0:
-                raise ParseError("unterminated comment", SourceSpan(file, sl, sc))
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+                    depth += 1 if c.group() == "(;" else -1
+        elif kind == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}",
+                             SourceSpan(file, line, col))
         else:
-            if _ident_char(c):
-                j = i
-                while j < n and _ident_char(text[j]):
-                    j += 1
-                toks.append(Token("ident", text[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}",
-                                 SourceSpan(file, line, col))
-    toks.append(Token("eof", "", line, col))
-    return toks
+            toks.append(Token("sym" if kind == 2 else "ident", m.group(kind),
+                              line, col))
 
 
 class _Parser:

@@ -1,0 +1,369 @@
+"""Two-layer surface syntax and its translation into kernel terms.
+
+`encode` maps the surface syntax of the two-level type theory, over a
+level expression and a layer, homomorphically onto the constants the
+shipped core declares; `encode_context` does the same for a typing
+context.  `filling_example` builds the cubical filling line.  No
+command uses this module, so nothing on the command path imports it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .terms import App, Const, Ctx, Lam, Term, Var, app, lam, pi
+
+__all__ = [
+    "Level", "L0", "CL",
+    "EncodeError", "INTERNAL", "EXTERNAL",
+    "AVar", "AUniv", "AFalse", "ATrue", "ANat", "ASum", "APi", "ASig",
+    "AEq", "ALift", "ATt", "AZero", "ASucc", "ALam", "AApp", "APair",
+    "AFst", "ASnd", "AInl", "AInr", "ARefl", "ACoerce", "AIsoUp",
+    "AIsoDown",
+    "encode", "encode_context",
+    "filling_example",
+]
+
+
+# -- levels ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Level:
+    """A level expression: a declared base constant under finitely many
+    successors."""
+
+    base: str
+    ups: int = 0
+
+    def term(self) -> Term:
+        t: Term = Const(self.base)
+        for _ in range(self.ups):
+            t = App(Const("lsuc"), t)
+        return t
+
+    def suc(self) -> "Level":
+        return Level(self.base, self.ups + 1)
+
+    def pred(self) -> "Level":
+        if self.ups == 0:
+            raise ValueError(f"level {self.base} has no predecessor")
+        return Level(self.base, self.ups - 1)
+
+
+L0 = Level("l0")
+CL = Level("cL")
+
+
+# -- two-layer surface syntax and its translation -------------------------
+
+class EncodeError(Exception):
+    """Ill-formed surface syntax, a layer violation included."""
+
+
+INTERNAL = "internal"
+EXTERNAL = "external"
+
+
+@dataclass(frozen=True)
+class AVar:
+    name: str
+
+
+@dataclass(frozen=True)
+class AUniv:
+    """The universe of the level below the current one."""
+
+
+@dataclass(frozen=True)
+class AFalse:
+    pass
+
+
+@dataclass(frozen=True)
+class ATrue:
+    pass
+
+
+@dataclass(frozen=True)
+class ANat:
+    pass
+
+
+@dataclass(frozen=True)
+class ASum:
+    left: "Ast"
+    right: "Ast"
+
+
+@dataclass(frozen=True)
+class APi:
+    var: str
+    dom: "Ast"
+    cod: "Ast"
+
+
+@dataclass(frozen=True)
+class ASig:
+    var: str
+    dom: "Ast"
+    cod: "Ast"
+
+
+@dataclass(frozen=True)
+class AEq:
+    carrier: "Ast"
+    lhs: "Ast"
+    rhs: "Ast"
+
+
+@dataclass(frozen=True)
+class ALift:
+    """A type of the level below, seen one level up."""
+
+    inner: "Ast"
+
+
+@dataclass(frozen=True)
+class ATt:
+    pass
+
+
+@dataclass(frozen=True)
+class AZero:
+    pass
+
+
+@dataclass(frozen=True)
+class ASucc:
+    arg: "Ast"
+
+
+@dataclass(frozen=True)
+class ALam:
+    var: str
+    dom: "Ast"
+    body: "Ast"
+
+
+@dataclass(frozen=True)
+class AApp:
+    fn: "Ast"
+    arg: "Ast"
+
+
+@dataclass(frozen=True)
+class APair:
+    var: str
+    dom: "Ast"
+    cod: "Ast"
+    fst: "Ast"
+    snd: "Ast"
+
+
+@dataclass(frozen=True)
+class AFst:
+    var: str
+    dom: "Ast"
+    cod: "Ast"
+    pair: "Ast"
+
+
+@dataclass(frozen=True)
+class ASnd:
+    var: str
+    dom: "Ast"
+    cod: "Ast"
+    pair: "Ast"
+
+
+@dataclass(frozen=True)
+class AInl:
+    left: "Ast"
+    right: "Ast"
+    arg: "Ast"
+
+
+@dataclass(frozen=True)
+class AInr:
+    left: "Ast"
+    right: "Ast"
+    arg: "Ast"
+
+
+@dataclass(frozen=True)
+class ARefl:
+    carrier: "Ast"
+    arg: "Ast"
+
+
+@dataclass(frozen=True)
+class ACoerce:
+    """An internal type seen as an external one (types only)."""
+
+    inner: "Ast"
+
+
+@dataclass(frozen=True)
+class AIsoUp:
+    """An internal term carried into the coerced external type."""
+
+    carrier: "Ast"
+    arg: "Ast"
+
+
+@dataclass(frozen=True)
+class AIsoDown:
+    """A term of a coerced type carried back to the internal layer."""
+
+    carrier: "Ast"
+    arg: "Ast"
+
+
+Ast = (AVar | AUniv | AFalse | ATrue | ANat | ASum | APi | ASig | AEq
+       | ALift | ATt | AZero | ASucc | ALam | AApp | APair | AFst | ASnd
+       | AInl | AInr | ARefl | ACoerce | AIsoUp | AIsoDown)
+
+
+def _former(layer: str, name: str) -> Const:
+    return Const(name if layer == INTERNAL else "x" + name)
+
+
+def _decoder(layer: str) -> Const:
+    return Const("eps" if layer == INTERNAL else "xeps")
+
+
+def _bind(layer: str, lev: Level, var: str, dom: "Ast", cod: "Ast") -> Lam:
+    ann = app(_decoder(layer), lev.term(), encode(dom, lev, layer))
+    return lam(var, ann, encode(cod, lev, layer))
+
+
+def encode(e: Ast, lev: Level, layer: str = INTERNAL) -> Term:
+    """Translate surface syntax to a kernel term at level `lev`.
+
+    Homomorphic: free variables keep their names, every former maps to
+    the constant of the same name in the current layer, fully applied,
+    with bound variables annotated by the decoded domain.  The three
+    coercion nodes are the only places the layer changes; using them in
+    the wrong layer raises EncodeError.
+    """
+    if layer not in (INTERNAL, EXTERNAL):
+        raise EncodeError(f"unknown layer {layer!r}")
+    lt = lev.term()
+    match e:
+        case AVar(name):
+            return Var(name)
+        case AUniv():
+            if lev.ups == 0:
+                raise EncodeError(
+                    f"no universe below base level {lev.base!r}")
+            return app(_former(layer, "t"), lev.pred().term())
+        case AFalse():
+            return app(_former(layer, "False"), lt)
+        case ATrue():
+            return app(_former(layer, "True"), lt)
+        case ANat():
+            return app(_former(layer, "Nat"), lt)
+        case ASum(a, b):
+            return app(_former(layer, "Sum"), lt,
+                       encode(a, lev, layer), encode(b, lev, layer))
+        case APi(var, dom, cod):
+            return app(_former(layer, "Pi"), lt, encode(dom, lev, layer),
+                       _bind(layer, lev, var, dom, cod))
+        case ASig(var, dom, cod):
+            return app(_former(layer, "Sig"), lt, encode(dom, lev, layer),
+                       _bind(layer, lev, var, dom, cod))
+        case AEq(carrier, lhs, rhs):
+            return app(_former(layer, "Eq"), lt, encode(carrier, lev, layer),
+                       encode(lhs, lev, layer), encode(rhs, lev, layer))
+        case ALift(inner):
+            below = lev.pred() if lev.ups else None
+            if below is None:
+                raise EncodeError(
+                    f"nothing to lift below base level {lev.base!r}")
+            return app(_former(layer, "lUp"), below.term(),
+                       encode(inner, below, layer))
+        case ATt():
+            return app(_former(layer, "tt"), lt)
+        case AZero():
+            return app(_former(layer, "zero"), lt)
+        case ASucc(n):
+            return app(_former(layer, "succ"), lt, encode(n, lev, layer))
+        case ALam(var, dom, body):
+            ann = app(_decoder(layer), lt, encode(dom, lev, layer))
+            return lam(var, ann, encode(body, lev, layer))
+        case AApp(fn, arg):
+            return App(encode(fn, lev, layer), encode(arg, lev, layer))
+        case APair(var, dom, cod, fst, snd):
+            return app(_former(layer, "pair"), lt, encode(dom, lev, layer),
+                       _bind(layer, lev, var, dom, cod),
+                       encode(fst, lev, layer), encode(snd, lev, layer))
+        case AFst(var, dom, cod, pr):
+            return app(_former(layer, "p1"), lt, encode(dom, lev, layer),
+                       _bind(layer, lev, var, dom, cod),
+                       encode(pr, lev, layer))
+        case ASnd(var, dom, cod, pr):
+            return app(_former(layer, "p2"), lt, encode(dom, lev, layer),
+                       _bind(layer, lev, var, dom, cod),
+                       encode(pr, lev, layer))
+        case AInl(a, b, arg):
+            return app(_former(layer, "inl"), lt, encode(a, lev, layer),
+                       encode(b, lev, layer), encode(arg, lev, layer))
+        case AInr(a, b, arg):
+            return app(_former(layer, "inr"), lt, encode(a, lev, layer),
+                       encode(b, lev, layer), encode(arg, lev, layer))
+        case ARefl(carrier, arg):
+            return app(_former(layer, "refl"), lt,
+                       encode(carrier, lev, layer), encode(arg, lev, layer))
+        case ACoerce(inner):
+            if layer != EXTERNAL:
+                raise EncodeError("a coerced type is external")
+            return app(Const("c"), lt, encode(inner, lev, INTERNAL))
+        case AIsoUp(carrier, arg):
+            if layer != EXTERNAL:
+                raise EncodeError("an upward-coerced term is external")
+            return app(Const("isoUp"), lt, encode(carrier, lev, INTERNAL),
+                       encode(arg, lev, INTERNAL))
+        case AIsoDown(carrier, arg):
+            if layer != INTERNAL:
+                raise EncodeError("a downward-coerced term is internal")
+            return app(Const("isoDown"), lt, encode(carrier, lev, INTERNAL),
+                       encode(arg, lev, EXTERNAL))
+    raise EncodeError(f"not surface syntax: {e!r}")
+
+
+def encode_context(entries: list[tuple[str, Ast, Level, str]]) -> Ctx:
+    """Translate (name, type, level, layer) entries to a typing context
+    of decoded types, in order."""
+    ctx = Ctx()
+    for name, ty, lev, layer in entries:
+        decoded = app(_decoder(layer), lev.term(), encode(ty, lev, layer))
+        ctx = ctx.push(name, decoded)
+    return ctx
+
+
+# -- the filling example --------------------------------------------------
+
+def filling_example(lev: Level = L0) -> tuple[Term, Term]:
+    """The filling line as a function of its endpoint, with its type.
+
+    Closed up to the declared parameters of the filling example block;
+    those live at the base example level, so the term checks when `lev`
+    is `L0`.  Applying it to an interval endpoint instantiates the
+    line.
+    """
+    lt = lev.term()
+    ceps_i = App(Const("ceps"), Const("I"))
+    ceps_face = App(Const("ceps"), App(Const("faceType"), Const("phi0")))
+
+    def imin(a: Term, b: Term) -> Term:
+        return app(Const("Imin"), a, b)
+
+    line = lam("i", ceps_i, App(Const("A0"), imin(Var("i"), Var("j"))))
+    sides = lam("w", ceps_face,
+                lam("i", ceps_i,
+                    app(Const("u0"), Var("w"), imin(Var("i"), Var("j")))))
+    body = app(Const("primCompTerm"), lt, Const("phi0"), line, sides,
+               Const("a00"), Const("coh0"))
+    term = lam("j", ceps_i, body)
+    ty = pi("j", ceps_i, app(Const("eps"), lt, App(Const("A0"), Var("j"))))
+    return term, ty

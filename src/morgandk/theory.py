@@ -1,8 +1,8 @@
 """The shipped theories: a two-layer type theory over a level
 hierarchy, optional axiom blocks selected by `TheoryConfig`, a cubical
-fragment (interval, faces, paths, systems, composition), worked example
-terms, and the translation from two-layer surface syntax into kernel
-terms.
+fragment (interval, faces, paths, systems, composition) and worked
+example terms.  The two-layer surface syntax and its translation into
+kernel terms live in `morgandk.surface`, off the command path.
 
 The corpus is the `theories/` directory next to this module, one
 theory file per block.  `blocks_for` names the files a configuration
@@ -11,13 +11,14 @@ into a fresh signature.  Two caches, one for every builder, make
 sweeping the whole flag lattice cheap.  Parses are cached by file path
 and the names the file mentions that the namespace before it declares,
 so each file is parsed once per way its names resolve: once in all for
-the shipped lattice.  Checks are cached by the parse and by what the
-check can read of the signature before it: the installed constant and
-rules of every name the file's declarations reach through types and
-rule right-hand sides.  So a file is checked again only when something
-it can read differs, not whenever an earlier file does: 41 file checks
-for the 96 configurations.  `write_theory_files` copies the selected
-files out, so the exported corpus is the shipped one byte for byte.
+the shipped lattice, and again when its modification time or size
+changes.  Checks are cached by the parse and by what the check can read
+of the signature before it: the installed constant and rules of every
+name the file's declarations reach through types and rule right-hand
+sides.  So a file is checked again only when something it can read
+differs, not whenever an earlier file does: 41 file checks for the 96
+configurations.  `write_theory_files` copies the selected files out, so
+the exported corpus is the shipped one byte for byte.
 
 The first-attempt decoding of faces by rewrite rules is kept out of
 every built signature: it breaks confluence (see the analyzer tests)
@@ -34,21 +35,12 @@ from .check import Signature, check_signature
 from .parser import (Declaration, Definition, RuleDecl, identifiers,
                      parse_file)
 from .rewrite import RewriteRule
-from .terms import (App, Const, Ctx, Lam, Term, Var, app, lam, pi,
-                    subterms)
+from .terms import Const, Term, subterms
 
 __all__ = [
     "TheoryConfig", "FULL_CONFIG", "NAT_STRENGTHS",
     "blocks_for", "build_theory", "first_attempt_signature",
     "INTERVAL_FACE_HEADS", "interval_face_rules",
-    "Level", "L0", "CL",
-    "EncodeError", "INTERNAL", "EXTERNAL",
-    "AVar", "AUniv", "AFalse", "ATrue", "ANat", "ASum", "APi", "ASig",
-    "AEq", "ALift", "ATt", "AZero", "ASucc", "ALam", "AApp", "APair",
-    "AFst", "ASnd", "AInl", "AInr", "ARefl", "ACoerce", "AIsoUp",
-    "AIsoDown",
-    "encode", "encode_context",
-    "filling_example",
     "write_theory_files",
 ]
 
@@ -129,24 +121,29 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
     return out
 
 
-# path -> (the file's identifiers, {(declared names, definable names)
-# among them: (declarations, the names they declare, the definable ones
-# among those)}).  Every namespace lookup the parser makes is on one of
-# the file's identifiers, so two namespaces that agree on them give equal
-# parses.  Declarations and terms are immutable, so the signatures built
-# from a parse share it.
-_PARSE_CACHE: dict[Path, tuple[frozenset[str], dict]] = {}
+# path -> ((st_mtime_ns, st_size) of the file read, its identifiers,
+# {(declared names, definable names) among them: (declarations, the names
+# they declare, the definable ones among those)}).  Every namespace lookup
+# the parser makes is on one of the file's identifiers, so two namespaces
+# that agree on them give equal parses.  Declarations and terms are
+# immutable, so the signatures built from a parse share it.
+_PARSE_CACHE: dict[Path, tuple[tuple[int, int], frozenset[str], dict]] = {}
 
 
 def _parse(path: Path, consts: set[str],
            defs: set[str]) -> tuple[Declaration, ...]:
     """`parse_file` on a corpus file, updating `consts` and `defs` in
     place as it does, with the parse cached by what the file's names
-    see.  A failed parse raises as `parse_file` does and caches
-    nothing."""
+    see.  A stat of the file tells whether it changed since it was
+    read; one that did is read again and its old parses dropped.  A
+    failed parse raises as `parse_file` does and caches nothing."""
+    st = path.stat()
+    stamp = (st.st_mtime_ns, st.st_size)
     known = _PARSE_CACHE.get(path)
+    if known is not None and known[0] != stamp:
+        known = None
     if known is not None:
-        names, parses = known
+        _, names, parses = known
         hit = parses.get((names & consts, names & defs))
         if hit is not None:
             decls, declared, definable = hit
@@ -154,13 +151,13 @@ def _parse(path: Path, consts: set[str],
             defs |= definable
             return decls
     text = path.read_text()
-    names, parses = known or (identifiers(text), {})
+    _, names, parses = known or (stamp, identifiers(text), {})
     seen = (names & consts, names & defs)
     consts_before, defs_before = set(consts), set(defs)
     decls = tuple(parse_file(text, path.name, consts, defs))
     parses[seen] = (decls, frozenset(consts - consts_before),
                     frozenset(defs - defs_before))
-    _PARSE_CACHE[path] = (names, parses)
+    _PARSE_CACHE[path] = (stamp, names, parses)
     return decls
 
 
@@ -318,350 +315,6 @@ def interval_face_rules(sig: Signature) -> list[RewriteRule]:
     """The algebraic fragment of a signature's rules: exactly the ones
     the confluence claim covers."""
     return [r for r in sig.rule_list() if r.head in INTERVAL_FACE_HEADS]
-
-
-# -- levels ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Level:
-    """A level expression: a declared base constant under finitely many
-    successors."""
-
-    base: str
-    ups: int = 0
-
-    def term(self) -> Term:
-        t: Term = Const(self.base)
-        for _ in range(self.ups):
-            t = App(Const("lsuc"), t)
-        return t
-
-    def suc(self) -> "Level":
-        return Level(self.base, self.ups + 1)
-
-    def pred(self) -> "Level":
-        if self.ups == 0:
-            raise ValueError(f"level {self.base} has no predecessor")
-        return Level(self.base, self.ups - 1)
-
-
-L0 = Level("l0")
-CL = Level("cL")
-
-
-# -- two-layer surface syntax and its translation -------------------------
-
-class EncodeError(Exception):
-    """Ill-formed surface syntax, a layer violation included."""
-
-
-INTERNAL = "internal"
-EXTERNAL = "external"
-
-
-@dataclass(frozen=True)
-class AVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class AUniv:
-    """The universe of the level below the current one."""
-
-
-@dataclass(frozen=True)
-class AFalse:
-    pass
-
-
-@dataclass(frozen=True)
-class ATrue:
-    pass
-
-
-@dataclass(frozen=True)
-class ANat:
-    pass
-
-
-@dataclass(frozen=True)
-class ASum:
-    left: "Ast"
-    right: "Ast"
-
-
-@dataclass(frozen=True)
-class APi:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
-
-
-@dataclass(frozen=True)
-class ASig:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
-
-
-@dataclass(frozen=True)
-class AEq:
-    carrier: "Ast"
-    lhs: "Ast"
-    rhs: "Ast"
-
-
-@dataclass(frozen=True)
-class ALift:
-    """A type of the level below, seen one level up."""
-
-    inner: "Ast"
-
-
-@dataclass(frozen=True)
-class ATt:
-    pass
-
-
-@dataclass(frozen=True)
-class AZero:
-    pass
-
-
-@dataclass(frozen=True)
-class ASucc:
-    arg: "Ast"
-
-
-@dataclass(frozen=True)
-class ALam:
-    var: str
-    dom: "Ast"
-    body: "Ast"
-
-
-@dataclass(frozen=True)
-class AApp:
-    fn: "Ast"
-    arg: "Ast"
-
-
-@dataclass(frozen=True)
-class APair:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
-    fst: "Ast"
-    snd: "Ast"
-
-
-@dataclass(frozen=True)
-class AFst:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
-    pair: "Ast"
-
-
-@dataclass(frozen=True)
-class ASnd:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
-    pair: "Ast"
-
-
-@dataclass(frozen=True)
-class AInl:
-    left: "Ast"
-    right: "Ast"
-    arg: "Ast"
-
-
-@dataclass(frozen=True)
-class AInr:
-    left: "Ast"
-    right: "Ast"
-    arg: "Ast"
-
-
-@dataclass(frozen=True)
-class ARefl:
-    carrier: "Ast"
-    arg: "Ast"
-
-
-@dataclass(frozen=True)
-class ACoerce:
-    """An internal type seen as an external one (types only)."""
-
-    inner: "Ast"
-
-
-@dataclass(frozen=True)
-class AIsoUp:
-    """An internal term carried into the coerced external type."""
-
-    carrier: "Ast"
-    arg: "Ast"
-
-
-@dataclass(frozen=True)
-class AIsoDown:
-    """A term of a coerced type carried back to the internal layer."""
-
-    carrier: "Ast"
-    arg: "Ast"
-
-
-Ast = (AVar | AUniv | AFalse | ATrue | ANat | ASum | APi | ASig | AEq
-       | ALift | ATt | AZero | ASucc | ALam | AApp | APair | AFst | ASnd
-       | AInl | AInr | ARefl | ACoerce | AIsoUp | AIsoDown)
-
-
-def _former(layer: str, name: str) -> Const:
-    return Const(name if layer == INTERNAL else "x" + name)
-
-
-def _decoder(layer: str) -> Const:
-    return Const("eps" if layer == INTERNAL else "xeps")
-
-
-def _bind(layer: str, lev: Level, var: str, dom: "Ast", cod: "Ast") -> Lam:
-    ann = app(_decoder(layer), lev.term(), encode(dom, lev, layer))
-    return lam(var, ann, encode(cod, lev, layer))
-
-
-def encode(e: Ast, lev: Level, layer: str = INTERNAL) -> Term:
-    """Translate surface syntax to a kernel term at level `lev`.
-
-    Homomorphic: free variables keep their names, every former maps to
-    the constant of the same name in the current layer, fully applied,
-    with bound variables annotated by the decoded domain.  The three
-    coercion nodes are the only places the layer changes; using them in
-    the wrong layer raises EncodeError.
-    """
-    if layer not in (INTERNAL, EXTERNAL):
-        raise EncodeError(f"unknown layer {layer!r}")
-    lt = lev.term()
-    match e:
-        case AVar(name):
-            return Var(name)
-        case AUniv():
-            if lev.ups == 0:
-                raise EncodeError(
-                    f"no universe below base level {lev.base!r}")
-            return app(_former(layer, "t"), lev.pred().term())
-        case AFalse():
-            return app(_former(layer, "False"), lt)
-        case ATrue():
-            return app(_former(layer, "True"), lt)
-        case ANat():
-            return app(_former(layer, "Nat"), lt)
-        case ASum(a, b):
-            return app(_former(layer, "Sum"), lt,
-                       encode(a, lev, layer), encode(b, lev, layer))
-        case APi(var, dom, cod):
-            return app(_former(layer, "Pi"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod))
-        case ASig(var, dom, cod):
-            return app(_former(layer, "Sig"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod))
-        case AEq(carrier, lhs, rhs):
-            return app(_former(layer, "Eq"), lt, encode(carrier, lev, layer),
-                       encode(lhs, lev, layer), encode(rhs, lev, layer))
-        case ALift(inner):
-            below = lev.pred() if lev.ups else None
-            if below is None:
-                raise EncodeError(
-                    f"nothing to lift below base level {lev.base!r}")
-            return app(_former(layer, "lUp"), below.term(),
-                       encode(inner, below, layer))
-        case ATt():
-            return app(_former(layer, "tt"), lt)
-        case AZero():
-            return app(_former(layer, "zero"), lt)
-        case ASucc(n):
-            return app(_former(layer, "succ"), lt, encode(n, lev, layer))
-        case ALam(var, dom, body):
-            ann = app(_decoder(layer), lt, encode(dom, lev, layer))
-            return lam(var, ann, encode(body, lev, layer))
-        case AApp(fn, arg):
-            return App(encode(fn, lev, layer), encode(arg, lev, layer))
-        case APair(var, dom, cod, fst, snd):
-            return app(_former(layer, "pair"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod),
-                       encode(fst, lev, layer), encode(snd, lev, layer))
-        case AFst(var, dom, cod, pr):
-            return app(_former(layer, "p1"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod),
-                       encode(pr, lev, layer))
-        case ASnd(var, dom, cod, pr):
-            return app(_former(layer, "p2"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod),
-                       encode(pr, lev, layer))
-        case AInl(a, b, arg):
-            return app(_former(layer, "inl"), lt, encode(a, lev, layer),
-                       encode(b, lev, layer), encode(arg, lev, layer))
-        case AInr(a, b, arg):
-            return app(_former(layer, "inr"), lt, encode(a, lev, layer),
-                       encode(b, lev, layer), encode(arg, lev, layer))
-        case ARefl(carrier, arg):
-            return app(_former(layer, "refl"), lt,
-                       encode(carrier, lev, layer), encode(arg, lev, layer))
-        case ACoerce(inner):
-            if layer != EXTERNAL:
-                raise EncodeError("a coerced type is external")
-            return app(Const("c"), lt, encode(inner, lev, INTERNAL))
-        case AIsoUp(carrier, arg):
-            if layer != EXTERNAL:
-                raise EncodeError("an upward-coerced term is external")
-            return app(Const("isoUp"), lt, encode(carrier, lev, INTERNAL),
-                       encode(arg, lev, INTERNAL))
-        case AIsoDown(carrier, arg):
-            if layer != INTERNAL:
-                raise EncodeError("a downward-coerced term is internal")
-            return app(Const("isoDown"), lt, encode(carrier, lev, INTERNAL),
-                       encode(arg, lev, EXTERNAL))
-    raise EncodeError(f"not surface syntax: {e!r}")
-
-
-def encode_context(entries: list[tuple[str, Ast, Level, str]]) -> Ctx:
-    """Translate (name, type, level, layer) entries to a typing context
-    of decoded types, in order."""
-    ctx = Ctx()
-    for name, ty, lev, layer in entries:
-        decoded = app(_decoder(layer), lev.term(), encode(ty, lev, layer))
-        ctx = ctx.push(name, decoded)
-    return ctx
-
-
-# -- the filling example --------------------------------------------------
-
-def filling_example(lev: Level = L0) -> tuple[Term, Term]:
-    """The filling line as a function of its endpoint, with its type.
-
-    Closed up to the declared parameters of the filling example block;
-    those live at the base example level, so the term checks when `lev`
-    is `L0`.  Applying it to an interval endpoint instantiates the
-    line.
-    """
-    lt = lev.term()
-    ceps_i = App(Const("ceps"), Const("I"))
-    ceps_face = App(Const("ceps"), App(Const("faceType"), Const("phi0")))
-
-    def imin(a: Term, b: Term) -> Term:
-        return app(Const("Imin"), a, b)
-
-    line = lam("i", ceps_i, App(Const("A0"), imin(Var("i"), Var("j"))))
-    sides = lam("w", ceps_face,
-                lam("i", ceps_i,
-                    app(Const("u0"), Var("w"), imin(Var("i"), Var("j")))))
-    body = app(Const("primCompTerm"), lt, Const("phi0"), line, sides,
-               Const("a00"), Const("coh0"))
-    term = lam("j", ceps_i, body)
-    ty = pi("j", ceps_i, app(Const("eps"), lt, App(Const("A0"), Var("j"))))
-    return term, ty
 
 
 # -- on-disk corpus -------------------------------------------------------

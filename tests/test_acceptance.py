@@ -19,16 +19,16 @@ from morgandk.parser import (RuleDecl, parse_file, parse_term,
                              print_declaration, pretty)
 from morgandk.rewrite import (Fails as RFails, Fuel, Holds as RHolds,
                               critical_pairs, joinable)
+from morgandk.surface import (EXTERNAL, INTERNAL, AApp, ACoerce, AEq, AFst,
+                              AIsoDown, AIsoUp, ALam, ALift, ANat, APair,
+                              APi, ARefl, ASig, ASucc, AUniv, AVar, AZero,
+                              L0, Level, encode, encode_context,
+                              filling_example)
 from morgandk.terms import (App, Const, Sort, Var, alpha_eq, app, free_vars,
                             msubst)
-from morgandk.theory import (EXTERNAL, FULL_CONFIG, INTERNAL,
-                             INTERVAL_FACE_HEADS, NAT_STRENGTHS, AApp,
-                             ACoerce, AEq, AFst, AIsoDown, AIsoUp, ALam,
-                             ALift, ANat, APair, APi, ARefl, ASig, ASucc,
-                             AUniv, AVar, AZero, L0, Level, TheoryConfig,
-                             build_theory, encode, encode_context,
-                             filling_example, first_attempt_signature,
-                             interval_face_rules)
+from morgandk.theory import (FULL_CONFIG, INTERVAL_FACE_HEADS,
+                             NAT_STRENGTHS, TheoryConfig, build_theory,
+                             first_attempt_signature, interval_face_rules)
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
 

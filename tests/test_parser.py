@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from morgandk import parser
-from morgandk.parser import (Definition, ParseError, RuleDecl, StaticConst,
-                             identifiers, parse_file, parse_term, pretty,
-                             print_declaration, tokenize)
+from morgandk.parser import (Definition, ParseError, RuleDecl, SourceSpan,
+                             StaticConst, Token, identifiers, parse_file,
+                             parse_term, pretty, print_declaration, tokenize)
 from morgandk.terms import (TYPE, App, Bound, Const, Lam, Pi, Sort, Var,
                             alpha_eq, app, lam, pi)
 from morgandk.theory import FULL_CONFIG, blocks_for
@@ -141,6 +143,111 @@ def test_identifiers_cover_every_identifier_token(text):
     except ParseError:
         return
     assert {t.text for t in toks if t.kind == "ident"} <= identifiers(text)
+
+
+_SYMBOLS = (":=", "-->", "->", "=>", ":", "(", ")", "[", "]", ",", ".")
+
+
+def _ident_char(c: str) -> bool:
+    return c.isalnum() or c == "_" or c == "'"
+
+
+def reference_tokenize(text: str, file: str = "<input>") -> list[Token]:
+    """One character at a time: the reference for `tokenize`."""
+    toks: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if text.startswith("(;", i):
+            depth = 1
+            sl, sc = line, col
+            i += 2
+            col += 2
+            while i < n and depth > 0:
+                if text.startswith("(;", i):
+                    depth += 1
+                    i += 2
+                    col += 2
+                elif text.startswith(";)", i):
+                    depth -= 1
+                    i += 2
+                    col += 2
+                elif text[i] == "\n":
+                    i += 1
+                    line += 1
+                    col = 1
+                else:
+                    i += 1
+                    col += 1
+            if depth > 0:
+                raise ParseError("unterminated comment",
+                                 SourceSpan(file, sl, sc))
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(Token("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            if _ident_char(c):
+                j = i
+                while j < n and _ident_char(text[j]):
+                    j += 1
+                toks.append(Token("ident", text[i:j], line, col))
+                col += j - i
+                i = j
+            else:
+                raise ParseError(f"unexpected character {c!r}",
+                                 SourceSpan(file, line, col))
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def _tokenized(tokenizer, text, file="<t>"):
+    """The tokens, or the message and span of the ParseError."""
+    try:
+        return tokenizer(text, file)
+    except ParseError as e:
+        return str(e), e.msg, e.span
+
+
+# identifier characters, every symbol and its first characters, blanks
+# (`\xa0` is one, `\r` and `\u2028` are blanks that start no line),
+# comment brackets, and characters no token starts with
+_TOKEN_PIECES = list("ab_'é٣9-=> \t\r\f\xa0\n;@\u2028") + [
+    "(;", ";)", *_SYMBOLS]
+_token_texts = st.recursive(
+    st.lists(st.sampled_from(_TOKEN_PIECES), max_size=30).map("".join),
+    lambda inner: st.lists(inner | inner.map(lambda t: f"(;{t};)"),
+                           max_size=4).map("".join),
+    max_leaves=8)
+
+
+@given(_token_texts)
+def test_tokenize_agrees_with_the_reference(text):
+    assert _tokenized(tokenize, text) == _tokenized(reference_tokenize, text)
+
+
+THEORIES = Path(__file__).resolve().parent.parent / "theories"
+
+
+@pytest.mark.parametrize("path", sorted(THEORIES.rglob("*.dk")),
+                         ids=lambda p: str(p.relative_to(THEORIES)))
+def test_tokenize_agrees_with_the_reference_on_the_corpus(path):
+    # every shipped file, the quarantined first attempt among them
+    text = path.read_text()
+    assert tokenize(text, path.name) == reference_tokenize(text, path.name)
 
 
 def test_parse_and_print_a_deep_numeral(default_recursion_limit):

@@ -12,12 +12,12 @@ from morgandk import check, parser, theory
 from morgandk.check import (ConstInfo, Signature, TypeCheckError,
                             check_signature, infer)
 from morgandk.parser import ParseError, parse_file, parse_term
+from morgandk.surface import (CL, EXTERNAL, INTERNAL, L0, AApp, ALam, ANat,
+                              APair, ASig, AVar, AZero, EncodeError, Level,
+                              encode, encode_context, filling_example)
 from morgandk.terms import TYPE, App, Const, Ctx, Var, alpha_eq, app, lam
-from morgandk.theory import (CL, EXTERNAL, FULL_CONFIG, INTERNAL, L0,
-                             NAT_STRENGTHS, AApp, ALam, ANat, APair, ASig,
-                             AVar, AZero, EncodeError, Level, TheoryConfig,
-                             blocks_for, build_theory, encode,
-                             encode_context, filling_example,
+from morgandk.theory import (FULL_CONFIG, NAT_STRENGTHS, TheoryConfig,
+                             blocks_for, build_theory,
                              first_attempt_signature, interval_face_rules)
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
@@ -341,7 +341,7 @@ def test_cached_parses_equal_fresh_ones(cold_caches):
                 assert ([repr(d) for d in cached]
                         == [repr(d) for d in expected])
             assert (consts, defs) == (fresh_consts, fresh_defs)
-    parses = sum(len(p) for _, p in theory._PARSE_CACHE.values())
+    parses = sum(len(p) for _, _, p in theory._PARSE_CACHE.values())
     assert (len(theory._PARSE_CACHE), parses) == (16, 16)
 
 
@@ -365,9 +365,22 @@ def test_failed_parse_raises_as_parse_file_and_caches_nothing(cold_caches):
     assert t1 not in theory._PARSE_CACHE
     # with the good parse cached, the clashing namespace misses it
     theory._parse(t1, *good)
-    before = dict(theory._PARSE_CACHE[t1][1])
+    before = dict(theory._PARSE_CACHE[t1][2])
     assert failure(lambda c, d: theory._parse(t1, c, d)) == expected
-    assert theory._PARSE_CACHE[t1][1] == before
+    assert theory._PARSE_CACHE[t1][2] == before
+
+
+def test_a_file_rewritten_in_place_is_parsed_again(cold_caches, tmp_path):
+    copies = []
+    for path in blocks_for(FULL_CONFIG):
+        copies.append(tmp_path / path.name)
+        copies[-1].write_text(path.read_text())
+    before = theory._build(tuple(copies))
+    assert "extra" not in before.consts
+    last = copies[-1]
+    last.write_text(last.read_text() + "extra : Type.\n")
+    after = theory._build(tuple(copies))
+    assert after.order == before.order + ["extra"]
 
 
 def _shown(sig, memo=None):

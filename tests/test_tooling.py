@@ -6,6 +6,8 @@ leaves the package as it found it."""
 import gc
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,6 +53,22 @@ def test_every_wrapped_name_resolves(layertrace):
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (mod_name, attr)
+
+
+def test_cli_import_loads_the_wrapped_modules_and_not_the_surface(
+        layertrace):
+    # the CLI tracer installs right after `import morgandk.cli` and looks
+    # each wrapped module up in sys.modules; the surface syntax is for
+    # the tests alone, so no command pays for importing it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = "import sys, morgandk.cli; print(*sys.modules)"
+    shown = subprocess.run([sys.executable, "-c", script],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True,
+                           check=True).stdout.split()
+    wrapped = {f"morgandk.{mod}" for mod, _, _ in layertrace.WRAPPED}
+    assert wrapped <= set(shown)
+    assert "morgandk.surface" not in shown
 
 
 def test_reducer_exposes_its_caches():
