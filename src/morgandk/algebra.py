@@ -24,11 +24,12 @@ only meaningful if the auditor cannot share a bug with the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
-from .terms import Term, Const, Pi, Var, open_binder, spine
+from .terms import Record, Term, Const, Pi, Var, open_binder, spine
+
+_set = object.__setattr__
 
 
 class OracleError(Exception):
@@ -40,79 +41,93 @@ class OutOfDomain(Exception):
     """Raised when a term or rule falls outside the interval/face fragment.
 
     Distinct from a Fails verdict: an out-of-domain rule is not wrong,
-    the oracle just has nothing to say about it.
+    the oracle just has nothing to say about it.  `term`, when there is
+    one, is the term that falls outside.  This module shares no code
+    with the kernel's printer, so a front end shows `msg` and renders
+    `term` itself (the CLI in the surface syntax).
     """
+
+    def __init__(self, msg: str, term: Term | None = None):
+        super().__init__(msg if term is None else f"{msg}: {term!r}")
+        self.msg = msg
+        self.term = term
 
 
 # ---------------------------------------------------------------------------
 # Expression grammars
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+# The nodes and verdicts are built on every oracle query, so each one
+# with fields writes out its constructor.
+
+class Zero(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class One:
-    pass
+class One(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
+class Gen(Record):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "IExpr"
+def _init_arg(self, arg):
+    _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Meet:
-    left: "IExpr"
-    right: "IExpr"
+def _init_pair(self, left, right):
+    _set(self, "left", left)
+    _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "IExpr"
-    right: "IExpr"
+class Neg(Record):
+    __slots__ = __match_args__ = ("arg",)
+    __init__ = _init_arg
+
+
+class Meet(Record):
+    __slots__ = __match_args__ = ("left", "right")
+    __init__ = _init_pair
+
+
+class Join(Record):
+    __slots__ = __match_args__ = ("left", "right")
+    __init__ = _init_pair
 
 
 IExpr = Union[Zero, One, Gen, Neg, Meet, Join]
 
 
-@dataclass(frozen=True)
-class FBot:
-    pass
+class FBot(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FTop:
-    pass
+class FTop(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eq0:
-    arg: IExpr
+class Eq0(Record):
+    __slots__ = __match_args__ = ("arg",)
+    __init__ = _init_arg
 
 
-@dataclass(frozen=True)
-class Eq1:
-    arg: IExpr
+class Eq1(Record):
+    __slots__ = __match_args__ = ("arg",)
+    __init__ = _init_arg
 
 
-@dataclass(frozen=True)
-class FMeet:
-    left: "FExpr"
-    right: "FExpr"
+class FMeet(Record):
+    __slots__ = __match_args__ = ("left", "right")
+    __init__ = _init_pair
 
 
-@dataclass(frozen=True)
-class FJoin:
-    left: "FExpr"
-    right: "FExpr"
+class FJoin(Record):
+    __slots__ = __match_args__ = ("left", "right")
+    __init__ = _init_pair
 
 
 FExpr = Union[FBot, FTop, Eq0, Eq1, FMeet, FJoin]
@@ -126,14 +141,15 @@ FExpr = Union[FBot, FTop, Eq0, Eq1, FMeet, FJoin]
 # queries it is the pair of distinct normal forms.
 
 
-@dataclass(frozen=True)
-class Holds:
-    pass
+class Holds(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fails:
-    witness: object
+class Fails(Record):
+    __slots__ = __match_args__ = ("witness",)
+
+    def __init__(self, witness: object):
+        _set(self, "witness", witness)
 
 
 Verdict = Union[Holds, Fails]
@@ -498,7 +514,7 @@ def interval_from_term(t: Term) -> IExpr:
             return Meet(interval_from_term(args[0]), interval_from_term(args[1]))
         case Const("Imax") if len(args) == 2:
             return Join(interval_from_term(args[0]), interval_from_term(args[1]))
-    raise OutOfDomain(f"not an interval term: {t!r}")
+    raise OutOfDomain("not an interval term", t)
 
 
 def face_from_term(t: Term) -> FExpr:
@@ -518,7 +534,7 @@ def face_from_term(t: Term) -> FExpr:
             return FMeet(face_from_term(args[0]), face_from_term(args[1]))
         case Const("Fmax") if len(args) == 2:
             return FJoin(face_from_term(args[0]), face_from_term(args[1]))
-    raise OutOfDomain(f"not a face term: {t!r}")
+    raise OutOfDomain("not a face term", t)
 
 
 def check_rule_sound(rule) -> Verdict:
@@ -550,14 +566,14 @@ def audit_equation(ty: Term) -> Verdict:
         taken.add(v)
     head, args = spine(core)
     if not (isinstance(head, Const) and head.name == "ceps" and len(args) == 1):
-        raise OutOfDomain(f"equation type does not end in ceps: {core!r}")
+        raise OutOfDomain("equation type does not end in ceps", core)
     eq_head, eq_args = spine(args[0])
     if not (isinstance(eq_head, Const) and eq_head.name == "cEq" and len(eq_args) == 3):
-        raise OutOfDomain(f"equation type does not end in cEq: {args[0]!r}")
+        raise OutOfDomain("equation type does not end in cEq", args[0])
     carrier, lhs, rhs = eq_args
     match carrier:
         case Const("I"):
             return interval_eq(interval_from_term(lhs), interval_from_term(rhs))
         case Const("F"):
             return face_eq(face_from_term(lhs), face_from_term(rhs))
-    raise OutOfDomain(f"equation carrier is neither I nor F: {carrier!r}")
+    raise OutOfDomain("equation carrier is neither I nor F", carrier)

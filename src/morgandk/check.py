@@ -19,20 +19,21 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .parser import (Declaration, DefinableConst, Definition, RuleDecl,
                      SourceSpan, StaticConst, pretty)
 from .rewrite import (DEFAULT_FUEL, Fuel, Reducer, RewriteRule,
                       RuleCompileError, compile_rule)
-from .terms import (App, Const, Ctx, KIND, Lam, Pi, Sort, TYPE, Term, Var,
-                    abstract, instantiate, open_binder, spine)
+from .terms import (App, Const, Ctx, KIND, Lam, Pi, Record, Sort, TYPE,
+                    Term, Var, abstract, instantiate, open_binder, spine)
 
 __all__ = [
     "TypeCheckError", "ConstInfo", "Signature",
     "infer", "check", "check_rule", "check_declaration", "check_signature",
 ]
+
+_set = object.__setattr__
 
 
 class TypeCheckError(Exception):
@@ -69,12 +70,15 @@ class TypeCheckError(Exception):
         return self.render()
 
 
-@dataclass(frozen=True)
-class ConstInfo:
-    name: str
-    ty: Term
-    static: bool
-    body: Optional[Term] = None
+class ConstInfo(Record):
+    __slots__ = __match_args__ = ("name", "ty", "static", "body")
+
+    def __init__(self, name: str, ty: Term, static: bool,
+                 body: Optional[Term] = None):
+        _set(self, "name", name)
+        _set(self, "ty", ty)
+        _set(self, "static", static)
+        _set(self, "body", body)
 
 
 class Signature:

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .algebra import (Fails, Holds, OracleError, OutOfDomain, face_eq,
@@ -52,10 +51,10 @@ def _config_from_flags(flags: list[str] | None) -> TheoryConfig:
     cfg = TheoryConfig()
     for f in flags:
         if f in _FLAGS:
-            cfg = replace(cfg, **{_FLAGS[f]: True})
+            cfg = cfg.replace(**{_FLAGS[f]: True})
         elif f.startswith("nat="):
             try:
-                cfg = replace(cfg, nat_morphism_strength=f[len("nat="):])
+                cfg = cfg.replace(nat_morphism_strength=f[len("nat="):])
             except ValueError as e:
                 raise _InputError(str(e)) from None
         else:
@@ -117,7 +116,12 @@ def _check_files(paths: list[Path], fuel_steps: int,
         sig = Signature()
     consts, defs = sig.namespace()
     for path in paths:
-        decls = parse_file(path.read_text(), str(path), consts, defs)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise _InputError(
+                f"{path}: not valid UTF-8 at byte {e.start}") from None
+        decls = parse_file(text, str(path), consts, defs)
         for d in decls:
             check_declaration(sig, d, fuel_steps)
         if out is not None:
@@ -301,8 +305,12 @@ def main(argv=None) -> int:
     except ParseError as e:
         _diag(f"parse error: {e}")
         return 2
-    except (OracleError, OutOfDomain) as e:
+    except OracleError as e:
         _diag(f"oracle error: {e}")
+        return 2
+    except OutOfDomain as e:
+        shown = e.msg if e.term is None else f"{e.msg}: {pretty(e.term)}"
+        _diag(f"oracle error: {shown}")
         return 2
     except (OSError, _InputError) as e:
         _diag(f"error: {e}")

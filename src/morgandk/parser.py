@@ -22,11 +22,10 @@ is always a mistake.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .terms import (App, Bound, Const, Lam, Pi, Sort, Term, TYPE, Var,
-                    occurs, open_binder, spine, subterms)
+from .terms import (App, Bound, Const, Lam, Pi, Record, Sort, Term, TYPE,
+                    Var, occurs, open_binder, spine, subterms)
 
 __all__ = [
     "SourceSpan", "ParseError", "Token",
@@ -36,11 +35,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line: int
-    col: int
+_set = object.__setattr__
+
+
+class SourceSpan(Record):
+    __slots__ = __match_args__ = ("file", "line", "col")
+
+    def __init__(self, file: str, line: int, col: int):
+        _set(self, "file", file)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
@@ -53,42 +57,31 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "sym", "eof"
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = __match_args__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # "ident", "sym", "eof"
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
-@dataclass(frozen=True)
-class StaticConst:
-    name: str
-    ty: Term
-    span: SourceSpan
+class StaticConst(Record):
+    __slots__ = __match_args__ = ("name", "ty", "span")
 
 
-@dataclass(frozen=True)
-class DefinableConst:
-    name: str
-    ty: Term
-    span: SourceSpan
+class DefinableConst(Record):
+    __slots__ = __match_args__ = ("name", "ty", "span")
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    ty: Optional[Term]  # None: infer from the body
-    body: Term
-    span: SourceSpan
+class Definition(Record):
+    # ty is None when the type is inferred from the body
+    __slots__ = __match_args__ = ("name", "ty", "body", "span")
 
 
-@dataclass(frozen=True)
-class RuleDecl:
-    pat_vars: tuple[str, ...]
-    lhs: Term
-    rhs: Term
-    span: SourceSpan
+class RuleDecl(Record):
+    __slots__ = __match_args__ = ("pat_vars", "lhs", "rhs", "span")
 
 
 Declaration = Union[StaticConst, DefinableConst, Definition, RuleDecl]

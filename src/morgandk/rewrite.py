@@ -23,13 +23,12 @@ recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .algebra import Fails, Holds, Verdict
-from .terms import (App, Bound, Const, Lam, Pi, Sort, Term, Var, app,
-                    free_vars, fresh_name, instantiate, msubst, occurs,
+from .terms import (App, Bound, Const, Lam, Pi, Record, Sort, Term, Var,
+                    app, free_vars, fresh_name, instantiate, msubst, occurs,
                     shift, spine, subterms)
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_FUEL = 100_000
+_set = object.__setattr__
 
 
 class FuelExhausted(Exception):
@@ -66,14 +66,18 @@ class RuleCompileError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    name: str
-    head: str
-    pat_vars: tuple[str, ...]
-    lhs: Term
-    rhs: Term
-    lhs_args: tuple[Term, ...]
+class RewriteRule(Record):
+    __slots__ = __match_args__ = ("name", "head", "pat_vars", "lhs", "rhs",
+                                  "lhs_args")
+
+    def __init__(self, name: str, head: str, pat_vars: tuple[str, ...],
+                 lhs: Term, rhs: Term, lhs_args: tuple[Term, ...]):
+        _set(self, "name", name)
+        _set(self, "head", head)
+        _set(self, "pat_vars", pat_vars)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "lhs_args", lhs_args)
 
 
 def _check_pattern(t: Term, pat_vars: frozenset[str]) -> None:
@@ -454,18 +458,13 @@ def _next_in_preorder(t: Term, nodes: list[Term],
 
 # -- critical pairs -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(Record):
     """An overlap between two rules: `peak` reduces to `left` by rule1 at
     the root and to `right` by rule2 at `position` inside rule1's
     left-hand side."""
 
-    rule1: str
-    rule2: str
-    position: tuple[str, ...]
-    peak: Term
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("rule1", "rule2", "position", "peak",
+                                  "left", "right")
 
 
 def unify(a: Term, b: Term) -> Optional[dict[str, Term]]:

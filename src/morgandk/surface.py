@@ -9,9 +9,7 @@ command uses this module, so nothing on the command path imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .terms import App, Const, Ctx, Lam, Term, Var, app, lam, pi
+from .terms import App, Const, Ctx, Lam, Record, Term, Var, app, lam, pi
 
 __all__ = [
     "Level", "L0", "CL",
@@ -27,13 +25,14 @@ __all__ = [
 
 # -- levels ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level:
+class Level(Record):
     """A level expression: a declared base constant under finitely many
     successors."""
 
-    base: str
-    ups: int = 0
+    __slots__ = __match_args__ = ("base", "ups")
+
+    def __init__(self, base: str, ups: int = 0):
+        super().__init__(base, ups)
 
     def term(self) -> Term:
         t: Term = Const(self.base)
@@ -64,159 +63,110 @@ INTERNAL = "internal"
 EXTERNAL = "external"
 
 
-@dataclass(frozen=True)
-class AVar:
-    name: str
+class AVar(Record):
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class AUniv:
+class AUniv(Record):
     """The universe of the level below the current one."""
 
-
-@dataclass(frozen=True)
-class AFalse:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ATrue:
-    pass
+class AFalse(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ANat:
-    pass
+class ATrue(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ASum:
-    left: "Ast"
-    right: "Ast"
+class ANat(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class APi:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
+class ASum(Record):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class ASig:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
+class APi(Record):
+    __slots__ = __match_args__ = ("var", "dom", "cod")
 
 
-@dataclass(frozen=True)
-class AEq:
-    carrier: "Ast"
-    lhs: "Ast"
-    rhs: "Ast"
+class ASig(Record):
+    __slots__ = __match_args__ = ("var", "dom", "cod")
 
 
-@dataclass(frozen=True)
-class ALift:
+class AEq(Record):
+    __slots__ = __match_args__ = ("carrier", "lhs", "rhs")
+
+
+class ALift(Record):
     """A type of the level below, seen one level up."""
 
-    inner: "Ast"
+    __slots__ = __match_args__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class ATt:
-    pass
+class ATt(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AZero:
-    pass
+class AZero(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ASucc:
-    arg: "Ast"
+class ASucc(Record):
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class ALam:
-    var: str
-    dom: "Ast"
-    body: "Ast"
+class ALam(Record):
+    __slots__ = __match_args__ = ("var", "dom", "body")
 
 
-@dataclass(frozen=True)
-class AApp:
-    fn: "Ast"
-    arg: "Ast"
+class AApp(Record):
+    __slots__ = __match_args__ = ("fn", "arg")
 
 
-@dataclass(frozen=True)
-class APair:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
-    fst: "Ast"
-    snd: "Ast"
+class APair(Record):
+    __slots__ = __match_args__ = ("var", "dom", "cod", "fst", "snd")
 
 
-@dataclass(frozen=True)
-class AFst:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
-    pair: "Ast"
+class AFst(Record):
+    __slots__ = __match_args__ = ("var", "dom", "cod", "pair")
 
 
-@dataclass(frozen=True)
-class ASnd:
-    var: str
-    dom: "Ast"
-    cod: "Ast"
-    pair: "Ast"
+class ASnd(Record):
+    __slots__ = __match_args__ = ("var", "dom", "cod", "pair")
 
 
-@dataclass(frozen=True)
-class AInl:
-    left: "Ast"
-    right: "Ast"
-    arg: "Ast"
+class AInl(Record):
+    __slots__ = __match_args__ = ("left", "right", "arg")
 
 
-@dataclass(frozen=True)
-class AInr:
-    left: "Ast"
-    right: "Ast"
-    arg: "Ast"
+class AInr(Record):
+    __slots__ = __match_args__ = ("left", "right", "arg")
 
 
-@dataclass(frozen=True)
-class ARefl:
-    carrier: "Ast"
-    arg: "Ast"
+class ARefl(Record):
+    __slots__ = __match_args__ = ("carrier", "arg")
 
 
-@dataclass(frozen=True)
-class ACoerce:
+class ACoerce(Record):
     """An internal type seen as an external one (types only)."""
 
-    inner: "Ast"
+    __slots__ = __match_args__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class AIsoUp:
+class AIsoUp(Record):
     """An internal term carried into the coerced external type."""
 
-    carrier: "Ast"
-    arg: "Ast"
+    __slots__ = __match_args__ = ("carrier", "arg")
 
 
-@dataclass(frozen=True)
-class AIsoDown:
+class AIsoDown(Record):
     """A term of a coerced type carried back to the internal layer."""
 
-    carrier: "Ast"
-    arg: "Ast"
+    __slots__ = __match_args__ = ("carrier", "arg")
 
 
 Ast = (AVar | AUniv | AFalse | ATrue | ANat | ASum | APi | ASig | AEq

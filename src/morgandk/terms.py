@@ -26,10 +26,11 @@ The traversals that rebuild a term (`shift`, `abstract`, `instantiate`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Union
 
 __all__ = [
+    "Record",
     "Sort", "Const", "Var", "Bound", "App", "Lam", "Pi", "Term",
     "TYPE", "KIND",
     "app", "spine", "lam", "pi",
@@ -39,50 +40,136 @@ __all__ = [
 ]
 
 
-class _Node:
-    """Slotted base of the term classes.  Its one slot, `_h`, holds the
-    hash of a compound node, set when the node is built; it is no field,
-    so it takes no part in `==` or `repr`."""
-
-    __slots__ = ("_h",)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Sort(_Node):
-    kind: str  # "TYPE" or "KIND"
+class Record:
+    """Base of the package's immutable records: a slotted class whose
+    fields are its `__match_args__`, each held in a slot.  `==` compares
+    the class and the fields, `hash` is the hash of the fields as a
+    tuple, `repr` is `Cls(field=value, ...)`, assigning to a field
+    raises AttributeError, and copies and pickles go through the
+    constructor.
+
+    The methods are written once, here, rather than generated for each
+    class when its module is imported, which every process would pay
+    for.  A record that is built or compared on a hot path writes out
+    its own `__init__` (and `__eq__` with `__hash__`), with the fields
+    as parameters: the generic ones take about twice as long."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # what the generic methods need of a class, found once: a getter
+        # of its field values as a tuple, and its `repr` as a format
+        fields = cls.__match_args__
+        get = attrgetter(*fields) if fields else lambda r: ()
+        cls._values = staticmethod(
+            (lambda r: (get(r),)) if len(fields) == 1 else get)
+        cls._format = (f"{cls.__qualname__}("
+                       + ", ".join(f + "={!r}" for f in fields) + ")")
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__match_args__
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in fields[len(args):]
+                          if f in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{self.__class__.__name__} takes the fields "
+                            f"{', '.join(fields) or 'none'}")
+        for f, v in zip(fields, args):
+            _set(self, f, v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return self._format.format(*self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        return self.__class__(**dict(zip(self.__match_args__,
+                                         self._values(self)), **changes))
+
+
+# A leaf's `==` and `hash` are the generic ones written out: they are on
+# every term-keyed probe.
+
+class Sort(Record):
+    __slots__ = __match_args__ = ("kind",)  # "TYPE" or "KIND"
+
+    def __init__(self, kind: str):
+        _set(self, "kind", kind)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind,))
 
 
 TYPE = Sort("TYPE")
 KIND = Sort("KIND")
 
 
-@dataclass(frozen=True, slots=True)
-class Const(_Node):
-    name: str
+def _init_name(self, name: str):
+    _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Var(_Node):
-    name: str
+def _eq_name(self, other):
+    if other.__class__ is self.__class__:
+        return self.name == other.name
+    return NotImplemented
 
 
-@dataclass(frozen=True, slots=True)
-class Bound(_Node):
-    index: int
+def _hash_name(self) -> int:
+    return hash((self.name,))
 
 
-_set = object.__setattr__
+class Const(Record):
+    __slots__ = __match_args__ = ("name",)
+    __init__, __eq__, __hash__ = _init_name, _eq_name, _hash_name
+
+
+class Var(Record):
+    __slots__ = __match_args__ = ("name",)
+    __init__, __eq__, __hash__ = _init_name, _eq_name, _hash_name
+
+
+class Bound(Record):
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
 
 
 def _kept_hash(self) -> int:
     return self._h
-
-
-def _reduce(self):
-    """Copies and pickles are rebuilt through the constructor, which
-    sets the kept hash."""
-    return self.__class__, tuple(map(self.__getattribute__,
-                                     self.__match_args__))
 
 
 def _eq(self, other) -> bool:
@@ -123,15 +210,14 @@ def _eq(self, other) -> bool:
         a, b = todo.pop()
 
 
-# A compound node sets `_h` when it is built, to the dataclass value: the
-# hash of the compared fields as a tuple, which reads the children's kept
-# hashes.  The constructors are written out so that this costs no call
-# beyond the hash itself.
+# A compound node keeps its hash in the slot `_h`, which is no field, set
+# when the node is built to the hash of the compared fields as a tuple,
+# which reads the children's kept hashes.  A binder's name is a printing
+# hint, compared by neither `==` nor `hash`.
 
-@dataclass(frozen=True, slots=True, init=False)
-class App(_Node):
-    fn: "Term"
-    arg: "Term"
+class App(Record):
+    __slots__ = ("fn", "arg", "_h")
+    __match_args__ = ("fn", "arg")
 
     def __init__(self, fn: "Term", arg: "Term"):
         _set(self, "fn", fn)
@@ -140,14 +226,11 @@ class App(_Node):
 
     __hash__ = _kept_hash
     __eq__ = _eq
-    __reduce__ = _reduce
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Lam(_Node):
-    var: str = field(compare=False)  # printing hint
-    dom: Optional["Term"]  # annotation is optional on lambdas
-    body: "Term"
+class Lam(Record):
+    __slots__ = ("var", "dom", "body", "_h")  # dom: None when unannotated
+    __match_args__ = ("var", "dom", "body")
 
     def __init__(self, var: str, dom: Optional["Term"], body: "Term"):
         _set(self, "var", var)
@@ -157,14 +240,11 @@ class Lam(_Node):
 
     __hash__ = _kept_hash
     __eq__ = _eq
-    __reduce__ = _reduce
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Pi(_Node):
-    var: str = field(compare=False)  # printing hint
-    dom: "Term"
-    cod: "Term"
+class Pi(Record):
+    __slots__ = ("var", "dom", "cod", "_h")
+    __match_args__ = ("var", "dom", "cod")
 
     def __init__(self, var: str, dom: "Term", cod: "Term"):
         _set(self, "var", var)
@@ -174,7 +254,6 @@ class Pi(_Node):
 
     __hash__ = _kept_hash
     __eq__ = _eq
-    __reduce__ = _reduce
 
 
 Term = Union[Sort, Const, Var, Bound, App, Lam, Pi]
@@ -327,15 +406,17 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return a == b
 
 
-@dataclass(frozen=True)
-class Ctx:
+class Ctx(Record):
     """Typing context: ordered name/type pairs, innermost binding last.
 
     Lookup resolves to the innermost entry, so pushing an existing name
     shadows the older entry.
     """
 
-    entries: tuple[tuple[str, Term], ...] = ()
+    __slots__ = __match_args__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, Term], ...] = ()):
+        _set(self, "entries", entries)
 
     def push(self, name: str, ty: Term) -> "Ctx":
         return Ctx(self.entries + ((name, ty),))

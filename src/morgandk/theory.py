@@ -28,14 +28,13 @@ blocks by `first_attempt_signature`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .check import Signature, check_signature
 from .parser import (Declaration, Definition, RuleDecl, identifiers,
                      parse_file)
 from .rewrite import RewriteRule
-from .terms import Const, Term, subterms
+from .terms import Const, Record, Term, subterms
 
 __all__ = [
     "TheoryConfig", "FULL_CONFIG", "NAT_STRENGTHS",
@@ -52,8 +51,7 @@ _THEORY_DIR = Path(__file__).with_name("theories")
 NAT_STRENGTHS = ("none", "external_eq", "definitional")
 
 
-@dataclass(frozen=True)
-class TheoryConfig:
+class TheoryConfig(Record):
     """Flag set selecting optional blocks of the two-layer theory.
 
     Any combination is accepted: in this realization no pair of
@@ -61,18 +59,23 @@ class TheoryConfig:
     interaction can create an overlapping rule set.
     """
 
-    t1_injectivity: bool = False
-    t2_primitive_iso_as_rewrite: bool = False
-    t3_repletion: bool = False
-    nat_morphism_strength: str = "none"
-    include_weak_univalence: bool = False
-    cubical: bool = False
+    __slots__ = __match_args__ = (
+        "t1_injectivity", "t2_primitive_iso_as_rewrite", "t3_repletion",
+        "nat_morphism_strength", "include_weak_univalence", "cubical")
 
-    def __post_init__(self):
-        if self.nat_morphism_strength not in NAT_STRENGTHS:
+    def __init__(self, t1_injectivity: bool = False,
+                 t2_primitive_iso_as_rewrite: bool = False,
+                 t3_repletion: bool = False,
+                 nat_morphism_strength: str = "none",
+                 include_weak_univalence: bool = False,
+                 cubical: bool = False):
+        if nat_morphism_strength not in NAT_STRENGTHS:
             raise ValueError(
                 f"nat_morphism_strength must be one of {NAT_STRENGTHS}, "
-                f"got {self.nat_morphism_strength!r}")
+                f"got {nat_morphism_strength!r}")
+        super().__init__(t1_injectivity, t2_primitive_iso_as_rewrite,
+                         t3_repletion, nat_morphism_strength,
+                         include_weak_univalence, cubical)
 
 
 FULL_CONFIG = TheoryConfig(
@@ -150,7 +153,7 @@ def _parse(path: Path, consts: set[str],
             consts |= declared
             defs |= definable
             return decls
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     _, names, parses = known or (stamp, identifiers(text), {})
     seen = (names & consts, names & defs)
     consts_before, defs_before = set(consts), set(defs)

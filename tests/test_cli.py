@@ -1,5 +1,7 @@
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from morgandk.parser import parse_term
 from morgandk.terms import alpha_eq
 from morgandk.theory import FULL_CONFIG, blocks_for
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
 CORPUS = sorted(str(p) for p in THEORIES.glob("*.dk"))
 QUARANTINE = str(THEORIES / "quarantine" / "faces-first-attempt.dk")
@@ -51,6 +54,33 @@ def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "no-such.dk")
     assert code == 2
     assert "no such file" in err
+
+
+def _check_in_the_c_locale(path):
+    """`morgandk check path` in a fresh process whose locale encoding
+    is ASCII."""
+    env = {**os.environ, "PYTHONPATH": SRC, "LC_ALL": "C",
+           "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run([sys.executable, "-m", "morgandk", "check",
+                           str(path)], env=env, capture_output=True,
+                          text=True)
+
+
+def test_check_reads_utf8_whatever_the_locale(tmp_path):
+    f = tmp_path / "cafe.dk"
+    f.write_bytes("A : Type.\ncafé : A -> Type.\n".encode("utf-8"))
+    done = _check_in_the_c_locale(f)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"checked {f} (2 declarations)\n", "")
+
+
+def test_check_rejects_a_file_that_is_not_utf8(tmp_path):
+    f = tmp_path / "latin1.dk"
+    f.write_bytes("A : Type.\ncafé : A -> Type.\n".encode("latin-1"))
+    done = _check_in_the_c_locale(f)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: {f}: not valid UTF-8 at byte 13\n")
 
 
 def test_check_type_error_with_location(capsys, tmp_path):
@@ -245,6 +275,13 @@ def test_oracle_out_of_domain(capsys):
     assert code == 2 and "oracle error" in err
 
 
+def test_oracle_out_of_domain_prints_the_surface_syntax(capsys):
+    assert run(capsys, "oracle", "interval", "Imin i", "i") == (
+        2, "", "oracle error: not an interval term: Imin i\n")
+    assert run(capsys, "oracle", "face", "Fmin (Fmax j) 1f", "0f") == (
+        2, "", "oracle error: not a face term: Fmax j\n")
+
+
 def test_oracle_generator_cap(capsys, monkeypatch):
     def no_masks(*args):
         raise AssertionError("masks built for a query over the cap")
@@ -295,7 +332,7 @@ def test_export_then_check(capsys, tmp_path, nat):
     code, _, _ = run(capsys, "export", str(tmp_path),
                      *(f"--flag={f}" for f in flags))
     assert code == 0
-    cfg = replace(FULL_CONFIG, nat_morphism_strength=nat)
+    cfg = FULL_CONFIG.replace(nat_morphism_strength=nat)
     files = [str(tmp_path / p.name) for p in blocks_for(cfg)]
     code, out, err = run(capsys, "check", *files)
     assert code == 0, err

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,7 +36,7 @@ def _flat_configs():
 def _all_configs():
     for cfg in _flat_configs():
         yield cfg
-        yield replace(cfg, cubical=True)
+        yield cfg.replace(cubical=True)
 
 
 def test_every_flat_config_builds():
@@ -115,7 +114,7 @@ def test_bad_nat_strength_rejected():
 
 
 def test_build_2ltt_is_checkable_and_flat():
-    sig = build_theory(replace(FULL_CONFIG, cubical=False))
+    sig = build_theory(FULL_CONFIG.replace(cubical=False))
     assert "WeakUnivalence" in sig.consts
     assert "cL" not in sig.consts
 
@@ -252,11 +251,10 @@ def test_package_build_ships_the_corpus(tmp_path):
     assert not any(p.is_symlink() for p in (built, *built.rglob("*")))
     script = (
         "import sys\n"
-        "from dataclasses import replace\n"
         "import morgandk.theory as t\n"
         "assert t.__file__.startswith(sys.argv[1]), t.__file__\n"
         "for nat in t.NAT_STRENGTHS:\n"
-        "    cfg = replace(t.FULL_CONFIG, nat_morphism_strength=nat)\n"
+        "    cfg = t.FULL_CONFIG.replace(nat_morphism_strength=nat)\n"
         "    t.build_theory(cfg)\n"
         "t.first_attempt_signature()\n"
         "t.write_theory_files(sys.argv[2])\n")

@@ -59,7 +59,8 @@ def test_cli_import_loads_the_wrapped_modules_and_not_the_surface(
         layertrace):
     # the CLI tracer installs right after `import morgandk.cli` and looks
     # each wrapped module up in sys.modules; the surface syntax is for
-    # the tests alone, so no command pays for importing it
+    # the tests alone, so no command pays for importing it, and no
+    # command pays for `dataclasses` and the `inspect` it imports
     src = str(Path(__file__).resolve().parent.parent / "src")
     script = "import sys, morgandk.cli; print(*sys.modules)"
     shown = subprocess.run([sys.executable, "-c", script],
@@ -69,6 +70,7 @@ def test_cli_import_loads_the_wrapped_modules_and_not_the_surface(
     wrapped = {f"morgandk.{mod}" for mod, _, _ in layertrace.WRAPPED}
     assert wrapped <= set(shown)
     assert "morgandk.surface" not in shown
+    assert "dataclasses" not in shown and "inspect" not in shown
 
 
 def test_reducer_exposes_its_caches():
