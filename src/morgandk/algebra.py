@@ -495,8 +495,11 @@ def interval_eq_canonical(a: IExpr, b: IExpr) -> bool:
 # complete stand-in because it takes both truth values across the sweep and
 # distinct variables get independent generators.
 
-_INTERVAL_HEADS = {"0", "1", "sym", "Imin", "Imax"}
-_FACE_HEADS = {"0f", "1f", "eq0", "eq1", "Fmin", "Fmax"}
+# The interval and face signature: the operations that head its rules,
+# and with the endpoints, every constant the oracle grammar knows.
+INTERVAL_HEADS = frozenset({"sym", "Imin", "Imax"})
+FACE_HEADS = frozenset({"eq0", "eq1", "Fmin", "Fmax"})
+ORACLE_CONSTS = INTERVAL_HEADS | FACE_HEADS | {"0", "1", "0f", "1f"}
 
 
 def interval_from_term(t: Term) -> IExpr:
@@ -546,9 +549,9 @@ def check_rule_sound(rule) -> Verdict:
     """
     head, _ = spine(rule.lhs)
     name = head.name if isinstance(head, Const) else None
-    if name in ("sym", "Imin", "Imax"):
+    if name in INTERVAL_HEADS:
         return interval_eq(interval_from_term(rule.lhs), interval_from_term(rule.rhs))
-    if name in ("eq0", "eq1", "Fmin", "Fmax"):
+    if name in FACE_HEADS:
         return face_eq(face_from_term(rule.lhs), face_from_term(rule.rhs))
     raise OutOfDomain(f"rule head outside the interval/face fragment: {name}")
 

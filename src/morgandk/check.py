@@ -82,26 +82,23 @@ class ConstInfo(Record):
 
 
 class Signature:
-    """Declared constants plus head-indexed rewrite rules.  It keeps no
-    reduction cache: each `reducer` owns its own, for one query."""
+    """Declared constants plus head-indexed rewrite rules, as in a
+    Dedukti signature: `consts` in declaration order (the dict's own)
+    and `rules` by head.  It keeps no reduction cache: each `reducer`
+    owns its own, for one query."""
 
     def __init__(self):
         self.consts: dict[str, ConstInfo] = {}
-        self.order: list[str] = []
         self.rules: dict[str, list[RewriteRule]] = {}
-        self.provenance: dict[str, Optional[SourceSpan]] = {}
 
     def reducer(self, fuel: Optional[Fuel] = None, cached: bool = True) -> Reducer:
         return Reducer(self.rules, fuel, cached)
 
-    def add_const(self, info: ConstInfo,
-                  span: Optional[SourceSpan] = None) -> None:
+    def add_const(self, info: ConstInfo) -> None:
         if info.name in self.consts:
             raise TypeCheckError(f"{info.name!r} is already declared",
                                  kind="redeclaration")
         self.consts[info.name] = info
-        self.order.append(info.name)
-        self.provenance[info.name] = span
 
     def add_rule(self, rule: RewriteRule) -> None:
         self.rules.setdefault(rule.head, []).append(rule)
@@ -110,7 +107,7 @@ class Signature:
         """Every installed rule, in declaration order of the head and
         then rule order; definition-unfolding rules included."""
         out = []
-        for name in self.order:
+        for name in self.consts:
             out.extend(self.rules.get(name, ()))
         return out
 
@@ -123,9 +120,7 @@ class Signature:
     def copy(self) -> "Signature":
         s = Signature()
         s.consts = dict(self.consts)
-        s.order = list(self.order)
         s.rules = {k: list(v) for k, v in self.rules.items()}
-        s.provenance = dict(self.provenance)
         return s
 
 
@@ -271,20 +266,17 @@ def check_declaration(sig: Signature, decl: Declaration,
     red = sig.reducer(Fuel(fuel_steps))
     try:
         match decl:
-            case StaticConst(name, ty, span):
+            case StaticConst(name, ty, _) | DefinableConst(name, ty, _):
                 _check_const_type(sig, ty, red)
-                sig.add_const(ConstInfo(name, ty, static=True), span)
-            case DefinableConst(name, ty, span):
-                _check_const_type(sig, ty, red)
-                sig.add_const(ConstInfo(name, ty, static=False), span)
-            case Definition(name, ty, body, span):
+                sig.add_const(ConstInfo(name, ty,
+                                        static=isinstance(decl, StaticConst)))
+            case Definition(name, ty, body, _):
                 if ty is None:
                     ty = infer(sig, Ctx(), body, red)
                 else:
                     _check_const_type(sig, ty, red)
                     check(sig, Ctx(), body, ty, red)
-                sig.add_const(ConstInfo(name, ty, static=False, body=body),
-                              span)
+                sig.add_const(ConstInfo(name, ty, static=False, body=body))
                 sig.add_rule(RewriteRule(f"{name}.def", name, (),
                                          Const(name), body, ()))
             case RuleDecl(pat_vars, lhs, rhs, _):

@@ -17,8 +17,9 @@ import os
 import sys
 from pathlib import Path
 
-from .algebra import (Fails, Holds, OracleError, OutOfDomain, face_eq,
-                      face_from_term, interval_eq, interval_from_term)
+from .algebra import (ORACLE_CONSTS, Fails, Holds, OracleError,
+                      OutOfDomain, face_eq, face_from_term, interval_eq,
+                      interval_from_term)
 from .check import (DEFAULT_FUEL, Signature, TypeCheckError,
                     check_declaration)
 from .parser import ParseError, parse_file, parse_term, pretty
@@ -27,11 +28,6 @@ from .rewrite import (CriticalPair, Fuel, FuelExhausted, critical_pairs,
 from .theory import FULL_CONFIG, TheoryConfig, build_theory
 
 FUEL_ENV = "MORGANDK_FUEL"
-
-# constants the oracle grammar knows; everything else is a generator
-_ORACLE_CONSTS = frozenset(
-    {"0", "1", "sym", "Imin", "Imax", "0f", "1f", "eq0", "eq1",
-     "Fmin", "Fmax"})
 
 # theory flag -> the TheoryConfig field it switches on
 _FLAGS = {"t1": "t1_injectivity", "t2": "t2_primitive_iso_as_rewrite",
@@ -167,12 +163,12 @@ def cmd_reduce(args) -> int:
 def cmd_oracle(args) -> int:
     out = _Out(args.format)
     if args.kind == "interval":
-        lhs = interval_from_term(parse_term(args.lhs, _ORACLE_CONSTS))
-        rhs = interval_from_term(parse_term(args.rhs, _ORACLE_CONSTS))
+        lhs = interval_from_term(parse_term(args.lhs, ORACLE_CONSTS))
+        rhs = interval_from_term(parse_term(args.rhs, ORACLE_CONSTS))
         verdict = interval_eq(lhs, rhs)
     else:
-        lhs = face_from_term(parse_term(args.lhs, _ORACLE_CONSTS))
-        rhs = face_from_term(parse_term(args.rhs, _ORACLE_CONSTS))
+        lhs = face_from_term(parse_term(args.lhs, ORACLE_CONSTS))
+        rhs = face_from_term(parse_term(args.rhs, ORACLE_CONSTS))
         verdict = face_eq(lhs, rhs)
     if isinstance(verdict, Holds):
         out.emit("holds", event="verdict", holds=True)
@@ -210,12 +206,9 @@ def cmd_cp(args) -> int:
     if ctx_paths is None or tgt_paths is None:
         return 2
     sig = _check_files(ctx_paths, fuel)
-    before = {head: len(rs) for head, rs in sig.rules.items()}
+    before = set(map(id, sig.rule_list()))
     _check_files(tgt_paths, fuel, sig=sig)
-    target_rules = []
-    for head in sig.order:
-        rs = sig.rules.get(head, [])
-        target_rules.extend(rs[before.get(head, 0):])
+    target_rules = [r for r in sig.rule_list() if id(r) not in before]
     pairs = critical_pairs(target_rules)
     bad = 0
     for cp in pairs:
@@ -298,9 +291,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _terms_as_utf8(args) -> None:
+    """Python decodes a process's arguments with the locale's codec and
+    keeps undecodable bytes as surrogates: read the terms' bytes
+    (`os.fsencode`) as UTF-8 instead, and write the output as UTF-8.
+    File paths keep the OS's bytes, in and out."""
+    for name in ("term", "lhs", "rhs"):
+        arg = getattr(args, name, None)
+        if arg is not None:
+            try:
+                setattr(args, name, os.fsencode(arg).decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise _InputError(f"the {name} argument is not valid "
+                                  f"UTF-8 at byte {e.start}") from None
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if argv is None:  # the process's own arguments
+            _terms_as_utf8(args)
         return args.run(args)
     except ParseError as e:
         _diag(f"parse error: {e}")

@@ -559,13 +559,14 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
     for i, r1 in enumerate(rules):
         avoid = frozenset(r1.pat_vars)
         for j, r2 in enumerate(rules):
-            inner = [(pos, sub_t) for pos, sub_t, k in sites[i]
+            tried = [(pos, sub_t) for pos, sub_t, k in sites[i]
                      if k is None or k == keys[j]]
-            at_root = j > i and keys[j] == keys[i]
-            if not inner and not at_root:
+            if j > i and keys[j] == keys[i]:
+                tried.append(((), r1.lhs))
+            if not tried:
                 continue
             r2r = _rename_apart(r2, avoid)
-            for pos, sub_t in inner:
+            for pos, sub_t in tried:
                 mgu = unify(sub_t, r2r.lhs)
                 if mgu is None:
                     continue
@@ -574,14 +575,6 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
                     peak=msubst(r1.lhs, mgu),
                     left=msubst(r1.rhs, mgu),
                     right=msubst(_replace_at(r1.lhs, pos, r2r.rhs), mgu)))
-            if at_root:
-                mgu = unify(r1.lhs, r2r.lhs)
-                if mgu is not None:
-                    out.append(CriticalPair(
-                        r1.name, r2.name, (),
-                        peak=msubst(r1.lhs, mgu),
-                        left=msubst(r1.rhs, mgu),
-                        right=msubst(r2r.rhs, mgu)))
     return out
 
 

@@ -69,6 +69,9 @@ class Record:
             (lambda r: (get(r),)) if len(fields) == 1 else get)
         cls._format = (f"{cls.__qualname__}("
                        + ", ".join(f + "={!r}" for f in fields) + ")")
+        if not fields and cls.__init__ is Record.__init__:
+            # nothing to set: object's own constructor refuses arguments
+            cls.__init__ = object.__init__
 
     def __init__(self, *args, **kwargs):
         fields = self.__match_args__

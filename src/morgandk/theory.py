@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .algebra import FACE_HEADS, INTERVAL_HEADS
 from .check import Signature, check_signature
 from .parser import (Declaration, Definition, RuleDecl, identifiers,
                      parse_file)
@@ -125,42 +126,38 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
 
 
 # path -> ((st_mtime_ns, st_size) of the file read, its identifiers,
-# {(declared names, definable names) among them: (declarations, the names
-# they declare, the definable ones among those)}).  Every namespace lookup
-# the parser makes is on one of the file's identifiers, so two namespaces
-# that agree on them give equal parses.  Declarations and terms are
-# immutable, so the signatures built from a parse share it.
+# {(declared names, definable names) among them: the declarations}).
+# Every namespace lookup the parser makes is on one of the file's
+# identifiers, so two namespaces that agree on them give equal parses.
+# Declarations and terms are immutable, so the signatures built from a
+# parse share it.
 _PARSE_CACHE: dict[Path, tuple[tuple[int, int], frozenset[str], dict]] = {}
 
 
-def _parse(path: Path, consts: set[str],
-           defs: set[str]) -> tuple[Declaration, ...]:
-    """`parse_file` on a corpus file, updating `consts` and `defs` in
-    place as it does, with the parse cached by what the file's names
-    see.  A stat of the file tells whether it changed since it was
-    read; one that did is read again and its old parses dropped.  A
-    failed parse raises as `parse_file` does and caches nothing."""
+def _parse(path: Path, sig: Signature) -> tuple[Declaration, ...]:
+    """`parse_file` on a corpus file in the namespace of `sig`, cached
+    by what the file's names see there.  A stat of the file tells
+    whether it changed since it was read; one that did is read again
+    and its old parses dropped.  A failed parse raises as `parse_file`
+    does and caches nothing."""
     st = path.stat()
     stamp = (st.st_mtime_ns, st.st_size)
     known = _PARSE_CACHE.get(path)
-    if known is not None and known[0] != stamp:
-        known = None
-    if known is not None:
-        _, names, parses = known
-        hit = parses.get((names & consts, names & defs))
-        if hit is not None:
-            decls, declared, definable = hit
-            consts |= declared
-            defs |= definable
-            return decls
-    text = path.read_text(encoding="utf-8")
-    _, names, parses = known or (stamp, identifiers(text), {})
-    seen = (names & consts, names & defs)
-    consts_before, defs_before = set(consts), set(defs)
-    decls = tuple(parse_file(text, path.name, consts, defs))
-    parses[seen] = (decls, frozenset(consts - consts_before),
-                    frozenset(defs - defs_before))
-    _PARSE_CACHE[path] = (stamp, names, parses)
+    text = None
+    if known is None or known[0] != stamp:
+        text = path.read_text(encoding="utf-8")
+        known = (stamp, identifiers(text), {})
+    _, names, parses = known
+    consts = sig.consts
+    declared = frozenset(consts.keys() & names)
+    seen = (declared, frozenset(n for n in declared if not consts[n].static))
+    decls = parses.get(seen)
+    if decls is None:
+        if text is None:
+            text = path.read_text(encoding="utf-8")
+        decls = parses[seen] = tuple(
+            parse_file(text, path.name, *sig.namespace()))
+        _PARSE_CACHE[path] = known
     return decls
 
 
@@ -225,13 +222,12 @@ def _reads(seed: frozenset[str], sig: Signature) -> tuple:
 
 # id of a parse -> (the parse, its `_seed`, {`_reads` of a signature:
 # what checking the parse on top of it installed}).  What a check
-# installed is its constants with their provenance, in order, and the
-# new rules of each head, in the order the heads entered `sig.rules`.
-# Keyed on identity, not `==`: `==` on terms ignores binder hints, and
-# an untyped `def` takes its type from its dependencies' types as they
-# are written.  Every object a key names by id is one that an entry
-# installed, and entries are never dropped, so no id is reused while
-# its key lives.
+# installed is its constants, in order, and the new rules of each head,
+# in the order the heads entered `sig.rules`.  Keyed on identity, not
+# `==`: `==` on terms ignores binder hints, and an untyped `def` takes
+# its type from its dependencies' types as they are written.  Every
+# object a key names by id is one that an entry installed, and entries
+# are never dropped, so no id is reused while its key lives.
 _CHECK_CACHE: dict[int, tuple[tuple[Declaration, ...], frozenset[str],
                               dict[tuple, tuple]]] = {}
 
@@ -247,16 +243,15 @@ def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
     reads = _reads(seed, sig)
     hit = checks.get(reads)
     if hit is not None:
-        for info, span in hit[0]:
-            sig.add_const(info, span)
+        for info in hit[0]:
+            sig.add_const(info)
         for head, rs in hit[1]:
             sig.rules.setdefault(head, []).extend(rs)
         return
-    n_consts = len(sig.order)
+    n_consts = len(sig.consts)
     n_rules = {head: len(rs) for head, rs in sig.rules.items()}
     check_signature(decls, sig=sig)
-    consts = tuple((sig.consts[n], sig.provenance[n])
-                   for n in sig.order[n_consts:])
+    consts = tuple(sig.consts.values())[n_consts:]
     rules = tuple((head, tuple(rs[n_rules.get(head, 0):]))
                   for head, rs in sig.rules.items()
                   if len(rs) > n_rules.get(head, 0))
@@ -264,8 +259,8 @@ def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
     same = next((c for c in checks.values()
                  if c == done and repr(c) == repr(done)), None)
     if same is not None:
-        for (info, _), (old, _) in zip(consts, same[0]):
-            sig.consts[info.name] = old
+        for old in same[0]:
+            sig.consts[old.name] = old
         for (head, _), (_, old_rules) in zip(rules, same[1]):
             sig.rules[head][-len(old_rules):] = old_rules
         done = same
@@ -275,17 +270,15 @@ def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
 
 def _build(paths: tuple[Path, ...]) -> Signature:
     """Parse and check `paths` in order into a fresh Signature.  Each
-    file is parsed once per way its names resolve (`_parse`) and checked
-    once per parse and state of what its check can read (`_check`), so
-    the signatures of a whole flag lattice share every check whose
-    inputs agree.  The shipped corpus is always checked under the
-    default fuel, so a built signature does not depend on a caller's
-    budget."""
+    file is parsed in the namespace of the signature before it, once per
+    way its names resolve (`_parse`), and checked once per parse and
+    state of what its check can read (`_check`), so the signatures of a
+    whole flag lattice share every check whose inputs agree.  The
+    shipped corpus is always checked under the default fuel, so a built
+    signature does not depend on a caller's budget."""
     sig = Signature()
-    consts: set[str] = set()
-    defs: set[str] = set()
     for path in paths:
-        _check(_parse(path, consts, defs), sig)
+        _check(_parse(path, sig), sig)
     return sig
 
 
@@ -310,8 +303,7 @@ def first_attempt_signature() -> Signature:
     return _build(_FIRST_ATTEMPT_PATHS)
 
 
-INTERVAL_FACE_HEADS = frozenset(
-    {"Imin", "Imax", "sym", "Fmin", "Fmax", "eq0", "eq1"})
+INTERVAL_FACE_HEADS = INTERVAL_HEADS | FACE_HEADS
 
 
 def interval_face_rules(sig: Signature) -> list[RewriteRule]:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import morgandk.algebra
-from morgandk.algebra import (MAX_GENERATORS, Chain3, DM4Value, Eq0, Eq1,
-                              Fails, FBot, FJoin, FMeet, FTop, Gen, Holds,
-                              Join, Meet, Neg, One, OracleError, OutOfDomain,
-                              Zero, audit_equation, canonical_dnf,
+from morgandk.algebra import (MAX_GENERATORS, ORACLE_CONSTS, Chain3,
+                              DM4Value, Eq0, Eq1, Fails, FBot, FJoin, FMeet,
+                              FTop, Gen, Holds, Join, Meet, Neg, One,
+                              OracleError, OutOfDomain, Zero, audit_equation, canonical_dnf,
                               check_rule_sound, eval_face, eval_interval,
                               face_eq, face_from_term, face_generators,
                               generators, interval_eq, interval_eq_canonical,
@@ -17,6 +17,7 @@ from morgandk.algebra import (MAX_GENERATORS, Chain3, DM4Value, Eq0, Eq1,
 from morgandk.parser import parse_term
 from morgandk.rewrite import compile_rule
 from morgandk.terms import App, Bound, Const, Pi, Var, app
+from morgandk.theory import INTERVAL_FACE_HEADS
 
 
 def test_eval_meet_zero_annihilates():
@@ -107,6 +108,15 @@ def test_rule_sound_face_substitution():
     r = _rule(("e",), App(Const("eq1"), App(Const("sym"), Var("e"))),
               App(Const("eq0"), Var("e")))
     assert isinstance(check_rule_sound(r), Holds)
+
+
+def test_the_interval_and_face_vocabulary():
+    # the rule heads the confluence claim covers, and the constants an
+    # oracle query may name; everything else in a query is a generator
+    assert INTERVAL_FACE_HEADS == {"sym", "Imin", "Imax",
+                                   "eq0", "eq1", "Fmin", "Fmax"}
+    assert ORACLE_CONSTS == {"0", "1", "sym", "Imin", "Imax",
+                             "0f", "1f", "eq0", "eq1", "Fmin", "Fmax"}
 
 
 def test_rule_sound_rejects_non_algebraic(full_sig):

@@ -56,15 +56,20 @@ def test_check_missing_file(capsys):
     assert "no such file" in err
 
 
-def _check_in_the_c_locale(path):
-    """`morgandk check path` in a fresh process whose locale encoding
-    is ASCII."""
-    env = {**os.environ, "PYTHONPATH": SRC, "LC_ALL": "C",
+def _run_in_locale(argv, locale="C"):
+    """`morgandk *argv` in a fresh process under `locale`, with UTF-8
+    mode and locale coercion off, so that Python decodes the arguments
+    with the locale's codec (ASCII for C).  An argument may be bytes;
+    the output is read as UTF-8."""
+    env = {**os.environ, "PYTHONPATH": SRC, "LC_ALL": locale,
            "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
     env.pop("PYTHONIOENCODING", None)
-    return subprocess.run([sys.executable, "-m", "morgandk", "check",
-                           str(path)], env=env, capture_output=True,
-                          text=True)
+    return subprocess.run([sys.executable, "-m", "morgandk", *argv],
+                          env=env, capture_output=True, encoding="utf-8")
+
+
+def _check_in_the_c_locale(path):
+    return _run_in_locale(["check", str(path)])
 
 
 def test_check_reads_utf8_whatever_the_locale(tmp_path):
@@ -81,6 +86,26 @@ def test_check_rejects_a_file_that_is_not_utf8(tmp_path):
     done = _check_in_the_c_locale(f)
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", f"error: {f}: not valid UTF-8 at byte 13\n")
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_terms_are_read_as_utf8_whatever_the_locale(locale):
+    # the arguments' bytes, so that this runs under an ASCII locale too
+    done = [_run_in_locale(argv, locale) for argv in (
+        ["reduce", "café".encode()],
+        ["oracle", "interval", "Imin café café".encode(), "café".encode()])]
+    assert [(d.returncode, d.stdout, d.stderr) for d in done] == [
+        (0, "café\n", ""), (0, "holds\n", "")]
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_a_term_that_is_not_utf8_is_an_input_error(locale):
+    done = [_run_in_locale(argv, locale) for argv in (
+        ["reduce", "café".encode("latin-1")],
+        ["oracle", "face", "1f", b"eq0 \xff"])]
+    assert [(d.returncode, d.stdout, d.stderr) for d in done] == [
+        (2, "", "error: the term argument is not valid UTF-8 at byte 3\n"),
+        (2, "", "error: the rhs argument is not valid UTF-8 at byte 4\n")]
 
 
 def test_check_type_error_with_location(capsys, tmp_path):

@@ -141,6 +141,17 @@ def test_sample_records_compare_as_their_twins():
             _assert_compare_alike(a, b)
 
 
+@pytest.mark.parametrize("cls", [c for c in RECORDS if not c.__match_args__],
+                         ids=lambda c: c.__name__)
+def test_a_record_without_fields_takes_no_arguments(cls):
+    for make in (cls, TWINS[cls]):
+        assert make() == make()
+        with pytest.raises(TypeError):
+            make(1)
+        with pytest.raises(TypeError):
+            make(value=1)
+
+
 # -- hypothesis values ------------------------------------------------------
 
 _names = st.sampled_from(["a", "b", "x"])

@@ -473,7 +473,8 @@ def test_printed_normal_types_do_not_depend_on_order(full_sig):
         sig = full_sig.copy()
         return {n: pretty(sig.reducer().normalize(sig.consts[n].ty))
                 for n in names}
-    assert printed(full_sig.order) == printed(full_sig.order[::-1])
+    names = list(full_sig.consts)
+    assert printed(names) == printed(names[::-1])
 
 
 # -- critical pairs: the head index ------------------------------------------

@@ -322,7 +322,7 @@ def test_cached_parses_equal_fresh_ones(cold_caches):
     fresh = {(): ((), set(), set())}
     shown = set()
     for cfg in _all_configs():
-        consts, defs = set(), set()
+        sig = Signature()
         blocks = tuple(blocks_for(cfg))
         for n, path in enumerate(blocks, 1):
             if blocks[:n] not in fresh:
@@ -331,40 +331,41 @@ def test_cached_parses_equal_fresh_ones(cold_caches):
                 fresh[blocks[:n]] = (
                     parse_file(path.read_text(), path.name, c, d), c, d)
             expected, fresh_consts, fresh_defs = fresh[blocks[:n]]
-            cached = theory._parse(path, consts, defs)
+            cached = theory._parse(path, sig)
+            theory._check(cached, sig)
             assert list(cached) == expected
             # == skips binder hints; repr shows every field, once per parse
             if id(cached) not in shown:
                 shown.add(id(cached))
                 assert ([repr(d) for d in cached]
                         == [repr(d) for d in expected])
-            assert (consts, defs) == (fresh_consts, fresh_defs)
+            assert sig.namespace() == (fresh_consts, fresh_defs)
     parses = sum(len(p) for _, _, p in theory._PARSE_CACHE.values())
     assert (len(theory._PARSE_CACHE), parses) == (16, 16)
 
 
 def test_failed_parse_raises_as_parse_file_and_caches_nothing(cold_caches):
     core, t1 = blocks_for(TheoryConfig(t1_injectivity=True))[:2]
-    consts, defs = set(), set()
-    theory._parse(core, consts, defs)
-    good = (set(consts), set(defs))
+    good = theory._build((core,))
     # declare T1, the name 02-axioms-t1.dk declares, ahead of it
-    clash = parse_file(t1.read_text(), t1.name, set(consts), set(defs))[0]
-    consts.add(clash.name)
+    clash = good.copy()
+    check.check_declaration(
+        clash, parse_file(t1.read_text(), t1.name, *good.namespace())[0])
 
-    def failure(parse_with):
+    def failure(parse):
         with pytest.raises(ParseError) as err:
-            parse_with(set(consts), set(defs))
+            parse()
         return str(err.value), err.value.msg, err.value.span
 
-    expected = failure(lambda c, d: parse_file(t1.read_text(), t1.name, c, d))
+    expected = failure(
+        lambda: parse_file(t1.read_text(), t1.name, *clash.namespace()))
     assert expected[1] == "'T1' is already declared"
-    assert failure(lambda c, d: theory._parse(t1, c, d)) == expected
+    assert failure(lambda: theory._parse(t1, clash)) == expected
     assert t1 not in theory._PARSE_CACHE
     # with the good parse cached, the clashing namespace misses it
-    theory._parse(t1, *good)
+    theory._parse(t1, good)
     before = dict(theory._PARSE_CACHE[t1][2])
-    assert failure(lambda c, d: theory._parse(t1, c, d)) == expected
+    assert failure(lambda: theory._parse(t1, clash)) == expected
     assert theory._PARSE_CACHE[t1][2] == before
 
 
@@ -378,7 +379,7 @@ def test_a_file_rewritten_in_place_is_parsed_again(cold_caches, tmp_path):
     last = copies[-1]
     last.write_text(last.read_text() + "extra : Type.\n")
     after = theory._build(tuple(copies))
-    assert after.order == before.order + ["extra"]
+    assert list(after.consts) == list(before.consts) + ["extra"]
 
 
 def _shown(sig, memo=None):
@@ -394,8 +395,7 @@ def _shown(sig, memo=None):
 
     return ([(n, shown(info)) for n, info in sig.consts.items()],
             [shown(r) for r in sig.rule_list()],
-            [(head, [shown(r) for r in rs]) for head, rs in sig.rules.items()],
-            list(sig.order), list(sig.provenance.items()))
+            [(head, [shown(r) for r in rs]) for head, rs in sig.rules.items()])
 
 
 def _fresh_signatures(configs):
@@ -550,8 +550,8 @@ def test_mutating_a_built_signature_leaves_the_next_build_unchanged(
     del sig.consts["cL"]
     sig.rules["Imin"].clear()
     sig.rules["sym"].append(sig.rules["Imax"][0])
-    sig.order.reverse()
-    sig.provenance.clear()
+    for name in reversed(list(sig.consts)):  # the declaration order
+        sig.consts[name] = sig.consts.pop(name)
     assert _shown(build_theory(FULL_CONFIG)) == before
 
 
