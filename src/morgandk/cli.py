@@ -294,8 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _terms_as_utf8(args) -> None:
     """Python decodes a process's arguments with the locale's codec and
     keeps undecodable bytes as surrogates: read the terms' bytes
-    (`os.fsencode`) as UTF-8 instead, and write the output as UTF-8.
-    File paths keep the OS's bytes, in and out."""
+    (`os.fsencode`) as UTF-8 instead, and write the output and the
+    diagnostics as UTF-8.  File paths keep the OS's bytes, in and out."""
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     for name in ("term", "lhs", "rhs"):
         arg = getattr(args, name, None)
         if arg is not None:
@@ -304,7 +306,6 @@ def _terms_as_utf8(args) -> None:
             except UnicodeDecodeError as e:
                 raise _InputError(f"the {name} argument is not valid "
                                   f"UTF-8 at byte {e.start}") from None
-    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
 
 
 def main(argv=None) -> int:

@@ -143,7 +143,8 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
 class _Parser:
     def __init__(self, toks: list[Token], file: str, consts: set[str],
                  defs: Optional[set[str]] = None):
-        self.toks = toks
+        # one more eof, so that `peek(1)` at the end is a plain index
+        self.toks = toks + toks[-1:]
         self.pos = 0
         self.file = file
         self.consts = consts
@@ -157,7 +158,7 @@ class _Parser:
         self.binders: dict[str, list[int]] = {}
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]

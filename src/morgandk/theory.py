@@ -17,7 +17,9 @@ of the signature before it: the installed constant and rules of every
 name the file's declarations reach through types and rule right-hand
 sides.  So a file is checked again only when something it can read
 differs, not whenever an earlier file does: 41 file checks for the 96
-configurations.  `write_theory_files` copies the selected files out, so
+configurations.  A hit re-reads the names of a reach stored with the
+parse; the closure is walked only before a check, so a warm build
+walks none.  `write_theory_files` copies the selected files out, so
 the exported corpus is the shipped one byte for byte.
 
 The first-attempt decoding of faces by rewrite rules is kept out of
@@ -28,6 +30,7 @@ blocks by `first_attempt_signature`.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from pathlib import Path
 
 from .algebra import FACE_HEADS, INTERVAL_HEADS
@@ -191,16 +194,15 @@ def _seed(decls: tuple[Declaration, ...]) -> frozenset[str]:
     return frozenset(names)
 
 
-def _reads(seed: frozenset[str], sig: Signature) -> tuple:
-    """What a check of declarations whose `_seed` is `seed` can read of
-    `sig`: for each name in `seed`, closed under the names that the type
-    and the rules' right-hand sides of a reached name mention, the
-    installed ConstInfo (or None) and that head's rules in order, by
-    identity.  The checker reads `sig.consts[name]` and
-    `sig.rules[name]` alone, and every term it looks a name up in is
-    built from the declarations, the types of the constants it looks
-    up, and the right-hand sides of the rules that fire; a definition's
-    body is the right-hand side of its `.def` rule."""
+def _reach(seed: frozenset[str], sig: Signature) -> tuple[str, ...]:
+    """The names a check of declarations whose `_seed` is `seed` can
+    read of `sig`, sorted: `seed`, closed under the names that the type
+    and the rules' right-hand sides of a reached name mention.  The
+    checker reads `sig.consts[name]` and `sig.rules[name]` alone, and
+    every term it looks a name up in is built from the declarations, the
+    types of the constants it looks up, and the right-hand sides of the
+    rules that fire; a definition's body is the right-hand side of its
+    `.def` rule."""
     consts, rules = sig.consts, sig.rules
     reached = set(seed)
     todo = list(reached)
@@ -216,20 +218,34 @@ def _reads(seed: frozenset[str], sig: Signature) -> tuple:
         if new:
             reached |= new
             todo += new
-    return tuple((n, id(consts.get(n)), tuple(map(id, rules.get(n, ()))))
-                 for n in sorted(reached))
+    return tuple(sorted(reached))
 
 
-# id of a parse -> (the parse, its `_seed`, {`_reads` of a signature:
-# what checking the parse on top of it installed}).  What a check
-# installed is its constants, in order, and the new rules of each head,
-# in the order the heads entered `sig.rules`.  Keyed on identity, not
-# `==`: `==` on terms ignores binder hints, and an untyped `def` takes
-# its type from its dependencies' types as they are written.  Every
-# object a key names by id is one that an entry installed, and entries
-# are never dropped, so no id is reused while its key lives.
+def _state(reach: tuple[str, ...], sig: Signature) -> tuple[int, ...]:
+    """What `sig` holds for the names of `reach`, by identity: the
+    installed ConstInfo (or None) of each, then the rules of each in
+    order.  One flat sequence of rules is exact, since a rule sits under
+    its own head only."""
+    return tuple(map(id, chain(
+        map(sig.consts.get, reach),
+        chain.from_iterable(map(sig.rules.get, reach, repeat(()))))))
+
+
+# id of a parse -> (the parse, its `_seed`, {a `_reach` of it: {a
+# `_state` of that reach: what checking the parse on a signature in that
+# state installed}}).  A signature in a stored state of a stored reach
+# has that reach, since the walk from the seed reads only the names it
+# reaches; so at most one stored reach matches, and the closure is
+# walked only before a check.  What a check installed is its constants,
+# in order, and the new rules of each head, in the order the heads
+# entered `sig.rules`.  Keyed on identity, not `==`: `==` on terms
+# ignores binder hints, and an untyped `def` takes its type from its
+# dependencies' types as they are written.  Every object a state names
+# by id is one that an entry installed, and entries are never dropped,
+# so no id is reused while its key lives.
 _CHECK_CACHE: dict[int, tuple[tuple[Declaration, ...], frozenset[str],
-                              dict[tuple, tuple]]] = {}
+                              dict[tuple[str, ...],
+                                   dict[tuple[int, ...], tuple]]]] = {}
 
 
 def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
@@ -240,14 +256,16 @@ def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
     raises as `check_signature` does and caches nothing."""
     known = _CHECK_CACHE.get(id(decls)) or (decls, _seed(decls), {})
     _, seed, checks = known
-    reads = _reads(seed, sig)
-    hit = checks.get(reads)
-    if hit is not None:
-        for info in hit[0]:
-            sig.add_const(info)
-        for head, rs in hit[1]:
-            sig.rules.setdefault(head, []).extend(rs)
-        return
+    for reach, states in checks.items():
+        hit = states.get(_state(reach, sig))
+        if hit is not None:
+            for info in hit[0]:
+                sig.add_const(info)
+            for head, rs in hit[1]:
+                sig.rules.setdefault(head, []).extend(rs)
+            return
+    reach = _reach(seed, sig)
+    state = _state(reach, sig)
     n_consts = len(sig.consts)
     n_rules = {head: len(rs) for head, rs in sig.rules.items()}
     check_signature(decls, sig=sig)
@@ -256,7 +274,7 @@ def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
                   for head, rs in sig.rules.items()
                   if len(rs) > n_rules.get(head, 0))
     done = (consts, rules)
-    same = next((c for c in checks.values()
+    same = next((c for states in checks.values() for c in states.values()
                  if c == done and repr(c) == repr(done)), None)
     if same is not None:
         for old in same[0]:
@@ -264,7 +282,7 @@ def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
         for (head, _), (_, old_rules) in zip(rules, same[1]):
             sig.rules[head][-len(old_rules):] = old_rules
         done = same
-    checks[reads] = done
+    checks.setdefault(reach, {})[state] = done
     _CHECK_CACHE[id(decls)] = known
 
 

@@ -88,6 +88,15 @@ def test_check_rejects_a_file_that_is_not_utf8(tmp_path):
         2, "", f"error: {f}: not valid UTF-8 at byte 13\n")
 
 
+def test_diagnostics_are_utf8_whatever_the_locale(tmp_path):
+    f = tmp_path / "cafe.dk"
+    f.write_bytes("A : Type.\nc : café.\n".encode("utf-8"))
+    done = [_run_in_locale(["check", str(f)], locale)
+            for locale in ("C", "C.UTF-8")]
+    assert [(d.returncode, d.stdout, d.stderr) for d in done] == 2 * [(
+        1, "", f"type error: {f}:2:1: [unbound] unbound variable 'café'\n")]
+
+
 @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
 def test_terms_are_read_as_utf8_whatever_the_locale(locale):
     # the arguments' bytes, so that this runs under an ASCII locale too

@@ -426,8 +426,9 @@ def test_cold_cached_builds_equal_fresh_checks(cold_caches):
 
 
 def test_cold_sweep_checks_each_file_once_per_key(cold_caches, monkeypatch):
-    files, decls = Counter(), Counter()
+    files, decls, walks = Counter(), Counter(), []
     check_file, check_decl = theory.check_signature, check.check_declaration
+    reach = theory._reach
 
     def counting_file(ds, *args, **kwargs):
         files[ds[0].span.file] += 1
@@ -437,13 +438,25 @@ def test_cold_sweep_checks_each_file_once_per_key(cold_caches, monkeypatch):
         decls[d.span.file] += 1
         return check_decl(sig, d, *args)
 
+    def counting_reach(seed, sig):
+        walks.append(seed)
+        return reach(seed, sig)
+
     monkeypatch.setattr(theory, "check_signature", counting_file)
     monkeypatch.setattr(check, "check_declaration", counting_decl)
+    monkeypatch.setattr(theory, "_reach", counting_reach)
     for cfg in _all_configs():
         build_theory(cfg)
-    assert (sum(files.values()), sum(decls.values())) == (41, 443)
+    assert (sum(files.values()), sum(decls.values()), len(walks)) == (
+        41, 443, 41)
     # the core reads none of the optional blocks
     assert files["01-2ltt-core.dk"] == 1
+    # a warm sweep re-reads stored reaches: no check, no closure walk
+    files.clear()
+    walks.clear()
+    for cfg in _all_configs():
+        build_theory(cfg)
+    assert not files and not walks
 
 
 class _Recording(dict):
@@ -476,8 +489,7 @@ def test_a_file_check_reads_only_names_in_its_key(cold_caches, monkeypatch):
 
     def recording_check(decls, sig):
         nonlocal checks
-        keyed = {name for name, _, _ in
-                 theory._reads(theory._seed(decls), sig)}
+        keyed = set(theory._reach(theory._seed(decls), sig))
         seen = set()
         sig.consts = _Recording(sig.consts, seen)
         sig.rules = _Recording(sig.rules, seen)
@@ -579,7 +591,8 @@ def test_failed_check_raises_as_check_signature_and_caches_nothing(
 
     reference = _shown(theory._build(tuple(good)))
     assert reference == _shown(_fresh_signatures([FULL_CONFIG])[FULL_CONFIG])
-    cached = {k: (parse, seed, dict(checks))
+    cached = {k: (parse, seed, {reach: dict(states)
+                                for reach, states in checks.items()})
               for k, (parse, seed, checks) in theory._CHECK_CACHE.items()}
     for _ in range(2):
         with pytest.raises(TypeCheckError) as err:
