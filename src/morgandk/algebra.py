@@ -482,10 +482,6 @@ def canonical_dnf(e: IExpr) -> frozenset:
     )
 
 
-def interval_eq_canonical(a: IExpr, b: IExpr) -> bool:
-    return canonical_dnf(a) == canonical_dnf(b)
-
-
 # ---------------------------------------------------------------------------
 # Terms to expressions
 

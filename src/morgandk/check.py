@@ -5,9 +5,12 @@ Definitional equality is conversion: beta, eta, the signature's rewrite
 rules, and unfolding of definitions (a definition is installed as a
 rule `name --> body` named `name.def`).
 
-Rule checking derives each pattern variable's type from the position it
-occupies in the left-hand side, then checks the right-hand side against
-the left-hand side's type in that context.  Shape errors (over-applied
+As in a Dedukti signature, only a definable ('def') constant without a
+body may take rules, and `check_rule` alone decides it: the parser asks
+only that a rule be headed by a declared constant.  Rule checking then
+derives each pattern variable's type from the position it occupies in
+the left-hand side, and checks the right-hand side against the
+left-hand side's type in that context.  Shape errors (over-applied
 heads, non-bare variable heads, a variable used at two incompatible
 types) are rejected; the residual constraint that a constructor
 subpattern's computed type matches the surrounding expected type is not
@@ -111,12 +114,6 @@ class Signature:
             out.extend(self.rules.get(name, ()))
         return out
 
-    def namespace(self) -> tuple[set[str], set[str]]:
-        """Fresh (declared names, definable names) sets, as the parser
-        threads them through the files that extend this signature."""
-        return (set(self.consts),
-                {n for n, info in self.consts.items() if not info.static})
-
     def copy(self) -> "Signature":
         s = Signature()
         s.consts = dict(self.consts)
@@ -201,6 +198,21 @@ def _check_const_type(sig: Signature, ty: Term, red: Reducer) -> None:
 
 
 def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
+    """Check a rule before it joins `sig`.  Its head must be a declared
+    'def' constant without a body: an undeclared head is `unbound`, every
+    other failure `rule-ill-typed`."""
+    info = sig.consts.get(rule.head)
+    if info is None:
+        raise TypeCheckError(f"rule head {rule.head!r} is not declared",
+                             kind="unbound")
+    if info.static:
+        raise TypeCheckError(
+            f"rule head {rule.head!r} is static; only 'def' constants may "
+            "be rewritten", kind="rule-ill-typed")
+    if info.body is not None:
+        raise TypeCheckError(
+            f"{rule.head!r} already has a body; it cannot take rules",
+            kind="rule-ill-typed")
     types: dict[str, Term] = {}
     order: list[str] = []
 
@@ -238,27 +250,21 @@ def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
                 # `expected`: it mentions pattern variables the match will
                 # only later determine, and sound rules routinely refine it
 
-    info = sig.consts.get(rule.head)
-    if info is None:
-        raise TypeCheckError(f"undeclared constant {rule.head!r}", kind="unbound")
-    if info.static:
-        raise TypeCheckError(
-            f"{rule.head!r} is static: rules need a definable head")
-    if info.body is not None:
-        raise TypeCheckError(
-            f"{rule.head!r} already has a body; it cannot take rules")
-    ty = info.ty
-    for p in rule.lhs_args:
-        w = red.whnf(ty)
-        if not isinstance(w, Pi):
-            raise TypeCheckError(f"rule head {rule.head!r} is over-applied")
-        walk(p, w.dom)
-        ty = instantiate(w.cod, p)
-
-    ctx = Ctx()
-    for v in order:
-        ctx = ctx.push(v, types[v])
-    check(sig, ctx, rule.rhs, ty, red)
+    try:
+        ty = info.ty
+        for p in rule.lhs_args:
+            w = red.whnf(ty)
+            if not isinstance(w, Pi):
+                raise TypeCheckError(f"rule head {rule.head!r} is over-applied")
+            walk(p, w.dom)
+            ty = instantiate(w.cod, p)
+        ctx = Ctx()
+        for v in order:
+            ctx = ctx.push(v, types[v])
+        check(sig, ctx, rule.rhs, ty, red)
+    except TypeCheckError as e:
+        e.kind = "rule-ill-typed"
+        raise
 
 
 def check_declaration(sig: Signature, decl: Declaration,
@@ -285,23 +291,10 @@ def check_declaration(sig: Signature, decl: Declaration,
                     raise TypeCheckError(
                         "rule left-hand side must be headed by a constant",
                         kind="rule-ill-typed")
-                info = sig.consts.get(head.name)
-                if info is None:
-                    raise TypeCheckError(
-                        f"rule head {head.name!r} is not declared",
-                        kind="unbound")
-                if info.static:
-                    raise TypeCheckError(
-                        f"rule head {head.name!r} is static; only 'def' "
-                        "constants may be rewritten", kind="rule-ill-typed")
                 serial = len(sig.rules.get(head.name, ())) + 1
-                try:
-                    rule = compile_rule(f"{head.name}.{serial}",
-                                        pat_vars, lhs, rhs)
-                    check_rule(sig, rule, red)
-                except TypeCheckError as e:
-                    e.kind = "rule-ill-typed"
-                    raise
+                rule = compile_rule(f"{head.name}.{serial}",
+                                    pat_vars, lhs, rhs)
+                check_rule(sig, rule, red)
                 sig.add_rule(rule)
             case _:
                 raise TypeCheckError(f"not a declaration: {decl!r}")

@@ -110,14 +110,14 @@ def _check_files(paths: list[Path], fuel_steps: int,
     `sig` (a fresh signature by default)."""
     if sig is None:
         sig = Signature()
-    consts, defs = sig.namespace()
+    consts = set(sig.consts)
     for path in paths:
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as e:
             raise _InputError(
                 f"{path}: not valid UTF-8 at byte {e.start}") from None
-        decls = parse_file(text, str(path), consts, defs)
+        decls = parse_file(text, str(path), consts)
         for d in decls:
             check_declaration(sig, d, fuel_steps)
         if out is not None:

@@ -16,7 +16,9 @@ Identifier resolution happens at parse time: binder-bound names become
 de Bruijn indices (Bound), rule pattern variables become Var, previously
 declared names become Const.  Anything else is a free Var in term
 position but an error inside rewrite rules, where an unbound identifier
-is always a mistake.
+is always a mistake.  The parser keeps scope only: a rule must be headed
+by a declared constant, and whether that constant may take rules is the
+checker's decision (`check.check_rule`).
 """
 
 from __future__ import annotations
@@ -141,14 +143,12 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], file: str, consts: set[str],
-                 defs: Optional[set[str]] = None):
+    def __init__(self, toks: list[Token], file: str, consts: set[str]):
         # one more eof, so that `peek(1)` at the end is a plain index
         self.toks = toks + toks[-1:]
         self.pos = 0
         self.file = file
         self.consts = consts
-        self.defs = defs if defs is not None else set()
         # inside a rewrite rule: its pattern variables; no free identifiers
         self.pat_vars: Optional[frozenset[str]] = None
         # the scope: how many binders enclose the current position, and
@@ -302,14 +302,12 @@ class _Parser:
 
     # -- declarations -----------------------------------------------------
 
-    def declare(self, name: str, tok: Token, definable: bool = False):
+    def declare(self, name: str, tok: Token):
         if name in self.consts:
             self.fail(f"{name!r} is already declared", tok)
         if name == "Type":
             self.fail("'Type' is reserved", tok)
         self.consts.add(name)
-        if definable:
-            self.defs.add(name)
 
     def declaration(self) -> Declaration:
         start = self.peek()
@@ -348,7 +346,7 @@ class _Parser:
             if params:
                 self.fail("a definable constant cannot take parameters",
                           name_tok)
-            self.declare(name, name_tok, definable=True)
+            self.declare(name, name_tok)
             return DefinableConst(name, ty, self.span(name_tok))
         self.expect_sym(":=")
         body = self.term()
@@ -358,7 +356,7 @@ class _Parser:
             body = Lam(p, pty, body)
             if ty is not None:
                 ty = Pi(p, pty, ty)
-        self.declare(name, name_tok, definable=True)
+        self.declare(name, name_tok)
         return Definition(name, ty, body, self.span(name_tok))
 
     def rule(self) -> RuleDecl:
@@ -386,10 +384,9 @@ class _Parser:
         finally:
             self.pat_vars = None
         self.expect_sym(".")
-        head, _ = spine(lhs)
-        if not (isinstance(head, Const) and head.name in self.defs):
-            self.fail("rule left-hand side must be headed by a 'def' constant",
-                      start)
+        if not isinstance(spine(lhs)[0], Const):
+            self.fail("rule left-hand side must be headed by a declared "
+                      "constant", start)
         return RuleDecl(tuple(pat_vars), lhs, rhs, self.span(start))
 
     def file_decls(self) -> list[Declaration]:
@@ -400,15 +397,11 @@ class _Parser:
 
 
 def parse_file(text: str, file: str = "<input>",
-               consts: Optional[set[str]] = None,
-               defs: Optional[set[str]] = None) -> list[Declaration]:
-    """Parse one file's declarations.
-
-    `consts` carries names declared by earlier files, `defs` the subset
-    introduced by `def`; both are updated in place.
-    """
+               consts: Optional[set[str]] = None) -> list[Declaration]:
+    """Parse one file's declarations.  `consts` carries the names
+    declared by earlier files and is updated in place."""
     p = _Parser(tokenize(text, file), file,
-                consts if consts is not None else set(), defs)
+                consts if consts is not None else set())
     return p.file_decls()
 
 

@@ -432,6 +432,3 @@ class Ctx(Record):
 
     def names(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -7,20 +7,21 @@ kernel terms live in `morgandk.surface`, off the command path.
 The corpus is the `theories/` directory next to this module, one
 theory file per block.  `blocks_for` names the files a configuration
 selects; `build_theory` parses and checks them under the default fuel
-into a fresh signature.  Two caches, one for every builder, make
-sweeping the whole flag lattice cheap.  Parses are cached by file path
-and the names the file mentions that the namespace before it declares,
-so each file is parsed once per way its names resolve: once in all for
-the shipped lattice, and again when its modification time or size
-changes.  Checks are cached by the parse and by what the check can read
-of the signature before it: the installed constant and rules of every
-name the file's declarations reach through types and rule right-hand
-sides.  So a file is checked again only when something it can read
-differs, not whenever an earlier file does: 41 file checks for the 96
-configurations.  A hit re-reads the names of a reach stored with the
-parse; the closure is walked only before a check, so a warm build
-walks none.  `write_theory_files` copies the selected files out, so
-the exported corpus is the shipped one byte for byte.
+into a fresh signature.  One cache, shared by every builder, makes
+sweeping the whole flag lattice cheap.  It holds each file's parses,
+keyed on the names the file mentions that the signature before it
+declares, so each file is parsed once per way its names resolve: once
+in all for the shipped lattice, and again, with its old parses and
+checks dropped, when its modification time or size changes.  With each
+parse it holds its checks, keyed on what the check can read of the
+signature before it: the installed constant and rules of every name
+the file's declarations reach through types and rule right-hand sides.
+So a file is checked again only when something it can read differs,
+not whenever an earlier file does: 41 file checks for the 96
+configurations.  A hit re-reads the names of a stored reach; the
+closure is walked only before a check, so a warm build walks none.
+`write_theory_files` copies the selected files out, so the exported
+corpus is the shipped one byte for byte.
 
 The first-attempt decoding of faces by rewrite rules is kept out of
 every built signature: it breaks confluence (see the analyzer tests)
@@ -129,39 +130,48 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
 
 
 # path -> ((st_mtime_ns, st_size) of the file read, its identifiers,
-# {(declared names, definable names) among them: the declarations}).
+# {declared names among them: (the parse, its `_seed`, {a `_reach` of
+# it: {a state of that reach, the ids of what `_read` yields of it: (what
+# checking the parse in that state installed, what `_read` yielded)}})}).
 # Every namespace lookup the parser makes is on one of the file's
 # identifiers, so two namespaces that agree on them give equal parses.
 # Declarations and terms are immutable, so the signatures built from a
-# parse share it.
-_PARSE_CACHE: dict[Path, tuple[tuple[int, int], frozenset[str], dict]] = {}
+# parse share it.  A signature in a stored state of a stored reach has
+# that reach, since the walk from the seed reads only the names it
+# reaches; so at most one stored reach matches, and the closure is walked
+# only before a check.  What a check installed is its constants, in
+# order, and the new rules of each head, in the order the heads entered
+# `sig.rules`.  Checks are keyed on identity, not `==`: `==` on terms
+# ignores binder hints, and an untyped `def` takes its type from its
+# dependencies' types as they are written.  A stored check keeps the
+# objects its key names alive, so no id in a live key is reused, even
+# after a rewritten file drops the checks that installed them.
+_CACHE: dict[Path, tuple[tuple[int, int], frozenset[str], dict]] = {}
 
 
-def _parse(path: Path, sig: Signature) -> tuple[Declaration, ...]:
-    """`parse_file` on a corpus file in the namespace of `sig`, cached
-    by what the file's names see there.  A stat of the file tells
-    whether it changed since it was read; one that did is read again
-    and its old parses dropped.  A failed parse raises as `parse_file`
-    does and caches nothing."""
+def _parse(path: Path, sig: Signature) -> tuple:
+    """The cache entry of `parse_file` on a corpus file in the namespace
+    of `sig`, keyed by the declared names the file mentions.  A stat of
+    the file tells whether it changed since it was read; one that did is
+    read again, and its old parses and their checks dropped.  A failed
+    parse raises as `parse_file` does and caches nothing."""
     st = path.stat()
     stamp = (st.st_mtime_ns, st.st_size)
-    known = _PARSE_CACHE.get(path)
+    known = _CACHE.get(path)
     text = None
     if known is None or known[0] != stamp:
         text = path.read_text(encoding="utf-8")
         known = (stamp, identifiers(text), {})
     _, names, parses = known
-    consts = sig.consts
-    declared = frozenset(consts.keys() & names)
-    seen = (declared, frozenset(n for n in declared if not consts[n].static))
-    decls = parses.get(seen)
-    if decls is None:
+    seen = frozenset(sig.consts.keys() & names)
+    parse = parses.get(seen)
+    if parse is None:
         if text is None:
             text = path.read_text(encoding="utf-8")
-        decls = parses[seen] = tuple(
-            parse_file(text, path.name, *sig.namespace()))
-        _PARSE_CACHE[path] = known
-    return decls
+        decls = tuple(parse_file(text, path.name, set(sig.consts)))
+        parse = parses[seen] = (decls, _seed(decls), {})
+        _CACHE[path] = known
+    return parse
 
 
 # term -> the names of the constants in it, computed once per term for
@@ -221,51 +231,34 @@ def _reach(seed: frozenset[str], sig: Signature) -> tuple[str, ...]:
     return tuple(sorted(reached))
 
 
-def _state(reach: tuple[str, ...], sig: Signature) -> tuple[int, ...]:
-    """What `sig` holds for the names of `reach`, by identity: the
-    installed ConstInfo (or None) of each, then the rules of each in
-    order.  One flat sequence of rules is exact, since a rule sits under
-    its own head only."""
-    return tuple(map(id, chain(
-        map(sig.consts.get, reach),
-        chain.from_iterable(map(sig.rules.get, reach, repeat(()))))))
+def _read(reach: tuple[str, ...], sig: Signature):
+    """What `sig` holds for the names of `reach`: the installed
+    ConstInfo (or None) of each, then the rules of each in order.  One
+    flat sequence of rules is exact, since a rule sits under its own head
+    only."""
+    return chain(map(sig.consts.get, reach),
+                 chain.from_iterable(map(sig.rules.get, reach, repeat(()))))
 
 
-# id of a parse -> (the parse, its `_seed`, {a `_reach` of it: {a
-# `_state` of that reach: what checking the parse on a signature in that
-# state installed}}).  A signature in a stored state of a stored reach
-# has that reach, since the walk from the seed reads only the names it
-# reaches; so at most one stored reach matches, and the closure is
-# walked only before a check.  What a check installed is its constants,
-# in order, and the new rules of each head, in the order the heads
-# entered `sig.rules`.  Keyed on identity, not `==`: `==` on terms
-# ignores binder hints, and an untyped `def` takes its type from its
-# dependencies' types as they are written.  Every object a state names
-# by id is one that an entry installed, and entries are never dropped,
-# so no id is reused while its key lives.
-_CHECK_CACHE: dict[int, tuple[tuple[Declaration, ...], frozenset[str],
-                              dict[tuple[str, ...],
-                                   dict[tuple[int, ...], tuple]]]] = {}
-
-
-def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
-    """`check_signature(decls, sig=sig)`, cached by what the check can
-    read of `sig`.  A check whose result equals an earlier one of the
-    same parse, binder hints included (`repr` shows them), installs the
-    earlier objects, so the files after it still hit.  A failed check
-    raises as `check_signature` does and caches nothing."""
-    known = _CHECK_CACHE.get(id(decls)) or (decls, _seed(decls), {})
-    _, seed, checks = known
+def _check(parse: tuple, sig: Signature) -> None:
+    """`check_signature` on a `_parse` entry's declarations, extending
+    `sig`, cached in the entry by what the check can read of `sig`.  A
+    check whose result equals an earlier one of the same parse, binder
+    hints included (`repr` shows them), installs the earlier objects, so
+    the files after it still hit.  A failed check raises as
+    `check_signature` does and caches nothing."""
+    decls, seed, checks = parse
     for reach, states in checks.items():
-        hit = states.get(_state(reach, sig))
+        hit = states.get(tuple(map(id, _read(reach, sig))))
         if hit is not None:
-            for info in hit[0]:
+            consts, rules = hit[0]
+            for info in consts:
                 sig.add_const(info)
-            for head, rs in hit[1]:
+            for head, rs in rules:
                 sig.rules.setdefault(head, []).extend(rs)
             return
     reach = _reach(seed, sig)
-    state = _state(reach, sig)
+    read = tuple(_read(reach, sig))
     n_consts = len(sig.consts)
     n_rules = {head: len(rs) for head, rs in sig.rules.items()}
     check_signature(decls, sig=sig)
@@ -274,7 +267,7 @@ def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
                   for head, rs in sig.rules.items()
                   if len(rs) > n_rules.get(head, 0))
     done = (consts, rules)
-    same = next((c for states in checks.values() for c in states.values()
+    same = next((c for states in checks.values() for c, _ in states.values()
                  if c == done and repr(c) == repr(done)), None)
     if same is not None:
         for old in same[0]:
@@ -282,8 +275,7 @@ def _check(decls: tuple[Declaration, ...], sig: Signature) -> None:
         for (head, _), (_, old_rules) in zip(rules, same[1]):
             sig.rules[head][-len(old_rules):] = old_rules
         done = same
-    checks.setdefault(reach, {})[state] = done
-    _CHECK_CACHE[id(decls)] = known
+    checks.setdefault(reach, {})[tuple(map(id, read))] = (done, read)
 
 
 def _build(paths: tuple[Path, ...]) -> Signature:

@@ -289,20 +289,19 @@ def test_criterion_10_parser_roundtrip(record):
     quarantine = THEORIES / "quarantine" / "faces-first-attempt.dk"
     ok = len(files) == 15 and quarantine.is_file()
     consts: set[str] = set()
-    defs: set[str] = set()
     snapshots = {}
     for f in files:
-        snapshots[f] = (set(consts), set(defs))
-        parse_file(f.read_text(), f.name, consts, defs)
+        snapshots[f] = set(consts)
+        parse_file(f.read_text(), f.name, consts)
     # the quarantined file lives under the prefix that precedes the
     # shipped decoding block
     qpref = (THEORIES / "11-cubical-facetype.dk")
     snapshots[quarantine] = snapshots[qpref]
     for f in list(files) + [quarantine]:
-        cs, ds = snapshots[f]
-        first = parse_file(f.read_text(), f.name, set(cs), set(ds))
+        cs = snapshots[f]
+        first = parse_file(f.read_text(), f.name, set(cs))
         printed = "\n".join(print_declaration(d) for d in first)
-        second = parse_file(printed, f.name, set(cs), set(ds))
+        second = parse_file(printed, f.name, set(cs))
         ok = ok and len(first) == len(second)
         for a, b in zip(first, second):
             ok = ok and _decl_equiv(a, b)

@@ -1,8 +1,9 @@
 import pytest
 
 from morgandk.check import (Signature, TypeCheckError, check_declaration,
-                            check_signature, infer)
+                            check_rule, check_signature, infer)
 from morgandk.parser import parse_file, parse_term
+from morgandk.rewrite import compile_rule
 from morgandk.terms import TYPE, Const, Ctx, Var, app
 
 
@@ -11,8 +12,7 @@ def _pt(text, sig):
 
 
 def _decls(text, sig):
-    return parse_file(text, "<t>", set(sig.consts),
-                      {n for n, i in sig.consts.items() if not i.static})
+    return parse_file(text, "<t>", set(sig.consts))
 
 
 def test_infer_nat_code(full_sig):
@@ -72,14 +72,14 @@ def test_rule_mixing_carriers_rejected(full_sig):
 
 def test_declare_into_empty_signature():
     sig = Signature()
-    for d in parse_file("Lev : Type.", "<t>", set(), set()):
+    for d in parse_file("Lev : Type.", "<t>", set()):
         check_declaration(sig, d, 100000)
     assert sig.consts["Lev"].ty == TYPE
 
 
 def test_unbound_reference_rejected():
     # `A` is in the parser's namespace but not declared in the signature
-    decl = parse_file("x : A.", "<t>", {"A"}, set())[0]
+    decl = parse_file("x : A.", "<t>", {"A"})[0]
     with pytest.raises(TypeCheckError) as e:
         check_declaration(Signature(), decl, 100000)
     assert e.value.kind == "unbound"
@@ -87,7 +87,7 @@ def test_unbound_reference_rejected():
 
 def test_redeclaration_rejected():
     sig = Signature()
-    decls = parse_file("Lev : Type.", "<t>", set(), set())
+    decls = parse_file("Lev : Type.", "<t>", set())
     check_declaration(sig, decls[0], 100000)
     with pytest.raises(TypeCheckError) as e:
         check_declaration(sig, decls[0], 100000)
@@ -102,6 +102,47 @@ def test_rule_on_static_head_rejected(full_sig):
     with pytest.raises(TypeCheckError) as e:
         check_declaration(sig, RuleDecl((), lhs, rhs, None), 100000)
     assert "static" in str(e.value)
+
+
+_HEADS = "T : Type. c : T. def f : T -> T. def g : T -> T := x : T => x."
+
+
+def _heads_sig():
+    return check_signature(_decls(_HEADS, Signature()))
+
+
+def test_rule_head_must_be_definable():
+    # the parser accepts a rule on a static constant; the checker rejects it
+    sig = check_signature(_decls("U : Type. T : U -> Type.", Signature()))
+    (d,) = _decls("[i] T i --> T i.", sig)
+    with pytest.raises(TypeCheckError) as e:
+        check_declaration(sig, d)
+    assert (e.value.kind, e.value.msg) == (
+        "rule-ill-typed",
+        "rule head 'T' is static; only 'def' constants may be rewritten")
+
+
+def test_check_rule_alone_rejects_an_undeclared_or_static_head():
+    sig = _heads_sig()
+    for head, kind in (("k", "unbound"), ("c", "rule-ill-typed")):
+        rule = compile_rule(f"{head}.1", (), Const(head), Const("c"))
+        with pytest.raises(TypeCheckError) as e:
+            check_rule(sig, rule, sig.reducer())
+        assert e.value.kind == kind, head
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("[] k --> c.", "unbound"),
+    ("[] c --> c.", "rule-ill-typed"),
+    ("[x] g x --> x.", "rule-ill-typed"),
+])
+def test_rule_head_errors_keep_their_kind(text, kind):
+    sig = _heads_sig()
+    # `k` is in the parser's namespace but not declared in the signature
+    (d,) = parse_file(text, "<t>", set(sig.consts) | {"k"})
+    with pytest.raises(TypeCheckError) as e:
+        check_declaration(sig, d)
+    assert (e.value.kind, e.value.span.line) == (kind, 1)
 
 
 def test_corrupted_rule_reports_location(full_sig):

@@ -142,6 +142,35 @@ def test_check_parse_error_located_in_a_later_file(capsys, tmp_path):
     assert err == f"parse error: {bad}:3:10: expected a term, found ')'\n"
 
 
+_RULE_CONTEXT = ("T : Type. U : Type. c : T. def f : T -> T. "
+                 "def h : T -> U -> T. def g : T -> T := x : T => x.\n")
+
+
+@pytest.mark.parametrize("rule,code,first", [
+    ("[x] h x x --> x.", 1, "type error: {}:1:1: [rule-ill-typed] pattern "
+     "variable 'x' is used at incompatible types"),
+    ("[] f (c c) --> c.", 1, "type error: {}:1:1: [rule-ill-typed] "
+     "over-applied constant 'c' in pattern"),
+    ("[x, y] f x y --> x.", 1, "type error: {}:1:1: [rule-ill-typed] rule "
+     "head 'f' is over-applied"),
+    ("[F, x] f (F x) --> x.", 1, "type error: {}:1:1: [rule-ill-typed] "
+     "pattern variables must occur bare in left-hand sides"),
+    ("[x] g x --> x.", 1, "type error: {}:1:1: [rule-ill-typed] 'g' already "
+     "has a body; it cannot take rules"),
+    ("[] c --> c.", 1, "type error: {}:1:1: [rule-ill-typed] rule head 'c' "
+     "is static; only 'def' constants may be rewritten"),
+    ("[x] x --> x.", 2, "parse error: {}:1:1: rule left-hand side must be "
+     "headed by a declared constant"),
+])
+def test_check_rejects_a_misshapen_rule(capsys, tmp_path, rule, code, first):
+    ctx, bad = tmp_path / "ctx.dk", tmp_path / "rule.dk"
+    ctx.write_text(_RULE_CONTEXT)
+    bad.write_text(rule + "\n")
+    got, out, err = run(capsys, "check", str(ctx), str(bad))
+    assert (got, out, err.splitlines()[0]) == (
+        code, f"checked {ctx} (6 declarations)\n", first.format(bad))
+
+
 def test_reduce_builtin_theory(capsys):
     code, out, _ = run(capsys, "reduce", "sym (sym i)")
     assert code == 0 and out.strip() == "i"
@@ -194,10 +223,10 @@ def test_reduce_fuel_flag_and_env(capsys, monkeypatch):
 def test_reduce_fuel_bounds_only_the_term(capsys, monkeypatch):
     # with no files the built-in corpus is checked under the default
     # fuel, even from a cold check cache
-    monkeypatch.setattr(theory, "_CHECK_CACHE", {})
+    monkeypatch.setattr(theory, "_CACHE", {})
     code, out, err = run(capsys, "reduce", "--fuel", "20", "Imin 1 i")
     assert (code, out, err) == (0, "i\n", "")
-    monkeypatch.setattr(theory, "_CHECK_CACHE", {})
+    monkeypatch.setattr(theory, "_CACHE", {})
     code, _, err = run(capsys, "reduce", "--fuel", "2", "exDouble exTwo")
     assert code == 3 and "fuel" in err
 

@@ -13,7 +13,7 @@ from morgandk.theory import FULL_CONFIG, blocks_for
 
 
 def test_static_decl():
-    decls = parse_file("T : Lev -> Type.", "<t>", {"Lev"}, set())
+    decls = parse_file("T : Lev -> Type.", "<t>", {"Lev"})
     assert len(decls) == 1
     d = decls[0]
     assert isinstance(d, StaticConst)
@@ -26,15 +26,15 @@ def test_rule_decl_pattern_vars():
     consts = {"p1", "pair"}
     decls = parse_file(
         "[i, A, B, a, b] p1 i A B (pair i A B a b) --> a.",
-        "<t>", consts, {"p1", "pair"})
+        "<t>", consts)
     (d,) = decls
     assert isinstance(d, RuleDecl)
     assert d.pat_vars == ("i", "A", "B", "a", "b")
 
 
 def test_empty_input():
-    assert parse_file("", "<t>", set(), set()) == []
-    assert parse_file("(; only a comment ;)", "<t>", set(), set()) == []
+    assert parse_file("", "<t>", set()) == []
+    assert parse_file("(; only a comment ;)", "<t>", set()) == []
 
 
 def test_parse_term_lambda():
@@ -70,25 +70,32 @@ def test_pretty_reparses():
     assert alpha_eq(parse_term(pretty(t)), t)
 
 
-def test_rule_head_must_be_definable():
-    with pytest.raises(ParseError):
-        parse_file("[i] T i --> T i.", "<t>", {"T"}, set())
+def test_rule_head_must_be_a_constant():
+    for text in ("[x] x --> x.", "[] Type --> Type."):
+        with pytest.raises(ParseError) as err:
+            parse_file(text, "<t>", set())
+        assert err.value.msg == ("rule left-hand side must be headed by "
+                                 "a declared constant")
+        assert err.value.span == SourceSpan("<t>", 1, 1)
+    # whether the constant may take rules is the checker's decision
+    (d,) = parse_file("[i] T i --> T i.", "<t>", {"T"})
+    assert isinstance(d, RuleDecl)
 
 
 def test_redeclaration_rejected():
     with pytest.raises(ParseError):
-        parse_file("A : Type.\nA : Type.", "<t>", set(), set())
+        parse_file("A : Type.\nA : Type.", "<t>", set())
 
 
 def test_reserved_name():
     with pytest.raises(ParseError):
-        parse_file("Type : Type.", "<t>", set(), set())
+        parse_file("Type : Type.", "<t>", set())
 
 
 def test_parameterized_definition_sugar():
     decls = parse_file(
         "def f (i : Lev) (A : T i) : T i := A.",
-        "<t>", {"Lev", "T"}, set())
+        "<t>", {"Lev", "T"})
     (d,) = decls
     assert isinstance(d, Definition)
     assert isinstance(d.ty, Pi) and isinstance(d.body, Lam)
@@ -116,15 +123,14 @@ CORPUS_BLOCKS = [(p.name, p.read_text()) for p in blocks_for(FULL_CONFIG)]
                          v.endswith(".dk") else None)
 def test_roundtrip_corpus_block(fname, text):
     consts: set[str] = set()
-    defs: set[str] = set()
     # feed every earlier block so cross-block references resolve
     for f2, t2 in CORPUS_BLOCKS:
         if f2 == fname:
             break
-        parse_file(t2, f2, consts, defs)
-    first = parse_file(text, fname, set(consts), set(defs))
+        parse_file(t2, f2, consts)
+    first = parse_file(text, fname, set(consts))
     printed = "\n".join(print_declaration(d) for d in first)
-    second = parse_file(printed, fname + "<reprint>", set(consts), set(defs))
+    second = parse_file(printed, fname + "<reprint>", set(consts))
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert _decl_equiv(a, b), print_declaration(a)

@@ -198,7 +198,7 @@ def test_encode_application_is_meta_level(full_sig):
 
 
 def test_encode_context_shapes():
-    assert len(encode_context([])) == 0
+    assert encode_context([]).entries == ()
     ctx = encode_context([("x", ANat(), L0, INTERNAL)])
     assert ctx.lookup("x") == app(Const("eps"), Const("l0"),
                                   app(Const("Nat"), Const("l0")))
@@ -284,8 +284,7 @@ CORPUS_DIR = blocks_for(TheoryConfig())[0].parent
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    monkeypatch.setattr(theory, "_CHECK_CACHE", {})
-    monkeypatch.setattr(theory, "_PARSE_CACHE", {})
+    monkeypatch.setattr(theory, "_CACHE", {})
 
 
 def test_cold_sweep_parses_each_file_once(cold_caches, monkeypatch):
@@ -296,9 +295,9 @@ def test_cold_sweep_parses_each_file_once(cold_caches, monkeypatch):
         tokenized[file, text] += 1
         return tokenize(text, file)
 
-    def counting_parse(text, file, *namespace):
+    def counting_parse(text, file, consts):
         parsed[file, text] += 1
-        return parse(text, file, *namespace)
+        return parse(text, file, consts)
 
     monkeypatch.setattr(parser, "tokenize", counting_tokenize)
     monkeypatch.setattr(theory, "parse_file", counting_parse)
@@ -319,29 +318,29 @@ def test_cold_sweep_parses_each_file_once(cold_caches, monkeypatch):
 def test_cached_parses_equal_fresh_ones(cold_caches):
     # file-path prefix -> uncached parse of its last file, and the
     # namespace after it
-    fresh = {(): ((), set(), set())}
+    fresh = {(): ((), set())}
     shown = set()
     for cfg in _all_configs():
         sig = Signature()
         blocks = tuple(blocks_for(cfg))
         for n, path in enumerate(blocks, 1):
             if blocks[:n] not in fresh:
-                _, c, d = fresh[blocks[:n - 1]]
-                c, d = set(c), set(d)
+                c = set(fresh[blocks[:n - 1]][1])
                 fresh[blocks[:n]] = (
-                    parse_file(path.read_text(), path.name, c, d), c, d)
-            expected, fresh_consts, fresh_defs = fresh[blocks[:n]]
-            cached = theory._parse(path, sig)
-            theory._check(cached, sig)
+                    parse_file(path.read_text(), path.name, c), c)
+            expected, fresh_consts = fresh[blocks[:n]]
+            entry = theory._parse(path, sig)
+            theory._check(entry, sig)
+            cached = entry[0]
             assert list(cached) == expected
             # == skips binder hints; repr shows every field, once per parse
             if id(cached) not in shown:
                 shown.add(id(cached))
                 assert ([repr(d) for d in cached]
                         == [repr(d) for d in expected])
-            assert sig.namespace() == (fresh_consts, fresh_defs)
-    parses = sum(len(p) for _, _, p in theory._PARSE_CACHE.values())
-    assert (len(theory._PARSE_CACHE), parses) == (16, 16)
+            assert set(sig.consts) == fresh_consts
+    parses = sum(len(p) for _, _, p in theory._CACHE.values())
+    assert (len(theory._CACHE), parses) == (16, 16)
 
 
 def test_failed_parse_raises_as_parse_file_and_caches_nothing(cold_caches):
@@ -350,7 +349,7 @@ def test_failed_parse_raises_as_parse_file_and_caches_nothing(cold_caches):
     # declare T1, the name 02-axioms-t1.dk declares, ahead of it
     clash = good.copy()
     check.check_declaration(
-        clash, parse_file(t1.read_text(), t1.name, *good.namespace())[0])
+        clash, parse_file(t1.read_text(), t1.name, set(good.consts))[0])
 
     def failure(parse):
         with pytest.raises(ParseError) as err:
@@ -358,15 +357,15 @@ def test_failed_parse_raises_as_parse_file_and_caches_nothing(cold_caches):
         return str(err.value), err.value.msg, err.value.span
 
     expected = failure(
-        lambda: parse_file(t1.read_text(), t1.name, *clash.namespace()))
+        lambda: parse_file(t1.read_text(), t1.name, set(clash.consts)))
     assert expected[1] == "'T1' is already declared"
     assert failure(lambda: theory._parse(t1, clash)) == expected
-    assert t1 not in theory._PARSE_CACHE
+    assert t1 not in theory._CACHE
     # with the good parse cached, the clashing namespace misses it
     theory._parse(t1, good)
-    before = dict(theory._PARSE_CACHE[t1][2])
+    before = dict(theory._CACHE[t1][2])
     assert failure(lambda: theory._parse(t1, clash)) == expected
-    assert theory._PARSE_CACHE[t1][2] == before
+    assert theory._CACHE[t1][2] == before
 
 
 def test_a_file_rewritten_in_place_is_parsed_again(cold_caches, tmp_path):
@@ -377,9 +376,24 @@ def test_a_file_rewritten_in_place_is_parsed_again(cold_caches, tmp_path):
     before = theory._build(tuple(copies))
     assert "extra" not in before.consts
     last = copies[-1]
+    old_stamp = theory._CACHE[last][0]
     last.write_text(last.read_text() + "extra : Type.\n")
     after = theory._build(tuple(copies))
     assert list(after.consts) == list(before.consts) + ["extra"]
+    # the old parse is gone, and its checks with it: no stale entry
+    stamp, _, parses = theory._CACHE[last]
+    ((decls, _, checks),) = parses.values()
+    assert stamp != old_stamp and decls[-1].name == "extra"
+    assert [len(states) for states in checks.values()] == [1]
+
+
+def _checks():
+    """(path, declared names a parse saw) -> a copy of its checks, for
+    every parse in the theory cache."""
+    return {(path, seen): {reach: dict(states)
+                           for reach, states in checks.items()}
+            for path, (_, _, parses) in theory._CACHE.items()
+            for seen, (_, _, checks) in parses.items()}
 
 
 def _shown(sig, memo=None):
@@ -401,17 +415,17 @@ def _shown(sig, memo=None):
 def _fresh_signatures(configs):
     """config -> `check_signature` over fresh parses of its blocks, with
     no theory cache; each file-path prefix is checked once."""
-    by_prefix = {(): (Signature(), set(), set())}
+    by_prefix = {(): (Signature(), set())}
     out = {}
     for cfg in configs:
         blocks = tuple(blocks_for(cfg))
         for n, path in enumerate(blocks, 1):
             if blocks[:n] not in by_prefix:
-                sig, consts, defs = by_prefix[blocks[:n - 1]]
-                sig, consts, defs = sig.copy(), set(consts), set(defs)
+                sig, consts = by_prefix[blocks[:n - 1]]
+                sig, consts = sig.copy(), set(consts)
                 check_signature(parse_file(path.read_text(), path.name,
-                                           consts, defs), sig=sig)
-                by_prefix[blocks[:n]] = (sig, consts, defs)
+                                           consts), sig=sig)
+                by_prefix[blocks[:n]] = (sig, consts)
         out[cfg] = by_prefix[blocks][0]
     return out
 
@@ -546,10 +560,10 @@ def test_checks_keep_binder_hints_apart(cold_caches, tmp_path):
         (tmp_path / name).write_text(text)
     x, y, g = (tmp_path / name for name in files)
     for paths in ((x, g), (y, g)):
-        consts, defs = set(), set()
+        consts = set()
         fresh = check_signature(
             [d for p in paths
-             for d in parse_file(p.read_text(), p.name, consts, defs)])
+             for d in parse_file(p.read_text(), p.name, consts)])
         assert _shown(theory._build(paths)) == _shown(fresh)
     assert theory._build((y, g)).consts["g"].ty.var == "y"
 
@@ -581,9 +595,9 @@ def test_failed_check_raises_as_check_signature_and_caches_nothing(
     broken.write_text(good[at].read_text() + "def broken : Type := Type.\n")
     bad = good[:at] + [broken] + good[at + 1:]
 
-    consts, defs = set(), set()
+    consts = set()
     decls = [d for p in bad
-             for d in parse_file(p.read_text(), p.name, consts, defs)]
+             for d in parse_file(p.read_text(), p.name, consts)]
     with pytest.raises(TypeCheckError) as err:
         check_signature(decls)
     expected = (err.value.render(), err.value.span, err.value.kind)
@@ -591,13 +605,14 @@ def test_failed_check_raises_as_check_signature_and_caches_nothing(
 
     reference = _shown(theory._build(tuple(good)))
     assert reference == _shown(_fresh_signatures([FULL_CONFIG])[FULL_CONFIG])
-    cached = {k: (parse, seed, {reach: dict(states)
-                                for reach, states in checks.items()})
-              for k, (parse, seed, checks) in theory._CHECK_CACHE.items()}
+    cached = _checks()
     for _ in range(2):
         with pytest.raises(TypeCheckError) as err:
             theory._build(tuple(bad))
         assert (err.value.render(), err.value.span,
                 err.value.kind) == expected
-        assert theory._CHECK_CACHE == cached
+        # the broken file's parse is cached, with no check
+        checks = _checks()
+        assert [v for (path, _), v in checks.items() if path == broken] == [{}]
+        assert {k: v for k, v in checks.items() if k[0] != broken} == cached
     assert _shown(theory._build(tuple(good))) == reference
