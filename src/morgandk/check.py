@@ -286,14 +286,9 @@ def check_declaration(sig: Signature, decl: Declaration,
                 sig.add_rule(RewriteRule(f"{name}.def", name, (),
                                          Const(name), body, ()))
             case RuleDecl(pat_vars, lhs, rhs, _):
-                head, _ = spine(lhs)
-                if not isinstance(head, Const):
-                    raise TypeCheckError(
-                        "rule left-hand side must be headed by a constant",
-                        kind="rule-ill-typed")
-                serial = len(sig.rules.get(head.name, ())) + 1
-                rule = compile_rule(f"{head.name}.{serial}",
-                                    pat_vars, lhs, rhs)
+                rule = compile_rule("", pat_vars, lhs, rhs)
+                serial = len(sig.rules.get(rule.head, ())) + 1
+                rule = rule.replace(name=f"{rule.head}.{serial}")
                 check_rule(sig, rule, red)
                 sig.add_rule(rule)
             case _:

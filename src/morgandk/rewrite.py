@@ -12,9 +12,16 @@ rules behave definitionally.
 Traced reduction instead takes one leftmost-outermost step at a time with
 plain syntactic matching, so every recorded step can be replayed without
 hidden work.  After a step the search resumes at the position it just
-rewrote, after re-checking that position's ancestors, instead of
-starting again from the root.  On well-typed terms the two strategies
-compute the same normal forms.
+rewrote instead of starting again from the root, after re-checking the
+ancestors that the step can make fire: the applications on the `fn`
+chain directly above it (their head changed), every lambda (eta), and
+every application headed by a constant with rules (a non-left-linear
+pattern compares whole arguments).  No other ancestor can gain a root
+step, since a step changes no ancestor's class.  The ancestors are
+rebuilt lazily, as in Huet's zipper: when the walk climbs out of them or
+must re-check them.  Replay keeps the same kind of path from one step's
+position to the next.  On well-typed terms the two strategies compute
+the same normal forms.
 
 Normalization, traced or not, keeps its own stack or path instead of
 recursing, so a term's depth is not bounded by the interpreter's
@@ -23,6 +30,7 @@ recursion limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
@@ -284,6 +292,12 @@ class Reducer:
                         return r.name, msubst(r.rhs, sub)
         return None
 
+    def _headed_by_rules(self, t: Term) -> bool:
+        """Whether t's spine head is a constant that has rules."""
+        while t.__class__ is App:
+            t = t.fn
+        return t.__class__ is Const and bool(self.rules.get(t.name))
+
     def normalize_traced(self, t: Term) -> tuple[Term, list[Step]]:
         """Leftmost-outermost normalization, one recorded step at a time.
 
@@ -292,53 +306,117 @@ class Reducer:
         from the root.  The positions before the rewritten one in
         preorder are its ancestors and the subterms left of its path.
         The search passed them all without finding a step, and a step
-        changes only the ancestors.  So it re-checks the ancestors, root
-        first, and otherwise continues the preorder at the rewritten
-        position.  The steps are those of a fresh search from the root
-        after every step."""
+        changes only the ancestors, none of which changes class.  So it
+        re-checks, root first, the ancestors that a step below can make
+        fire, and otherwise continues the preorder at the rewritten
+        position.  Those ancestors are:
+
+        - the unbroken chain of applications whose `fn` leads to the
+          step: their spine head is the rewritten term's head, and the
+          lowest becomes a beta redex when that term is a lambda;
+        - every lambda, since a step in its body can make it an eta
+          redex;
+        - every application whose spine head is a constant with rules:
+          a non-left-linear pattern compares whole arguments, so no
+          pattern depth bounds where a step can make it match.
+
+        No other ancestor can fire.  A pattern is headed by a constant,
+        so an application headed by a variable, a sort or a constant
+        without rules has no rule step; one headed by a lambda would
+        have been a beta redex at its innermost application, found
+        before the search went below it; and a product never steps.
+
+        The path is a zipper with stale parents: a step replaces the
+        node alone, and an ancestor is rebuilt when the walk climbs out
+        of it or when it must be re-checked, from the step up to the
+        highest one re-checked.  The ancestors that can fire are kept as
+        a stack of path indices beside the path; after a step the `fn`
+        chain above it is entered there again if its new head has rules.
+        The steps are those of a fresh search from the root after every
+        step, and on the numerals of `exDouble` the work is linear in
+        the depth."""
         steps: list[Step] = []
         nodes: list[Term] = []  # the ancestors of `node`, root first
         keys: list[str] = []  # the child taken at each ancestor
+        watch: list[int] = []  # indices of the ancestors a step can make fire
         node = t
         hit = self._rule_step_at_root(node)
         while True:
             if hit is None:
+                depth = len(nodes)
                 node = _next_in_preorder(node, nodes, keys)
                 if node is None:
-                    return t, steps
+                    return nodes[0], steps
+                if len(nodes) > depth:
+                    top = nodes[-1]
+                    if top.__class__ is Lam or self._headed_by_rules(top):
+                        watch.append(depth)
+                else:
+                    del watch[bisect_left(watch, len(nodes)):]
                 hit = self._rule_step_at_root(node)
                 continue
             self.fuel.tick()
             name, node = hit
             steps.append((tuple(keys), name))
-            t = node
-            for i in range(len(nodes) - 1, -1, -1):
-                t = nodes[i] = _with_child(nodes[i], keys[i], t)
-            for i, above in enumerate(nodes):
-                hit = self._rule_step_at_root(above)
-                if hit is not None:
-                    del nodes[i:], keys[i:]
-                    break
-            else:
+            n = j = len(nodes)
+            while j and keys[j - 1] == "fn":
+                j -= 1
+            del watch[bisect_left(watch, j):]
+            recheck = watch + list(range(j, n))
+            if j < n and self._headed_by_rules(node):
+                watch.extend(range(j, n))
+            hit = None
+            if recheck:
+                child = node
+                for i in range(n - 1, recheck[0] - 1, -1):
+                    child = nodes[i] = _with_child(nodes[i], keys[i], child)
+                for i in recheck:
+                    hit = self._rule_step_at_root(nodes[i])
+                    if hit is not None:
+                        del nodes[i:], keys[i:], watch[bisect_left(watch, i):]
+                        break
+            if hit is None:
                 hit = self._rule_step_at_root(node)
 
     def replay(self, t: Term, steps: Sequence[Step]) -> Term:
+        """Apply recorded steps to t, checking that each is a step:
+        a beta or eta redex at its position, or a known rule whose head,
+        arity and patterns match there syntactically.  Raises
+        ReplayError otherwise.
+
+        The term is walked as a zipper: `t` is the subterm at the last
+        step's position and `nodes` holds its ancestors, not yet
+        rebuilt.  For each step the walk climbs to the longest common
+        prefix of the two positions, rebuilding each ancestor it leaves
+        (every one is stale, since every step replaces the subterm below
+        it), and descends from there, so a step next to the last costs
+        little whatever the depth."""
         by_name = {r.name: r for rs in self.rules.values() for r in rs}
+        nodes: list[Term] = []  # the ancestors of `t`, root first
+        at: tuple[str, ...] = ()  # the position of `t`
         for pos, name in steps:
-            sub_t = _subterm_at(t, pos)
+            k = _common_prefix(at, pos)
+            while len(nodes) > k:
+                parent = nodes.pop()
+                t = _with_child(parent, at[len(nodes)], t)
+            for key in pos[k:]:
+                nodes.append(t)
+                t = _child(t, key, pos)
+            at = pos
             if name == "beta":
-                if not (isinstance(sub_t, App) and isinstance(sub_t.fn, Lam)):
+                if not (isinstance(t, App) and isinstance(t.fn, Lam)):
                     raise ReplayError(f"no beta redex at {'/'.join(pos) or 'root'}")
-                repl = instantiate(sub_t.fn.body, sub_t.arg)
+                t = instantiate(t.fn.body, t.arg)
             elif name == "eta":
-                repl = _eta_body(sub_t)
+                repl = _eta_body(t)
                 if repl is None:
                     raise ReplayError(f"no eta redex at {'/'.join(pos) or 'root'}")
+                t = repl
             else:
                 r = by_name.get(name)
                 if r is None:
                     raise ReplayError(f"unknown rule {name!r}")
-                head, args = spine(sub_t)
+                head, args = spine(t)
                 binding: dict[str, Term] = {}
                 if not (isinstance(head, Const) and head.name == r.head
                         and len(args) == len(r.lhs_args)
@@ -346,8 +424,10 @@ class Reducer:
                                     repeat(binding)))):
                     raise ReplayError(
                         f"rule {name!r} does not apply at {'/'.join(pos) or 'root'}")
-                repl = msubst(r.rhs, binding)
-            t = _replace_at(t, pos, repl)
+                t = msubst(r.rhs, binding)
+        while nodes:
+            parent = nodes.pop()
+            t = _with_child(parent, at[len(nodes)], t)
         return t
 
 
@@ -400,10 +480,21 @@ def _child(t: Term, key: str, pos: tuple[str, ...]) -> Term:
     return child
 
 
-def _subterm_at(t: Term, pos: tuple[str, ...]) -> Term:
-    for k in pos:
-        t = _child(t, k, pos)
-    return t
+def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    """The length of the longest common prefix of two positions.  Slice
+    comparisons run in C: the first settles the usual case, where one
+    position extends the other, and bisection the rest."""
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
+    lo, hi = 0, n - 1  # a[:lo] == b[:lo] and a[:hi + 1] != b[:hi + 1]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _with_child(t: Term, key: str, child: Term) -> Term:
@@ -436,7 +527,13 @@ def _next_in_preorder(t: Term, nodes: list[Term],
     """The node after t in preorder, t's subterms included: its first
     child, else the next sibling of t or of its nearest ancestor that
     has one.  `nodes` and `keys` hold the path from the root to t and
-    are moved along with it.  None after the last node."""
+    are moved along with it.
+
+    The path may be stale: the caller may have replaced t, or a node
+    on its way up, without rebuilding the ancestors.  The walk carries
+    each rewritten child up, rebuilding a parent as it leaves the child
+    if the parent does not hold that child.  None after the last node;
+    `nodes` then holds the root alone, with every replacement in it."""
     children = _CHILDREN.get(t.__class__)
     if children is not None:
         nodes.append(t)
@@ -447,12 +544,16 @@ def _next_in_preorder(t: Term, nodes: list[Term],
         return getattr(t, first)
     while nodes:
         parent, k = nodes[-1], keys[-1]
+        if getattr(parent, k) is not t:
+            parent = nodes[-1] = _with_child(parent, k, t)
         if k == "fn" or k == "dom":
             k = _CHILDREN[parent.__class__][1]
             keys[-1] = k
             return getattr(parent, k)
         nodes.pop()
         keys.pop()
+        t = parent
+    nodes.append(t)
     return None
 
 

@@ -2,9 +2,9 @@ import pytest
 
 from morgandk.check import (Signature, TypeCheckError, check_declaration,
                             check_rule, check_signature, infer)
-from morgandk.parser import parse_file, parse_term
+from morgandk.parser import RuleDecl, SourceSpan, parse_file, parse_term
 from morgandk.rewrite import compile_rule
-from morgandk.terms import TYPE, Const, Ctx, Var, app
+from morgandk.terms import TYPE, App, Const, Ctx, Var, app
 
 
 def _pt(text, sig):
@@ -143,6 +143,26 @@ def test_rule_head_errors_keep_their_kind(text, kind):
     with pytest.raises(TypeCheckError) as e:
         check_declaration(sig, d)
     assert (e.value.kind, e.value.span.line) == (kind, 1)
+
+
+def test_rules_are_named_by_head_and_serial():
+    sig = _heads_sig()
+    for d in _decls("[] f c --> c. [x] f (f x) --> f x.", sig):
+        check_declaration(sig, d)
+    assert [r.name for r in sig.rules["f"]] == ["f.1", "f.2"]
+
+
+def test_rule_headed_by_a_variable_is_ill_typed():
+    # the parser rejects such a rule; one built directly reaches the
+    # checker, which reports it at the declaration's span
+    sig = _heads_sig()
+    span = SourceSpan("<t>", 3, 5)
+    decl = RuleDecl(("x",), App(Var("x"), Const("c")), Const("c"), span)
+    with pytest.raises(TypeCheckError) as e:
+        check_declaration(sig, decl)
+    assert (e.value.kind, e.value.msg, e.value.span) == (
+        "rule-ill-typed", "rule left-hand side must be headed by a constant",
+        span)
 
 
 def test_corrupted_rule_reports_location(full_sig):

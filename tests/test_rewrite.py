@@ -252,6 +252,29 @@ def test_traced_normalization_of_a_deep_numeral(full_sig,
     assert red.replay(term, steps) == nf
 
 
+def test_traced_work_is_linear_in_the_depth(full_sig, monkeypatch):
+    # a step rebuilds no ancestor at once: the walk rebuilds each when it
+    # climbs out, and replay climbs only to the next step's position, so
+    # twice the depth builds about twice the applications
+    init = App.__init__
+    built = [0]
+
+    def counted(self, fn, arg):
+        built[0] += 1
+        init(self, fn, arg)
+
+    terms = [App(Const("exDouble"), _numeral(d)) for d in (100, 200)]
+    monkeypatch.setattr(App, "__init__", counted)
+    counts = []
+    for term in terms:
+        red = full_sig.reducer(cached=False)
+        built[0] = 0
+        nf, steps = red.normalize_traced(term)
+        assert red.replay(term, steps) == nf
+        counts.append(built[0])
+    assert counts[1] <= 2.3 * counts[0], counts
+
+
 def test_trace_replays(full_sig):
     red = full_sig.reducer()
     t = _pt("Imin 1 (sym (sym (Imax 0 i)))", full_sig)
@@ -268,11 +291,32 @@ def test_replay_rejects_wrong_position(full_sig):
         red.replay(Var("unrelated"), steps)
 
 
+def test_replay_errors_after_a_valid_step(full_sig):
+    # replay keeps the path to the last step and climbs from there to
+    # the next one: its errors are those of a walk from the root
+    red = full_sig.reducer()
+    t = _pt("g (sym (sym i)) (x => h x)", full_sig)
+    first = red.normalize_traced(t)[1][0]
+    assert first[0] == ("fn", "arg")
+    sym = first[1]
+    for bad, msg in [
+            ((("fn", "arg", "fn"), "beta"), "position fn/arg/fn does not exist"),
+            ((("arg", "dom"), "beta"), "position arg/dom does not exist"),
+            ((("arg",), "beta"), "no beta redex at arg"),
+            ((("fn", "arg"), "eta"), "no eta redex at fn/arg"),
+            ((("arg",), "nope"), "unknown rule 'nope'"),
+            ((("arg",), sym), f"rule {sym!r} does not apply at arg")]:
+        with pytest.raises(ReplayError) as e:
+            red.replay(t, [first, bad])
+        assert str(e.value) == msg
+
+
 # -- traced reduction: the resumed search ------------------------------------
 # `normalize_traced` resumes its search at the position it just rewrote,
-# after re-checking that position's ancestors.  The loop it replaced,
-# which searched again from the root after every step, stays here as the
-# reference: the steps, their positions and the normal form must agree.
+# after re-checking the ancestors that the step can make fire.  The loop
+# it replaced, which searched again from the root after every step,
+# stays here as the reference: the steps, their positions and the normal
+# form must agree, and replaying the steps must give that normal form.
 
 def _find_step_reference(red, t, pos=()):
     hit = red._rule_step_at_root(t)
@@ -309,6 +353,7 @@ def _same_trace(sig, t):
     got = red.normalize_traced(t)
     assert got[1] == want[1]
     assert repr(got[0]) == repr(want[0])  # binder hints included
+    assert repr(red.replay(t, got[1])) == repr(got[0])
     return got
 
 
@@ -330,6 +375,11 @@ _REDEX_ABOVE = {
     # projection rule equal: a match at the root
     "non-left-linear match at the root":
         "p2 l0 A B (pair l0 A (p2 l0 C D (pair l0 C D e B)) a b)",
+    # the head of the fn chain above the step unfolds from exDouble to
+    # natElim, which fires at the root once exTwo unfolds in the argument
+    "a head that gains rules": "exDouble exTwo",
+    # three steps under the lambda before its body becomes `g i x`
+    "eta above several steps": "f (x => g (sym (sym i)) (exId x))",
 }
 
 
@@ -339,7 +389,9 @@ def test_traced_search_rechecks_the_ancestors(full_sig, label):
     nf, steps = _same_trace(full_sig, t)
     above = {"beta at the parent": (("arg", "arg"), "beta"),
              "eta at a distant ancestor": ((), "eta"),
-             "non-left-linear match at the root": ((), "p2.1")}[label]
+             "non-left-linear match at the root": ((), "p2.1"),
+             "a head that gains rules": ((), "natElim.2"),
+             "eta above several steps": (("arg",), "eta")}[label]
     assert above in steps, steps
 
 
