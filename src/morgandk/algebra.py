@@ -15,7 +15,9 @@ functions here decide the full equational theories from outside the kernel:
 Both deciders evaluate each side once, bit-parallel, over all 4^n (or 3^n)
 assignments, encoded as big-integer masks; queries with more than
 MAX_GENERATORS generators are refused.  The per-assignment evaluators stay
-as the reference semantics.
+as the reference semantics.  There is one interval evaluator: a face
+evaluates its interval expressions in DM4, at a point of the chain
+embedded as DM4's subalgebra {BOT, A, TOP}.
 
 Nothing in this module calls the rewrite engine.  The confluence analyzer
 and the test suite use these oracles to audit the shipped rules, which is
@@ -238,28 +240,10 @@ class Chain3(Enum):
 _CHAIN3_SWEEP = (Chain3.ONE, Chain3.HALF, Chain3.ZERO)
 
 
-def _c3_neg(v: Chain3) -> Chain3:
-    return Chain3(2 - v.value)
-
-
-def eval_interval3(e: IExpr, rho: Mapping[str, Chain3]) -> Chain3:
-    """Interval expression at a cube point (the Kleene chain 0 < 1/2 < 1)."""
-    match e:
-        case Zero():
-            return Chain3.ZERO
-        case One():
-            return Chain3.ONE
-        case Gen(name):
-            if name not in rho:
-                raise OracleError(f"unbound generator: {name}")
-            return rho[name]
-        case Neg(a):
-            return _c3_neg(eval_interval3(a, rho))
-        case Meet(a, b):
-            return Chain3(min(eval_interval3(a, rho).value, eval_interval3(b, rho).value))
-        case Join(a, b):
-            return Chain3(max(eval_interval3(a, rho).value, eval_interval3(b, rho).value))
-    raise OracleError(f"not an interval expression: {e!r}")
+# The chain is DM4's subalgebra {BOT, A, TOP}: an interval expression at
+# a cube point is evaluated in DM4 under this embedding.
+_CHAIN3_IN_DM4 = {Chain3.ZERO: DM4Value.BOT, Chain3.HALF: DM4Value.A,
+                  Chain3.ONE: DM4Value.TOP}
 
 
 def face_generators(f: FExpr) -> set:
@@ -280,10 +264,9 @@ def eval_face(f: FExpr, rho: Mapping[str, Chain3]) -> bool:
             return False
         case FTop():
             return True
-        case Eq0(a):
-            return eval_interval3(a, rho) is Chain3.ZERO
-        case Eq1(a):
-            return eval_interval3(a, rho) is Chain3.ONE
+        case Eq0(a) | Eq1(a):
+            at = eval_interval(a, {n: _CHAIN3_IN_DM4[v] for n, v in rho.items()})
+            return at is (DM4Value.BOT if isinstance(f, Eq0) else DM4Value.TOP)
         case FMeet(a, b):
             return eval_face(a, rho) and eval_face(b, rho)
         case FJoin(a, b):

@@ -43,8 +43,8 @@ class TypeCheckError(Exception):
     """Any failure of declaration or term checking.
 
     `kind` is a coarse machine-readable tag: one of mismatch,
-    not-a-function, unbound, sort-error, rule-ill-typed, redeclaration,
-    fuel.
+    not-a-function, unbound, sort-error, rule-ill-typed, redeclaration.
+    Running out of fuel is not a type error: it raises FuelExhausted.
     """
 
     def __init__(self, msg: str, span: Optional[SourceSpan] = None,
@@ -213,55 +213,42 @@ def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
         raise TypeCheckError(
             f"{rule.head!r} already has a body; it cannot take rules",
             kind="rule-ill-typed")
-    types: dict[str, Term] = {}
-    order: list[str] = []
+    types: dict[str, Term] = {}  # each pattern variable's, in order
 
-    def bind(v: str, ty: Term) -> None:
-        if v in types:
-            if not red.conv(types[v], ty):
+    def walk(p: Term, expected: Optional[Term]) -> Optional[Term]:
+        # binds the pattern variables of p and returns p's computed type
+        if isinstance(p, Var):
+            if p.name not in types:
+                types[p.name] = expected
+            elif not red.conv(types[p.name], expected):
                 raise TypeCheckError(
-                    f"pattern variable {v!r} is used at incompatible types",
-                    expected=types[v], actual=ty)
-        else:
-            types[v] = ty
-            order.append(v)
-
-    def walk(p: Term, expected: Term) -> None:
-        match p:
-            case Var(v):
-                bind(v, expected)
-            case _:
-                head, args = spine(p)
-                if not isinstance(head, Const):
-                    raise TypeCheckError(
-                        "pattern variables must occur bare in left-hand sides")
-                info = sig.consts.get(head.name)
-                if info is None:
-                    raise TypeCheckError(f"undeclared constant {head.name!r}", kind="unbound")
-                ty = info.ty
-                for a in args:
-                    w = red.whnf(ty)
-                    if not isinstance(w, Pi):
-                        raise TypeCheckError(
-                            f"over-applied constant {head.name!r} in pattern")
-                    walk(a, w.dom)
-                    ty = instantiate(w.cod, a)
-                # the computed type of this subpattern is not compared with
-                # `expected`: it mentions pattern variables the match will
-                # only later determine, and sound rules routinely refine it
-
-    try:
+                    f"pattern variable {p.name!r} is used at incompatible "
+                    "types", expected=types[p.name], actual=expected)
+            return expected
+        head, args = spine(p)
+        if not isinstance(head, Const):
+            raise TypeCheckError(
+                "pattern variables must occur bare in left-hand sides")
+        info = sig.consts.get(head.name)
+        if info is None:
+            raise TypeCheckError(f"undeclared constant {head.name!r}", kind="unbound")
         ty = info.ty
-        for p in rule.lhs_args:
+        for a in args:
             w = red.whnf(ty)
             if not isinstance(w, Pi):
-                raise TypeCheckError(f"rule head {rule.head!r} is over-applied")
-            walk(p, w.dom)
-            ty = instantiate(w.cod, p)
-        ctx = Ctx()
-        for v in order:
-            ctx = ctx.push(v, types[v])
-        check(sig, ctx, rule.rhs, ty, red)
+                raise TypeCheckError(
+                    f"rule head {head.name!r} is over-applied" if p is rule.lhs
+                    else f"over-applied constant {head.name!r} in pattern")
+            walk(a, w.dom)
+            ty = instantiate(w.cod, a)
+        # the computed type of a subpattern is not compared with
+        # `expected`: it mentions pattern variables the match will only
+        # later determine, and sound rules routinely refine it
+        return ty
+
+    try:
+        ty = walk(rule.lhs, None)
+        check(sig, Ctx(tuple(types.items())), rule.rhs, ty, red)
     except TypeCheckError as e:
         e.kind = "rule-ill-typed"
         raise

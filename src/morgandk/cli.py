@@ -21,7 +21,7 @@ from .algebra import (ORACLE_CONSTS, Fails, Holds, OracleError,
                       OutOfDomain, face_eq, face_from_term, interval_eq,
                       interval_from_term)
 from .check import (DEFAULT_FUEL, Signature, TypeCheckError,
-                    check_declaration)
+                    check_signature)
 from .parser import ParseError, parse_file, parse_term, pretty
 from .rewrite import (CriticalPair, Fuel, FuelExhausted, critical_pairs,
                       joinable)
@@ -118,8 +118,7 @@ def _check_files(paths: list[Path], fuel_steps: int,
             raise _InputError(
                 f"{path}: not valid UTF-8 at byte {e.start}") from None
         decls = parse_file(text, str(path), consts)
-        for d in decls:
-            check_declaration(sig, d, fuel_steps)
+        check_signature(decls, fuel_steps, sig)
         if out is not None:
             out.emit(f"checked {path} ({len(decls)} declarations)",
                      event="checked", file=str(path), declarations=len(decls))
@@ -162,14 +161,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_oracle(args) -> int:
     out = _Out(args.format)
-    if args.kind == "interval":
-        lhs = interval_from_term(parse_term(args.lhs, ORACLE_CONSTS))
-        rhs = interval_from_term(parse_term(args.rhs, ORACLE_CONSTS))
-        verdict = interval_eq(lhs, rhs)
-    else:
-        lhs = face_from_term(parse_term(args.lhs, ORACLE_CONSTS))
-        rhs = face_from_term(parse_term(args.rhs, ORACLE_CONSTS))
-        verdict = face_eq(lhs, rhs)
+    from_term, decide = ((interval_from_term, interval_eq)
+                         if args.kind == "interval"
+                         else (face_from_term, face_eq))
+    lhs = from_term(parse_term(args.lhs, ORACLE_CONSTS))
+    verdict = decide(lhs, from_term(parse_term(args.rhs, ORACLE_CONSTS)))
     if isinstance(verdict, Holds):
         out.emit("holds", event="verdict", holds=True)
         return 0

@@ -20,8 +20,10 @@ pattern compares whole arguments).  No other ancestor can gain a root
 step, since a step changes no ancestor's class.  The ancestors are
 rebuilt lazily, as in Huet's zipper: when the walk climbs out of them or
 must re-check them.  Replay keeps the same kind of path from one step's
-position to the next.  On well-typed terms the two strategies compute
-the same normal forms.
+position to the next, and checks each recorded step with the search's
+own root step.  Replay and the critical pairs rebuild a path's
+ancestors with one helper.  On well-typed terms the two
+strategies compute the same normal forms.
 
 Normalization, traced or not, keeps its own stack or path instead of
 recursing, so a term's depth is not bounded by the interpreter's
@@ -277,16 +279,23 @@ class Reducer:
 
     # traced reduction
 
-    def _rule_step_at_root(self, t: Term) -> Optional[tuple[str, Term]]:
-        if isinstance(t, App) and isinstance(t.fn, Lam):
-            return "beta", instantiate(t.fn.body, t.arg)
-        contracted = _eta_body(t)
-        if contracted is not None:
-            return "eta", contracted
+    def _rule_step_at_root(self, t: Term, name: Optional[str] = None
+                           ) -> Optional[tuple[str, Term]]:
+        """The first step at t's root, as (name, contractum): beta, else
+        eta, else the first of its head's rules whose patterns match
+        syntactically.  With `name`, only a step of that name."""
+        if name is None or name == "beta":
+            if isinstance(t, App) and isinstance(t.fn, Lam):
+                return "beta", instantiate(t.fn.body, t.arg)
+        if name is None or name == "eta":
+            contracted = _eta_body(t)
+            if contracted is not None:
+                return "eta", contracted
         head, args = spine(t)
         if isinstance(head, Const):
             for r in self.rules.get(head.name, ()):
-                if len(r.lhs_args) == len(args):
+                if ((name is None or r.name == name)
+                        and len(r.lhs_args) == len(args)):
                     sub: dict[str, Term] = {}
                     if all(map(_match, r.lhs_args, args, repeat(sub))):
                         return r.name, msubst(r.rhs, sub)
@@ -381,8 +390,10 @@ class Reducer:
     def replay(self, t: Term, steps: Sequence[Step]) -> Term:
         """Apply recorded steps to t, checking that each is a step:
         a beta or eta redex at its position, or a known rule whose head,
-        arity and patterns match there syntactically.  Raises
-        ReplayError otherwise.
+        arity and patterns match there syntactically.  The root step is
+        the traced search's own, restricted to the recorded name, so any
+        rule of that name that applies is accepted, not only the first
+        that applies.  Raises ReplayError otherwise.
 
         The term is walked as a zipper: `t` is the subterm at the last
         step's position and `nodes` holds its ancestors, not yet
@@ -391,44 +402,27 @@ class Reducer:
         (every one is stale, since every step replaces the subterm below
         it), and descends from there, so a step next to the last costs
         little whatever the depth."""
-        by_name = {r.name: r for rs in self.rules.values() for r in rs}
         nodes: list[Term] = []  # the ancestors of `t`, root first
         at: tuple[str, ...] = ()  # the position of `t`
         for pos, name in steps:
             k = _common_prefix(at, pos)
-            while len(nodes) > k:
-                parent = nodes.pop()
-                t = _with_child(parent, at[len(nodes)], t)
+            t = _rebuild(t, nodes, at, k)
+            del nodes[k:]
             for key in pos[k:]:
                 nodes.append(t)
                 t = _child(t, key, pos)
             at = pos
-            if name == "beta":
-                if not (isinstance(t, App) and isinstance(t.fn, Lam)):
-                    raise ReplayError(f"no beta redex at {'/'.join(pos) or 'root'}")
-                t = instantiate(t.fn.body, t.arg)
-            elif name == "eta":
-                repl = _eta_body(t)
-                if repl is None:
-                    raise ReplayError(f"no eta redex at {'/'.join(pos) or 'root'}")
-                t = repl
-            else:
-                r = by_name.get(name)
-                if r is None:
+            hit = self._rule_step_at_root(t, name)
+            if hit is None:
+                where = "/".join(pos) or "root"
+                if name == "beta" or name == "eta":
+                    raise ReplayError(f"no {name} redex at {where}")
+                if not any(r.name == name for rs in self.rules.values()
+                           for r in rs):
                     raise ReplayError(f"unknown rule {name!r}")
-                head, args = spine(t)
-                binding: dict[str, Term] = {}
-                if not (isinstance(head, Const) and head.name == r.head
-                        and len(args) == len(r.lhs_args)
-                        and all(map(_match, r.lhs_args, args,
-                                    repeat(binding)))):
-                    raise ReplayError(
-                        f"rule {name!r} does not apply at {'/'.join(pos) or 'root'}")
-                t = msubst(r.rhs, binding)
-        while nodes:
-            parent = nodes.pop()
-            t = _with_child(parent, at[len(nodes)], t)
-        return t
+                raise ReplayError(f"rule {name!r} does not apply at {where}")
+            t = hit[1]
+        return _rebuild(t, nodes, at)
 
 
 def _match(pat: Term, t: Term, sub: dict[str, Term],
@@ -481,20 +475,16 @@ def _child(t: Term, key: str, pos: tuple[str, ...]) -> Term:
 
 
 def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    """The length of the longest common prefix of two positions.  Slice
-    comparisons run in C: the first settles the usual case, where one
-    position extends the other, and bisection the rest."""
+    """The length of the longest common prefix of two positions.  One
+    slice comparison, in C, settles the usual case, where one position
+    extends the other; otherwise a scan finds the first difference."""
     n = min(len(a), len(b))
     if a[:n] == b[:n]:
         return n
-    lo, hi = 0, n - 1  # a[:lo] == b[:lo] and a[:hi + 1] != b[:hi + 1]
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    k = 0
+    while a[k] == b[k]:
+        k += 1
+    return k
 
 
 def _with_child(t: Term, key: str, child: Term) -> Term:
@@ -512,14 +502,14 @@ def _with_child(t: Term, key: str, child: Term) -> Term:
     return Pi(t.var, child, t.cod)
 
 
-def _replace_at(t: Term, pos: tuple[str, ...], repl: Term) -> Term:
-    above = []
-    for k in pos:
-        above.append(t)
-        t = _child(t, k, pos)
-    for parent, k in zip(reversed(above), reversed(pos)):
-        repl = _with_child(parent, k, repl)
-    return repl
+def _rebuild(t: Term, nodes: Sequence[Term], keys: Sequence[str],
+             depth: int = 0) -> Term:
+    """The node at `depth` on a path with t at its end: each ancestor in
+    `nodes[depth:]` rebuilt around the child below it, the bottom one
+    around t.  `keys[i]` is the child taken at `nodes[i]`."""
+    for i in range(len(nodes) - 1, depth - 1, -1):
+        t = _with_child(nodes[i], keys[i], t)
+    return t
 
 
 def _next_in_preorder(t: Term, nodes: list[Term],
@@ -654,20 +644,21 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
         sub_t = r.lhs
         while (sub_t := _next_in_preorder(sub_t, nodes, path)) is not None:
             if not isinstance(sub_t, Var):
-                inner.append((tuple(path), sub_t, _overlap_key(sub_t)))
+                inner.append((tuple(path), tuple(nodes), sub_t,
+                              _overlap_key(sub_t)))
         sites.append(inner)
     out: list[CriticalPair] = []
     for i, r1 in enumerate(rules):
         avoid = frozenset(r1.pat_vars)
         for j, r2 in enumerate(rules):
-            tried = [(pos, sub_t) for pos, sub_t, k in sites[i]
+            tried = [(pos, above, sub_t) for pos, above, sub_t, k in sites[i]
                      if k is None or k == keys[j]]
             if j > i and keys[j] == keys[i]:
-                tried.append(((), r1.lhs))
+                tried.append(((), (), r1.lhs))
             if not tried:
                 continue
             r2r = _rename_apart(r2, avoid)
-            for pos, sub_t in tried:
+            for pos, above, sub_t in tried:
                 mgu = unify(sub_t, r2r.lhs)
                 if mgu is None:
                     continue
@@ -675,7 +666,7 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
                     r1.name, r2.name, pos,
                     peak=msubst(r1.lhs, mgu),
                     left=msubst(r1.rhs, mgu),
-                    right=msubst(_replace_at(r1.lhs, pos, r2r.rhs), mgu)))
+                    right=msubst(_rebuild(r2r.rhs, above, pos), mgu)))
     return out
 
 

@@ -2,14 +2,16 @@
 
 `encode` maps the surface syntax of the two-level type theory, over a
 level expression and a layer, homomorphically onto the constants the
-shipped core declares; `encode_context` does the same for a typing
-context.  `filling_example` builds the cubical filling line.  No
-command uses this module, so nothing on the command path imports it.
+shipped core declares: one table names the constant of each of the 16
+formers that 2LTT has once per layer, and one case encodes them all.
+`encode_context` does the same for a typing context.  `filling_example`
+builds the cubical filling line.  No command uses this module, so
+nothing on the command path imports it.
 """
 
 from __future__ import annotations
 
-from .terms import App, Const, Ctx, Lam, Record, Term, Var, app, lam, pi
+from .terms import App, Const, Ctx, Record, Term, Var, app, lam, pi
 
 __all__ = [
     "Level", "L0", "CL",
@@ -174,6 +176,18 @@ Ast = (AVar | AUniv | AFalse | ATrue | ANat | ASum | APi | ASig | AEq
        | AInl | AInr | ARefl | ACoerce | AIsoUp | AIsoDown)
 
 
+# The formers that encode homomorphically, each to the constant of this
+# name in its layer (prefixed `x` in the external one), applied to the
+# level and then to the encoded fields in order.  A binder's (var, dom,
+# cod) becomes the domain followed by the abstraction.
+_FORMERS = {
+    AFalse: "False", ATrue: "True", ANat: "Nat", ASum: "Sum", APi: "Pi",
+    ASig: "Sig", AEq: "Eq", ATt: "tt", AZero: "zero", ASucc: "succ",
+    APair: "pair", AFst: "p1", ASnd: "p2", AInl: "inl", AInr: "inr",
+    ARefl: "refl",
+}
+
+
 def _former(layer: str, name: str) -> Const:
     return Const(name if layer == INTERNAL else "x" + name)
 
@@ -182,23 +196,30 @@ def _decoder(layer: str) -> Const:
     return Const("eps" if layer == INTERNAL else "xeps")
 
 
-def _bind(layer: str, lev: Level, var: str, dom: "Ast", cod: "Ast") -> Lam:
-    ann = app(_decoder(layer), lev.term(), encode(dom, lev, layer))
-    return lam(var, ann, encode(cod, lev, layer))
-
-
 def encode(e: Ast, lev: Level, layer: str = INTERNAL) -> Term:
     """Translate surface syntax to a kernel term at level `lev`.
 
     Homomorphic: free variables keep their names, every former maps to
-    the constant of the same name in the current layer, fully applied,
-    with bound variables annotated by the decoded domain.  The three
-    coercion nodes are the only places the layer changes; using them in
-    the wrong layer raises EncodeError.
+    its constant in the current layer (`_FORMERS` for all but the
+    universe, the lift and the meta-level abstraction and application),
+    fully applied, with bound variables annotated by the decoded
+    domain.  The three coercion nodes are the only places the layer
+    changes; using them in the wrong layer raises EncodeError.
     """
     if layer not in (INTERNAL, EXTERNAL):
         raise EncodeError(f"unknown layer {layer!r}")
     lt = lev.term()
+    name = _FORMERS.get(e.__class__)
+    if name is not None:
+        fields = [getattr(e, f) for f in e.__match_args__]
+        args = [lt]
+        if e.__match_args__[:1] == ("var",):
+            var, dom, cod, *fields = fields
+            d = encode(dom, lev, layer)
+            args += (d, lam(var, app(_decoder(layer), lt, d),
+                            encode(cod, lev, layer)))
+        args += (encode(f, lev, layer) for f in fields)
+        return app(_former(layer, name), *args)
     match e:
         case AVar(name):
             return Var(name)
@@ -207,24 +228,6 @@ def encode(e: Ast, lev: Level, layer: str = INTERNAL) -> Term:
                 raise EncodeError(
                     f"no universe below base level {lev.base!r}")
             return app(_former(layer, "t"), lev.pred().term())
-        case AFalse():
-            return app(_former(layer, "False"), lt)
-        case ATrue():
-            return app(_former(layer, "True"), lt)
-        case ANat():
-            return app(_former(layer, "Nat"), lt)
-        case ASum(a, b):
-            return app(_former(layer, "Sum"), lt,
-                       encode(a, lev, layer), encode(b, lev, layer))
-        case APi(var, dom, cod):
-            return app(_former(layer, "Pi"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod))
-        case ASig(var, dom, cod):
-            return app(_former(layer, "Sig"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod))
-        case AEq(carrier, lhs, rhs):
-            return app(_former(layer, "Eq"), lt, encode(carrier, lev, layer),
-                       encode(lhs, lev, layer), encode(rhs, lev, layer))
         case ALift(inner):
             below = lev.pred() if lev.ups else None
             if below is None:
@@ -232,38 +235,11 @@ def encode(e: Ast, lev: Level, layer: str = INTERNAL) -> Term:
                     f"nothing to lift below base level {lev.base!r}")
             return app(_former(layer, "lUp"), below.term(),
                        encode(inner, below, layer))
-        case ATt():
-            return app(_former(layer, "tt"), lt)
-        case AZero():
-            return app(_former(layer, "zero"), lt)
-        case ASucc(n):
-            return app(_former(layer, "succ"), lt, encode(n, lev, layer))
         case ALam(var, dom, body):
             ann = app(_decoder(layer), lt, encode(dom, lev, layer))
             return lam(var, ann, encode(body, lev, layer))
         case AApp(fn, arg):
             return App(encode(fn, lev, layer), encode(arg, lev, layer))
-        case APair(var, dom, cod, fst, snd):
-            return app(_former(layer, "pair"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod),
-                       encode(fst, lev, layer), encode(snd, lev, layer))
-        case AFst(var, dom, cod, pr):
-            return app(_former(layer, "p1"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod),
-                       encode(pr, lev, layer))
-        case ASnd(var, dom, cod, pr):
-            return app(_former(layer, "p2"), lt, encode(dom, lev, layer),
-                       _bind(layer, lev, var, dom, cod),
-                       encode(pr, lev, layer))
-        case AInl(a, b, arg):
-            return app(_former(layer, "inl"), lt, encode(a, lev, layer),
-                       encode(b, lev, layer), encode(arg, lev, layer))
-        case AInr(a, b, arg):
-            return app(_former(layer, "inr"), lt, encode(a, lev, layer),
-                       encode(b, lev, layer), encode(arg, lev, layer))
-        case ARefl(carrier, arg):
-            return app(_former(layer, "refl"), lt,
-                       encode(carrier, lev, layer), encode(arg, lev, layer))
         case ACoerce(inner):
             if layer != EXTERNAL:
                 raise EncodeError("a coerced type is external")

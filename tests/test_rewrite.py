@@ -311,6 +311,45 @@ def test_replay_errors_after_a_valid_step(full_sig):
         assert str(e.value) == msg
 
 
+def test_replay_accepts_a_rule_that_is_not_the_first_to_apply():
+    # both rules match `f c`: the search takes the first, and replay
+    # accepts a step by either
+    r1 = compile_rule("f.1", ("x",), App(Const("f"), Var("x")), Const("a"))
+    r2 = compile_rule("f.2", (), App(Const("f"), Const("c")), Const("b"))
+    red = Reducer({"f": [r1, r2]})
+    t = app(Const("g"), App(Const("f"), Const("c")))
+    assert red.normalize_traced(t)[1] == [(("arg",), "f.1")]
+    assert red.replay(t, [(("arg",), "f.2")]) == app(Const("g"), Const("b"))
+
+
+def _common_prefix_reference(a, b):
+    k = 0
+    while k < len(a) and k < len(b) and a[k] == b[k]:
+        k += 1
+    return k
+
+
+_keys = st.sampled_from(["fn", "arg", "dom", "body", "cod"])
+
+
+def _position_pairs():
+    # a shared prefix of up to 150 keys, then two tails that may differ
+    # at once, so one position need not extend the other
+    prefix = st.integers(0, 150).flatmap(
+        lambda n: st.lists(_keys, min_size=n, max_size=n))
+    return st.tuples(prefix, st.lists(_keys, max_size=20),
+                     st.lists(_keys, max_size=20)).map(
+        lambda p: (tuple(p[0] + p[1]), tuple(p[0] + p[2])))
+
+
+@example((("fn",) * 120 + ("arg",) * 3, ("fn",) * 120 + ("fn", "arg")))
+@example((("arg",) + ("fn",) * 110, ("fn",) * 111))
+@given(_position_pairs())
+def test_common_prefix_agrees_with_a_plain_loop(pair):
+    a, b = pair
+    assert rewrite._common_prefix(a, b) == _common_prefix_reference(a, b)
+
+
 # -- traced reduction: the resumed search ------------------------------------
 # `normalize_traced` resumes its search at the position it just rewrote,
 # after re-checking the ancestors that the step can make fire.  The loop
@@ -336,6 +375,17 @@ def _find_step_reference(red, t, pos=()):
     return None
 
 
+def _replace_at_reference(t, pos, repl):
+    """t with the subterm at `pos` replaced by `repl`, rebuilt by
+    recursion through each node's fields as `__match_args__` names them."""
+    if not pos:
+        return repl
+    fields = [getattr(t, f) for f in t.__match_args__]
+    i = t.__match_args__.index(pos[0])
+    fields[i] = _replace_at_reference(fields[i], pos[1:], repl)
+    return t.__class__(*fields)
+
+
 def _normalize_traced_reference(red, t):
     steps = []
     while True:
@@ -343,7 +393,7 @@ def _normalize_traced_reference(red, t):
         if found is None:
             return t, steps
         pos, name, repl = found
-        t = rewrite._replace_at(t, pos, repl)
+        t = _replace_at_reference(t, pos, repl)
         steps.append((pos, name))
 
 
@@ -622,7 +672,7 @@ def _critical_pairs_reference(rules):
                     peak=_apply_triangular(r1.lhs, mgu),
                     left=_apply_triangular(r1.rhs, mgu),
                     right=_apply_triangular(
-                        rewrite._replace_at(r1.lhs, pos, r2r.rhs), mgu)))
+                        _replace_at_reference(r1.lhs, pos, r2r.rhs), mgu)))
             if j > i:
                 mgu = _unify_triangular(r1.lhs, r2r.lhs)
                 if mgu is not None:

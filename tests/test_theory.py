@@ -10,10 +10,12 @@ import pytest
 from morgandk import check, parser, theory
 from morgandk.check import (ConstInfo, Signature, TypeCheckError,
                             check_signature, infer)
-from morgandk.parser import ParseError, parse_file, parse_term
-from morgandk.surface import (CL, EXTERNAL, INTERNAL, L0, AApp, ALam, ANat,
-                              APair, ASig, AVar, AZero, EncodeError, Level,
-                              encode, encode_context, filling_example)
+from morgandk.parser import ParseError, parse_file, parse_term, pretty
+from morgandk.surface import (CL, EXTERNAL, INTERNAL, L0, AApp, AEq, AFalse,
+                              AFst, AInl, AInr, ALam, ANat, APair, APi, ARefl,
+                              ASig, ASnd, ASucc, ASum, ATrue, ATt, AVar,
+                              AZero, Level, encode, encode_context,
+                              filling_example)
 from morgandk.terms import TYPE, App, Const, Ctx, Var, alpha_eq, app, lam
 from morgandk.theory import (FULL_CONFIG, NAT_STRENGTHS, TheoryConfig,
                              blocks_for, build_theory,
@@ -183,6 +185,72 @@ def test_encode_pair_shape():
     for _ in range(5):
         head = head.fn
     assert head == Const("pair")
+
+
+def _pair():
+    return APair("x", ANat(), ATrue(), AZero(), ATt())
+
+
+# every former that encodes homomorphically, with its encoding at L0 in
+# the internal and the external layer; True marks a type former
+_FORMERS = [
+    (AFalse(), "False l0", "xFalse l0", True),
+    (ATrue(), "True l0", "xTrue l0", True),
+    (ANat(), "Nat l0", "xNat l0", True),
+    (ASum(ANat(), ATrue()),
+     "Sum l0 (Nat l0) (True l0)", "xSum l0 (xNat l0) (xTrue l0)", True),
+    (APi("x", ANat(), ANat()),
+     "Pi l0 (Nat l0) (x : eps l0 (Nat l0) => Nat l0)",
+     "xPi l0 (xNat l0) (x : xeps l0 (xNat l0) => xNat l0)", True),
+    (ASig("y", ANat(), ATrue()),
+     "Sig l0 (Nat l0) (y : eps l0 (Nat l0) => True l0)",
+     "xSig l0 (xNat l0) (y : xeps l0 (xNat l0) => xTrue l0)", True),
+    (AEq(ANat(), AZero(), AZero()),
+     "Eq l0 (Nat l0) (zero l0) (zero l0)",
+     "xEq l0 (xNat l0) (xzero l0) (xzero l0)", True),
+    (ATt(), "tt l0", "xtt l0", False),
+    (AZero(), "zero l0", "xzero l0", False),
+    (ASucc(AZero()), "succ l0 (zero l0)", "xsucc l0 (xzero l0)", False),
+    (_pair(),
+     "pair l0 (Nat l0) (x : eps l0 (Nat l0) => True l0) (zero l0) (tt l0)",
+     "xpair l0 (xNat l0) (x : xeps l0 (xNat l0) => xTrue l0) (xzero l0) "
+     "(xtt l0)", False),
+    (AFst("u", ANat(), ATrue(), _pair()),
+     "p1 l0 (Nat l0) (u : eps l0 (Nat l0) => True l0) "
+     "(pair l0 (Nat l0) (x : eps l0 (Nat l0) => True l0) (zero l0) (tt l0))",
+     "xp1 l0 (xNat l0) (u : xeps l0 (xNat l0) => xTrue l0) "
+     "(xpair l0 (xNat l0) (x : xeps l0 (xNat l0) => xTrue l0) (xzero l0) "
+     "(xtt l0))", False),
+    (ASnd("v", ANat(), ATrue(), _pair()),
+     "p2 l0 (Nat l0) (v : eps l0 (Nat l0) => True l0) "
+     "(pair l0 (Nat l0) (x : eps l0 (Nat l0) => True l0) (zero l0) (tt l0))",
+     "xp2 l0 (xNat l0) (v : xeps l0 (xNat l0) => xTrue l0) "
+     "(xpair l0 (xNat l0) (x : xeps l0 (xNat l0) => xTrue l0) (xzero l0) "
+     "(xtt l0))", False),
+    (AInl(ANat(), ATrue(), AZero()),
+     "inl l0 (Nat l0) (True l0) (zero l0)",
+     "xinl l0 (xNat l0) (xTrue l0) (xzero l0)", False),
+    (AInr(ANat(), ATrue(), ATt()),
+     "inr l0 (Nat l0) (True l0) (tt l0)",
+     "xinr l0 (xNat l0) (xTrue l0) (xtt l0)", False),
+    (ARefl(ANat(), AZero()),
+     "refl l0 (Nat l0) (zero l0)", "xrefl l0 (xNat l0) (xzero l0)", False),
+]
+
+
+@pytest.mark.parametrize("layer", [INTERNAL, EXTERNAL])
+@pytest.mark.parametrize("e, internal, external, is_type", _FORMERS,
+                         ids=[e.__class__.__name__ for e, *_ in _FORMERS])
+def test_encode_formers(full_sig, layer, e, internal, external, is_type):
+    want = internal if layer == INTERNAL else external
+    got = encode(e, L0, layer)
+    assert pretty(got) == want
+    # repr shows the binder hints, which pretty could rename
+    assert repr(got) == repr(_pt(want, full_sig))
+    ty = infer(full_sig, Ctx(), got, full_sig.reducer())
+    if is_type:
+        assert ty == App(Const("T" if layer == INTERNAL else "xT"),
+                         Const("l0"))
 
 
 def test_encode_variable():
