@@ -17,9 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-from .algebra import (ORACLE_CONSTS, Fails, Holds, OracleError,
-                      OutOfDomain, face_eq, face_from_term, interval_eq,
-                      interval_from_term)
+from .algebra import (ORACLE_CONSTS, Holds, OracleError, OutOfDomain,
+                      face_eq, face_from_term, interval_eq, interval_from_term)
 from .check import (DEFAULT_FUEL, Signature, TypeCheckError,
                     check_signature)
 from .parser import ParseError, parse_file, parse_term, pretty

@@ -13,15 +13,12 @@ keyed on the names the file mentions that the signature before it
 declares, so each file is parsed once per way its names resolve: once
 in all for the shipped lattice, and again, with its old parses and
 checks dropped, when its modification time or size changes.  With each
-parse it holds its checks, keyed on what the check can read of the
-signature before it: the installed constant and rules of every name
-the file's declarations reach through types and rule right-hand sides.
-So a file is checked again only when something it can read differs,
-not whenever an earlier file does: 41 file checks for the 96
-configurations.  A hit re-reads the names of a stored reach; the
-closure is walked only before a check, so a warm build walks none.
-`write_theory_files` copies the selected files out, so the exported
-corpus is the shipped one byte for byte.
+parse it holds its checks, keyed on the names each check looked up in
+the signature before it and on what those lookups answered.  So a file
+is checked again only when something it read differs, not whenever an
+earlier file does: 26 file checks for the 96 configurations, and none
+for a warm build.  `write_theory_files` copies the selected files out,
+so the exported corpus is the shipped one byte for byte.
 
 The first-attempt decoding of faces by rewrite rules is kept out of
 every built signature: it breaks confluence (see the analyzer tests)
@@ -36,10 +33,9 @@ from pathlib import Path
 
 from .algebra import FACE_HEADS, INTERVAL_HEADS
 from .check import Signature, check_signature
-from .parser import (Declaration, Definition, RuleDecl, identifiers,
-                     parse_file)
+from .parser import identifiers, parse_file
 from .rewrite import RewriteRule
-from .terms import Const, Record, Term, subterms
+from .terms import Record
 
 __all__ = [
     "TheoryConfig", "FULL_CONFIG", "NAT_STRENGTHS",
@@ -130,22 +126,22 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
 
 
 # path -> ((st_mtime_ns, st_size) of the file read, its identifiers,
-# {declared names among them: (the parse, its `_seed`, {a `_reach` of
-# it: {a state of that reach, the ids of what `_read` yields of it: (what
-# checking the parse in that state installed, what `_read` yielded)}})}).
-# Every namespace lookup the parser makes is on one of the file's
-# identifiers, so two namespaces that agree on them give equal parses.
-# Declarations and terms are immutable, so the signatures built from a
-# parse share it.  A signature in a stored state of a stored reach has
-# that reach, since the walk from the seed reads only the names it
-# reaches; so at most one stored reach matches, and the closure is walked
-# only before a check.  What a check installed is its constants, in
-# order, and the new rules of each head, in the order the heads entered
-# `sig.rules`.  Checks are keyed on identity, not `==`: `==` on terms
-# ignores binder hints, and an untyped `def` takes its type from its
-# dependencies' types as they are written.  A stored check keeps the
-# objects its key names alive, so no id in a live key is reused, even
-# after a rewritten file drops the checks that installed them.
+# {declared names among them: (the parse, {a key, the names a check of it
+# looked up in `sig.consts` and in `sig.rules`: {the ids of what `_read`
+# yields of that key: (what checking the parse installed, what `_read`
+# yielded)}})}).  Every namespace lookup the parser makes is on one of
+# the file's identifiers, so two namespaces that agree on them give
+# equal parses.  Declarations and terms are immutable, so the signatures
+# built from a parse share it.  A signature that answers a stored key's
+# lookups as stored runs that check again lookup for lookup, so any
+# stored key that matches is a valid hit.  What a check installed is its
+# constants, in order, and the new rules of each head, in the order the
+# heads entered `sig.rules`.  Answers are compared by identity, not `==`:
+# `==` on terms ignores binder hints, and an untyped `def` takes its type
+# from its dependencies' types as they are written.  A stored check keeps
+# the objects whose ids it is stored under alive, so no stored id is
+# reused, even after a rewritten file drops the checks that installed
+# them.
 _CACHE: dict[Path, tuple[tuple[int, int], frozenset[str], dict]] = {}
 
 
@@ -169,87 +165,62 @@ def _parse(path: Path, sig: Signature) -> tuple:
         if text is None:
             text = path.read_text(encoding="utf-8")
         decls = tuple(parse_file(text, path.name, set(sig.consts)))
-        parse = parses[seen] = (decls, _seed(decls), {})
+        parse = parses[seen] = (decls, {})
         _CACHE[path] = known
     return parse
 
 
-# term -> the names of the constants in it, computed once per term for
-# the whole process.  `==` terms mention the same constants: binder hints
-# are all that `==` ignores.
-_MENTIONS: dict[Term, frozenset[str]] = {}
+class _Noted:
+    """A namespace of a signature under check: forwards the lookups and
+    writes the checker makes, noting the name of each lookup.  Iterating
+    it, subscripting it or calling any other dict method raises, so a
+    checker that read a namespace otherwise could not be cached under
+    too few names."""
+
+    __slots__ = ("_names", "_data")
+
+    def __init__(self, data: dict, names: set[str]):
+        self._data, self._names = data, names
+
+    def get(self, name: str, default=None):
+        self._names.add(name)
+        return self._data.get(name, default)
+
+    def __contains__(self, name: str) -> bool:
+        self._names.add(name)
+        return name in self._data
+
+    def setdefault(self, name: str, default):
+        self._names.add(name)
+        return self._data.setdefault(name, default)
+
+    def __setitem__(self, name: str, value) -> None:
+        self._data[name] = value
 
 
-def _mentions(t: Term) -> frozenset[str]:
-    got = _MENTIONS.get(t)
-    if got is None:
-        got = _MENTIONS[t] = frozenset(
-            s.name for s, _ in subterms(t) if s.__class__ is Const)
-    return got
-
-
-def _seed(decls: tuple[Declaration, ...]) -> frozenset[str]:
-    """The names a file's declarations mention or declare; rule heads
-    are among the first."""
-    names: set[str] = set()
-    for d in decls:
-        if isinstance(d, RuleDecl):
-            names |= _mentions(d.lhs) | _mentions(d.rhs)
-            continue
-        names.add(d.name)
-        if d.ty is not None:
-            names |= _mentions(d.ty)
-        if isinstance(d, Definition):
-            names |= _mentions(d.body)
-    return frozenset(names)
-
-
-def _reach(seed: frozenset[str], sig: Signature) -> tuple[str, ...]:
-    """The names a check of declarations whose `_seed` is `seed` can
-    read of `sig`, sorted: `seed`, closed under the names that the type
-    and the rules' right-hand sides of a reached name mention.  The
-    checker reads `sig.consts[name]` and `sig.rules[name]` alone, and
-    every term it looks a name up in is built from the declarations, the
-    types of the constants it looks up, and the right-hand sides of the
-    rules that fire; a definition's body is the right-hand side of its
-    `.def` rule."""
-    consts, rules = sig.consts, sig.rules
-    reached = set(seed)
-    todo = list(reached)
-    while todo:
-        name = todo.pop()
-        info = consts.get(name)
-        if info is None:
-            continue
-        new = _mentions(info.ty)
-        for r in rules.get(name, ()):
-            new = new | _mentions(r.rhs)
-        new = new - reached
-        if new:
-            reached |= new
-            todo += new
-    return tuple(sorted(reached))
-
-
-def _read(reach: tuple[str, ...], sig: Signature):
-    """What `sig` holds for the names of `reach`: the installed
-    ConstInfo (or None) of each, then the rules of each in order.  One
-    flat sequence of rules is exact, since a rule sits under its own head
+def _read(key: tuple[tuple[str, ...], tuple[str, ...]], sig: Signature):
+    """What `sig` answers to the lookups of `key`: the installed
+    ConstInfo (or None) of each name looked up in `sig.consts`, then the
+    rules of each name looked up in `sig.rules`, in order.  One flat
+    sequence of rules is exact, since a rule sits under its own head
     only."""
-    return chain(map(sig.consts.get, reach),
-                 chain.from_iterable(map(sig.rules.get, reach, repeat(()))))
+    consts, rules = key
+    return chain(map(sig.consts.get, consts),
+                 chain.from_iterable(map(sig.rules.get, rules, repeat(()))))
 
 
 def _check(parse: tuple, sig: Signature) -> None:
     """`check_signature` on a `_parse` entry's declarations, extending
-    `sig`, cached in the entry by what the check can read of `sig`.  A
-    check whose result equals an earlier one of the same parse, binder
-    hints included (`repr` shows them), installs the earlier objects, so
-    the files after it still hit.  A failed check raises as
-    `check_signature` does and caches nothing."""
-    decls, seed, checks = parse
-    for reach, states in checks.items():
-        hit = states.get(tuple(map(id, _read(reach, sig))))
+    `sig`, cached in the entry by the names the check looked up and what
+    `sig` answered.  The check is deterministic in its declarations and
+    in those answers, so a signature that answers the same runs it
+    lookup for lookup.  A check whose result equals an earlier one of
+    the same parse, binder hints included (`repr` shows them), installs
+    the earlier objects, so the files after it still hit.  A failed
+    check raises as `check_signature` does and caches nothing."""
+    decls, checks = parse
+    for key, states in checks.items():
+        hit = states.get(tuple(map(id, _read(key, sig))))
         if hit is not None:
             consts, rules = hit[0]
             for info in consts:
@@ -257,12 +228,18 @@ def _check(parse: tuple, sig: Signature) -> None:
             for head, rs in rules:
                 sig.rules.setdefault(head, []).extend(rs)
             return
-    reach = _reach(seed, sig)
-    read = tuple(_read(reach, sig))
-    n_consts = len(sig.consts)
-    n_rules = {head: len(rs) for head, rs in sig.rules.items()}
-    check_signature(decls, sig=sig)
-    consts = tuple(sig.consts.values())[n_consts:]
+    before = sig.copy()
+    plain = sig.consts, sig.rules
+    seen: tuple[set[str], set[str]] = (set(), set())
+    sig.consts, sig.rules = map(_Noted, plain, seen)
+    try:
+        check_signature(decls, sig=sig)
+    finally:
+        sig.consts, sig.rules = plain
+    key = (tuple(sorted(seen[0])), tuple(sorted(seen[1])))
+    read = tuple(_read(key, before))
+    n_rules = {head: len(rs) for head, rs in before.rules.items()}
+    consts = tuple(sig.consts.values())[len(before.consts):]
     rules = tuple((head, tuple(rs[n_rules.get(head, 0):]))
                   for head, rs in sig.rules.items()
                   if len(rs) > n_rules.get(head, 0))
@@ -275,15 +252,15 @@ def _check(parse: tuple, sig: Signature) -> None:
         for (head, _), (_, old_rules) in zip(rules, same[1]):
             sig.rules[head][-len(old_rules):] = old_rules
         done = same
-    checks.setdefault(reach, {})[tuple(map(id, read))] = (done, read)
+    checks.setdefault(key, {})[tuple(map(id, read))] = (done, read)
 
 
 def _build(paths: tuple[Path, ...]) -> Signature:
     """Parse and check `paths` in order into a fresh Signature.  Each
     file is parsed in the namespace of the signature before it, once per
     way its names resolve (`_parse`), and checked once per parse and
-    state of what its check can read (`_check`), so the signatures of a
-    whole flag lattice share every check whose inputs agree.  The
+    answers to the lookups its check made (`_check`), so the signatures
+    of a whole flag lattice share every check whose inputs agree.  The
     shipped corpus is always checked under the default fuel, so a built
     signature does not depend on a caller's budget."""
     sig = Signature()

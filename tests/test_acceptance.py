@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from morgandk.algebra import (DM4Value, Fails as OFails, Holds as OHolds,
-                              OutOfDomain, audit_equation, check_rule_sound)
+                              audit_equation, check_rule_sound)
 from morgandk.check import Ctx, check, infer
 from morgandk.parser import (RuleDecl, parse_file, parse_term,
                              print_declaration, pretty)
@@ -24,11 +24,9 @@ from morgandk.surface import (EXTERNAL, INTERNAL, AApp, ACoerce, AEq, AFst,
                               APi, ARefl, ASig, ASucc, AUniv, AVar, AZero,
                               L0, Level, encode, encode_context,
                               filling_example)
-from morgandk.terms import (App, Const, Sort, Var, alpha_eq, app, free_vars,
-                            msubst)
-from morgandk.theory import (FULL_CONFIG, INTERVAL_FACE_HEADS,
-                             NAT_STRENGTHS, TheoryConfig, build_theory,
-                             first_attempt_signature, interval_face_rules)
+from morgandk.terms import App, Const, Sort, alpha_eq, app, free_vars, msubst
+from morgandk.theory import (INTERVAL_FACE_HEADS, NAT_STRENGTHS,
+                             TheoryConfig, build_theory, interval_face_rules)
 
 THEORIES = Path(__file__).resolve().parent.parent / "theories"
 

@@ -7,8 +7,8 @@ from morgandk import parser
 from morgandk.parser import (Definition, ParseError, RuleDecl, SourceSpan,
                              StaticConst, Token, identifiers, parse_file,
                              parse_term, pretty, print_declaration, tokenize)
-from morgandk.terms import (TYPE, App, Bound, Const, Lam, Pi, Sort, Var,
-                            alpha_eq, app, lam, pi)
+from morgandk.terms import (TYPE, App, Bound, Const, Lam, Pi, Var, alpha_eq,
+                            app, lam, pi)
 from morgandk.theory import FULL_CONFIG, blocks_for
 
 

@@ -450,7 +450,7 @@ def test_a_file_rewritten_in_place_is_parsed_again(cold_caches, tmp_path):
     assert list(after.consts) == list(before.consts) + ["extra"]
     # the old parse is gone, and its checks with it: no stale entry
     stamp, _, parses = theory._CACHE[last]
-    ((decls, _, checks),) = parses.values()
+    ((decls, checks),) = parses.values()
     assert stamp != old_stamp and decls[-1].name == "extra"
     assert [len(states) for states in checks.values()] == [1]
 
@@ -458,10 +458,10 @@ def test_a_file_rewritten_in_place_is_parsed_again(cold_caches, tmp_path):
 def _checks():
     """(path, declared names a parse saw) -> a copy of its checks, for
     every parse in the theory cache."""
-    return {(path, seen): {reach: dict(states)
-                           for reach, states in checks.items()}
+    return {(path, seen): {key: dict(states)
+                           for key, states in checks.items()}
             for path, (_, _, parses) in theory._CACHE.items()
-            for seen, (_, _, checks) in parses.items()}
+            for seen, (_, checks) in parses.items()}
 
 
 def _shown(sig, memo=None):
@@ -508,9 +508,8 @@ def test_cold_cached_builds_equal_fresh_checks(cold_caches):
 
 
 def test_cold_sweep_checks_each_file_once_per_key(cold_caches, monkeypatch):
-    files, decls, walks = Counter(), Counter(), []
+    files, decls = Counter(), Counter()
     check_file, check_decl = theory.check_signature, check.check_declaration
-    reach = theory._reach
 
     def counting_file(ds, *args, **kwargs):
         files[ds[0].span.file] += 1
@@ -520,72 +519,68 @@ def test_cold_sweep_checks_each_file_once_per_key(cold_caches, monkeypatch):
         decls[d.span.file] += 1
         return check_decl(sig, d, *args)
 
-    def counting_reach(seed, sig):
-        walks.append(seed)
-        return reach(seed, sig)
-
     monkeypatch.setattr(theory, "check_signature", counting_file)
     monkeypatch.setattr(check, "check_declaration", counting_decl)
-    monkeypatch.setattr(theory, "_reach", counting_reach)
     for cfg in _all_configs():
         build_theory(cfg)
-    assert (sum(files.values()), sum(decls.values()), len(walks)) == (
-        41, 443, 41)
+    assert (sum(files.values()), sum(decls.values())) == (26, 311)
     # the core reads none of the optional blocks
     assert files["01-2ltt-core.dk"] == 1
-    # a warm sweep re-reads stored reaches: no check, no closure walk
+    # a warm sweep re-reads stored keys: no check
     files.clear()
-    walks.clear()
     for cfg in _all_configs():
         build_theory(cfg)
-    assert not files and not walks
+    assert not files
 
 
-class _Recording(dict):
-    """A dict that notes every key looked up in it."""
+class _Recording:
+    """Forwards the lookups and writes a check makes to a namespace,
+    noting every name looked up."""
 
     def __init__(self, data, seen):
-        super().__init__(data)
-        self.seen = seen
-
-    def __getitem__(self, key):
-        self.seen.add(key)
-        return super().__getitem__(key)
+        self.data, self.seen = data, seen
 
     def __contains__(self, key):
         self.seen.add(key)
-        return super().__contains__(key)
+        return key in self.data
 
     def get(self, key, default=None):
         self.seen.add(key)
-        return super().get(key, default)
+        return self.data.get(key, default)
 
     def setdefault(self, key, default=None):
         self.seen.add(key)
-        return super().setdefault(key, default)
+        return self.data.setdefault(key, default)
+
+    def __setitem__(self, key, value):
+        self.data[key] = value
 
 
 def test_a_file_check_reads_only_names_in_its_key(cold_caches, monkeypatch):
     check_file = theory.check_signature
-    checks = 0
+    recorded = Counter()
 
     def recording_check(decls, sig):
-        nonlocal checks
-        keyed = set(theory._reach(theory._seed(decls), sig))
-        seen = set()
-        sig.consts = _Recording(sig.consts, seen)
-        sig.rules = _Recording(sig.rules, seen)
+        consts, rules = sig.consts, sig.rules
+        seen = (set(), set())
+        sig.consts = _Recording(consts, seen[0])
+        sig.rules = _Recording(rules, seen[1])
         try:
             check_file(decls, sig=sig)
         finally:
-            sig.consts, sig.rules = dict(sig.consts), dict(sig.rules)
-        assert seen and seen <= keyed, (decls[0].span.file, seen - keyed)
-        checks += 1
+            sig.consts, sig.rules = consts, rules
+        recorded[id(decls), tuple(map(frozenset, seen))] += 1
 
     monkeypatch.setattr(theory, "check_signature", recording_check)
     for cfg in _all_configs():
         build_theory(cfg)
-    assert checks == 41
+    stored = Counter({
+        (id(decls), tuple(map(frozenset, key))): len(states)
+        for _, _, parses in theory._CACHE.values()
+        for decls, checks in parses.values()
+        for key, states in checks.items()})
+    assert sum(recorded.values()) == 26
+    assert recorded == stored
 
 
 def test_a_new_rule_that_a_file_reaches_forces_a_recheck(
@@ -616,6 +611,52 @@ def test_a_new_rule_that_a_file_reaches_forces_a_recheck(
     assert checked == {"a.dk": 1, "r.dk": 1, "b.dk": 2}
     theory._build((a, r, b))
     assert checked == {"a.dk": 1, "r.dk": 1, "b.dk": 2}
+
+
+def test_a_rule_that_a_file_never_fires_forces_no_recheck(
+        cold_caches, tmp_path, monkeypatch):
+    # b.dk looks f up, but its check never reduces a term headed by f
+    files = {"a.dk": "T : Type.\ndef f : T -> T.\n",
+             "r.dk": "[x] f x --> x.\n",
+             "b.dk": "def k : T -> T := f.\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    a, r, b = (tmp_path / name for name in files)
+    checked = Counter()
+    check_file = theory.check_signature
+
+    def counting_check(decls, sig):
+        checked[decls[0].span.file] += 1
+        return check_file(decls, sig=sig)
+
+    monkeypatch.setattr(theory, "check_signature", counting_check)
+    assert "k" in theory._build((a, b)).consts
+    built = theory._build((a, r, b))
+    assert checked == {"a.dk": 1, "r.dk": 1, "b.dk": 1}
+    consts = set()
+    assert _shown(built) == _shown(check_signature(
+        [d for p in (a, r, b)
+         for d in parse_file(p.read_text(), p.name, consts)]))
+
+
+def test_a_check_that_reads_a_namespace_otherwise_raises(
+        cold_caches, monkeypatch):
+    check_file = theory.check_signature
+
+    def iterating_check(decls, sig):
+        list(sig.consts)
+        return check_file(decls, sig=sig)
+
+    monkeypatch.setattr(theory, "check_signature", iterating_check)
+    with pytest.raises(TypeError):
+        build_theory(TheoryConfig())
+    # the core's parse is cached, with no check
+    assert list(_checks().values()) == [{}]
+    sig = Signature()
+    with pytest.raises(TypeError):
+        theory._check(theory._parse(blocks_for(TheoryConfig())[0], sig), sig)
+    # the failed check put the plain namespaces back
+    assert type(sig.consts) is dict and type(sig.rules) is dict
 
 
 def test_checks_keep_binder_hints_apart(cold_caches, tmp_path):
