@@ -29,7 +29,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Mapping, Union
 
-from .terms import Record, Term, Const, Pi, Var, open_binder, spine
+from .terms import (Record, Term, Const, Pi, Var, fresh_name, instantiate,
+                    spine)
 
 _set = object.__setattr__
 
@@ -542,10 +543,13 @@ def audit_equation(ty: Term) -> Verdict:
     `ceps (cEq F lhs rhs)`; bound variables become generators named
     after their binders.
     """
-    core, taken = ty, set()
+    core, taken, opened = ty, set(), []
     while isinstance(core, Pi):
-        v, core = open_binder(core.var, core.cod, taken)
+        v = fresh_name(core.var, taken)
         taken.add(v)
+        opened.append(Var(v))
+        core = core.cod
+    core = instantiate(core, opened)
     head, args = spine(core)
     if not (isinstance(head, Const) and head.name == "ceps" and len(args) == 1):
         raise OutOfDomain("equation type does not end in ceps", core)

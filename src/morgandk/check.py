@@ -5,6 +5,14 @@ Definitional equality is conversion: beta, eta, the signature's rewrite
 rules, and unfolding of definitions (a definition is installed as a
 rule `name --> body` named `name.def`).
 
+A telescope is checked in one loop, not by recursion down it: an
+application's whole spine, a product's nested domains, and a chain of
+abstractions checked against a product.  Products are peeled as they
+are written, so each domain, and at the end the body, is opened once
+with a multi-binder `instantiate` over the binders before it; a type is
+weak-head normalized only where it is not syntactically a product.
+The binders' names are drawn against one set per telescope.
+
 As in a Dedukti signature, only a definable ('def') constant without a
 body may take rules, and `check_rule` alone decides it: the parser asks
 only that a rule be headed by a declared constant.  Rule checking then
@@ -22,14 +30,15 @@ check.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .parser import (Declaration, DefinableConst, Definition, RuleDecl,
                      SourceSpan, StaticConst, pretty)
 from .rewrite import (DEFAULT_FUEL, Fuel, Reducer, RewriteRule,
                       RuleCompileError, compile_rule)
 from .terms import (App, Const, Ctx, KIND, Lam, Pi, Record, Sort, TYPE,
-                    Term, Var, abstract, instantiate, open_binder, spine)
+                    Term, Var, abstract, fresh_name, instantiate,
+                    open_binder, spine)
 
 __all__ = [
     "TypeCheckError", "ConstInfo", "Signature",
@@ -137,13 +146,11 @@ def infer(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> Term:
             if ty is None:
                 raise TypeCheckError(f"unbound variable {n!r}", kind="unbound")
             return ty
-        case App(f, a):
-            tf = red.whnf(infer(sig, ctx, f, red))
-            if not isinstance(tf, Pi):
-                raise TypeCheckError("application of a non-function",
-                                     actual=tf, kind="not-a-function")
-            check(sig, ctx, a, tf.dom, red)
-            return instantiate(tf.cod, a)
+        case App():
+            head, args = spine(t)
+            return _apply(red, infer(sig, ctx, head, red), args,
+                          lambda a, dom: check(sig, ctx, a, dom, red),
+                          _non_function)
         case Lam(hint, dom, body):
             if dom is None:
                 raise TypeCheckError(
@@ -155,15 +162,53 @@ def infer(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> Term:
                 raise TypeCheckError("an abstraction cannot produce a kind",
                                      kind="sort-error")
             return Pi(hint, dom, abstract(tb, v))
-        case Pi(hint, dom, cod):
-            _check_is_type(sig, ctx, dom, red)
-            v, cod = open_binder(hint, cod, ctx.names())
-            s = red.whnf(infer(sig, ctx.push(v, dom), cod, red))
+        case Pi():
+            # the whole telescope: each domain is opened with the
+            # binders before it, the final codomain once with them all
+            taken = ctx.names()
+            opened: list[Term] = []
+            while t.__class__ is Pi:
+                dom = instantiate(t.dom, opened)
+                _check_is_type(sig, ctx, dom, red)
+                v = fresh_name(t.var, taken)
+                taken.add(v)
+                ctx = ctx.push(v, dom)
+                opened.append(Var(v))
+                t = t.cod
+            s = red.whnf(infer(sig, ctx, instantiate(t, opened), red))
             if not isinstance(s, Sort):
                 raise TypeCheckError("product codomain must be a type or a kind",
                                      actual=s, kind="sort-error")
             return s
     raise TypeCheckError(f"not a term: {t!r}")
+
+
+def _non_function(w: Term) -> TypeCheckError:
+    return TypeCheckError("application of a non-function", actual=w,
+                          kind="not-a-function")
+
+
+def _apply(red: Reducer, ty: Term, args: Sequence[Term],
+           on_arg: Callable[[Term, Term], object],
+           not_a_product: Callable[[Term], TypeCheckError]) -> Term:
+    """The type of a head of type `ty` applied to `args`, calling
+    `on_arg(a, dom)` on each argument, left to right, with the domain it
+    meets.  Products are peeled as they are written: each domain, and
+    at the end the codomain, is instantiated once, with the arguments
+    not yet substituted into it.  The pending type is weak-head
+    normalized only when it is not syntactically a product; if it is
+    still none, `not_a_product` of it is raised."""
+    pending: list[Term] = []  # the arguments owed to `ty`, outermost first
+    for a in args:
+        if ty.__class__ is not Pi:
+            ty = red.whnf(instantiate(ty, pending))
+            pending = []
+            if ty.__class__ is not Pi:
+                raise not_a_product(ty)
+        on_arg(a, instantiate(ty.dom, pending))
+        pending.append(a)
+        ty = ty.cod
+    return instantiate(ty, pending)
 
 
 def _check_is_type(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> None:
@@ -174,17 +219,38 @@ def _check_is_type(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> None:
 
 
 def check(sig: Signature, ctx: Ctx, t: Term, ty: Term, red: Reducer) -> None:
-    if isinstance(t, Lam):
-        w = red.whnf(ty)
-        if not isinstance(w, Pi):
-            raise TypeCheckError("abstraction checked against a non-product type",
-                                 expected=ty)
-        if t.dom is not None and not red.conv(t.dom, w.dom):
-            raise TypeCheckError("domain annotation does not match",
-                                 expected=w.dom, actual=t.dom)
-        v, body = open_binder(t.var, t.body, ctx.names())
-        check(sig, ctx.push(v, w.dom), body, instantiate(w.cod, Var(v)), red)
-        return
+    if t.__class__ is Lam:
+        # the whole chain of abstractions, against products peeled as
+        # in `_apply`: each annotation and domain is opened with the
+        # binders before it, and the body and the codomain once at the
+        # end
+        taken = ctx.names()
+        opened: list[Term] = []  # a variable for each abstraction so far
+        pending: list[Term] = []  # those owed to `ty`, outermost first
+        while t.__class__ is Lam:
+            if ty.__class__ is not Pi:
+                ty = instantiate(ty, pending)
+                pending = []
+                w = red.whnf(ty)
+                if w.__class__ is not Pi:
+                    raise TypeCheckError(
+                        "abstraction checked against a non-product type",
+                        expected=ty)
+                ty = w
+            dom = instantiate(ty.dom, pending)
+            if t.dom is not None:
+                annotated = instantiate(t.dom, opened)
+                if not red.conv(annotated, dom):
+                    raise TypeCheckError("domain annotation does not match",
+                                         expected=dom, actual=annotated)
+            v = fresh_name(t.var, taken)
+            taken.add(v)
+            ctx = ctx.push(v, dom)
+            x = Var(v)
+            opened.append(x)
+            pending.append(x)
+            t, ty = t.body, ty.cod
+        t, ty = instantiate(t, opened), instantiate(ty, pending)
     it = infer(sig, ctx, t, red)
     if not red.conv(it, ty):
         raise TypeCheckError("type mismatch", expected=ty, actual=it)
@@ -232,19 +298,12 @@ def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
         info = sig.consts.get(head.name)
         if info is None:
             raise TypeCheckError(f"undeclared constant {head.name!r}", kind="unbound")
-        ty = info.ty
-        for a in args:
-            w = red.whnf(ty)
-            if not isinstance(w, Pi):
-                raise TypeCheckError(
-                    f"rule head {head.name!r} is over-applied" if p is rule.lhs
-                    else f"over-applied constant {head.name!r} in pattern")
-            walk(a, w.dom)
-            ty = instantiate(w.cod, a)
         # the computed type of a subpattern is not compared with
         # `expected`: it mentions pattern variables the match will only
         # later determine, and sound rules routinely refine it
-        return ty
+        return _apply(red, info.ty, args, walk, lambda w: TypeCheckError(
+            f"rule head {head.name!r} is over-applied" if p is rule.lhs
+            else f"over-applied constant {head.name!r} in pattern"))
 
     try:
         ty = walk(rule.lhs, None)

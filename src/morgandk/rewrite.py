@@ -170,8 +170,14 @@ class Reducer:
         while True:
             head, args = spine(t)
             if isinstance(head, Lam) and args:
-                self.fuel.tick()
-                t = app(instantiate(head.body, args[0]), *args[1:])
+                # the chain of abstractions that meets arguments, all
+                # contracted by one substitution, a tick per beta step
+                body, k = head.body, 1
+                while k < len(args) and body.__class__ is Lam:
+                    body, k = body.body, k + 1
+                for _ in range(k):
+                    self.fuel.tick()
+                t = app(instantiate(body, args[:k]), *args[k:])
                 continue
             nxt = None
             if isinstance(head, Const):
@@ -286,7 +292,7 @@ class Reducer:
         syntactically.  With `name`, only a step of that name."""
         if name is None or name == "beta":
             if isinstance(t, App) and isinstance(t.fn, Lam):
-                return "beta", instantiate(t.fn.body, t.arg)
+                return "beta", instantiate(t.fn.body, (t.arg,))
         if name is None or name == "eta":
             contracted = _eta_body(t)
             if contracted is not None:

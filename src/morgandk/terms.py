@@ -21,13 +21,15 @@ which yields every node in preorder with the number of binders above
 it and keeps its own stack: `free_vars`, `occurs`, the printer's
 choice of binder names and the rule pattern check are built on it.
 The traversals that rebuild a term (`shift`, `abstract`, `instantiate`,
-`msubst`) share `_rebuild`, which still recurses.
+`msubst`) share `_rebuild`, which still recurses.  `instantiate` opens
+any number of nested binders in one walk, so a checker that peels a
+telescope substitutes into each domain, and into the final body, once.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "Record",
@@ -369,15 +371,22 @@ def abstract(t: Term, name: str) -> Term:
     return _rebuild(t, leaf, 0)
 
 
-def instantiate(body: Term, arg: Term) -> Term:
-    """Open a binder's body with `arg`: the binder's index becomes arg,
-    shifted under the binders it passes, and indices pointing further
-    out move down by one."""
+def instantiate(body: Term, args: Sequence[Term]) -> Term:
+    """Open the body of k = len(args) nested binders in one walk, with
+    `args[0]` for the outermost binder and `args[-1]` for the innermost:
+    each binder's index becomes its argument, shifted under the binders
+    it passes, and indices pointing further out move down by k.  Equal
+    to opening the binders one at a time, outermost first.  The
+    arguments come as one sequence, so a walk down a telescope passes
+    the list it keeps as it is, not a copy at each binder."""
+    k = len(args)
+
     def leaf(v, depth):
         if isinstance(v, Var) or v.index < depth:
             return v
-        return shift(arg, depth) if v.index == depth else Bound(v.index - 1)
-    return _rebuild(body, leaf, 0)
+        i = v.index - depth  # 0 is the innermost opened binder
+        return shift(args[k - 1 - i], depth) if i < k else Bound(v.index - k)
+    return _rebuild(body, leaf, 0) if k else body
 
 
 def open_binder(hint: str, body: Term,
@@ -385,7 +394,7 @@ def open_binder(hint: str, body: Term,
     """Open a binder's body with a free variable named after its hint,
     renamed apart from `avoid`.  Returns the name and the opened body."""
     v = fresh_name(hint, avoid)
-    return v, instantiate(body, Var(v))
+    return v, instantiate(body, (Var(v),))
 
 
 def msubst(t: Term, sub: dict[str, Term]) -> Term:
@@ -430,5 +439,7 @@ class Ctx(Record):
                 return ty
         return None
 
-    def names(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self.entries)
+    def names(self) -> set[str]:
+        """The names bound here, as a new set: a walk that opens a
+        telescope adds each name it draws to it."""
+        return {n for n, _ in self.entries}

@@ -88,15 +88,25 @@ FULL_CONFIG = TheoryConfig(
     cubical=True,
 )
 
-_CUBICAL_BLOCKS = tuple(_THEORY_DIR / n for n in (
-    "07-cubical-core.dk",
-    "08-cubical-interval.dk",
-    "09-cubical-paths.dk",
-    "10-cubical-faces.dk",
-    "11-cubical-facetype.dk",
-    "12-cubical-systems.dk",
-    "13-cubical-comp.dk",
-))
+# Every corpus path is built once, here: a `Path` keeps its string and
+# its hash once computed, so each build's `stat` and cache probe reuse them.
+_CORE = _THEORY_DIR / "01-2ltt-core.dk"
+_T1 = _THEORY_DIR / "02-axioms-t1.dk"
+_T2 = _THEORY_DIR / "03-axioms-t2.dk"
+_T3 = _THEORY_DIR / "04-axioms-t3.dk"
+_UNIVALENCE = _THEORY_DIR / "05-univalence.dk"
+_NAT = _THEORY_DIR / "06-nat-morphism.dk"
+_NAT_EXTERNAL = _THEORY_DIR / "nat-external_eq" / "06-nat-morphism.dk"
+_CUBICAL_CORE = _THEORY_DIR / "07-cubical-core.dk"
+_INTERVAL = _THEORY_DIR / "08-cubical-interval.dk"
+_PATHS = _THEORY_DIR / "09-cubical-paths.dk"
+_FACES = _THEORY_DIR / "10-cubical-faces.dk"
+_CUBICAL_BLOCKS = (_CUBICAL_CORE, _INTERVAL, _PATHS, _FACES,
+                   _THEORY_DIR / "11-cubical-facetype.dk",
+                   _THEORY_DIR / "12-cubical-systems.dk",
+                   _THEORY_DIR / "13-cubical-comp.dk")
+_EXAMPLES_2LTT = _THEORY_DIR / "14-examples-2ltt.dk"
+_EXAMPLES_FILLING = _THEORY_DIR / "15-examples-filling.dk"
 
 
 def blocks_for(cfg: TheoryConfig) -> list[Path]:
@@ -104,24 +114,24 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
     File names are stable across configurations: the `external_eq`
     number morphism sits in a subdirectory under the same name as the
     definitional one."""
-    out = [_THEORY_DIR / "01-2ltt-core.dk"]
+    out = [_CORE]
     if cfg.t1_injectivity:
-        out.append(_THEORY_DIR / "02-axioms-t1.dk")
+        out.append(_T1)
     if cfg.t2_primitive_iso_as_rewrite:
-        out.append(_THEORY_DIR / "03-axioms-t2.dk")
+        out.append(_T2)
     if cfg.t3_repletion:
-        out.append(_THEORY_DIR / "04-axioms-t3.dk")
+        out.append(_T3)
     if cfg.include_weak_univalence:
-        out.append(_THEORY_DIR / "05-univalence.dk")
+        out.append(_UNIVALENCE)
     if cfg.nat_morphism_strength == "external_eq":
-        out.append(_THEORY_DIR / "nat-external_eq" / "06-nat-morphism.dk")
+        out.append(_NAT_EXTERNAL)
     elif cfg.nat_morphism_strength == "definitional":
-        out.append(_THEORY_DIR / "06-nat-morphism.dk")
+        out.append(_NAT)
     if cfg.cubical:
         out.extend(_CUBICAL_BLOCKS)
-    out.append(_THEORY_DIR / "14-examples-2ltt.dk")
+    out.append(_EXAMPLES_2LTT)
     if cfg.cubical:
-        out.append(_THEORY_DIR / "15-examples-filling.dk")
+        out.append(_EXAMPLES_FILLING)
     return out
 
 
@@ -275,13 +285,8 @@ def build_theory(cfg: TheoryConfig) -> Signature:
 
 
 _FIRST_ATTEMPT = _THEORY_DIR / "quarantine" / "faces-first-attempt.dk"
-_FIRST_ATTEMPT_PATHS = tuple(_THEORY_DIR / n for n in (
-    "01-2ltt-core.dk",
-    "07-cubical-core.dk",
-    "08-cubical-interval.dk",
-    "09-cubical-paths.dk",
-    "10-cubical-faces.dk",
-)) + (_FIRST_ATTEMPT,)
+_FIRST_ATTEMPT_PATHS = (_CORE, _CUBICAL_CORE, _INTERVAL, _PATHS, _FACES,
+                        _FIRST_ATTEMPT)
 
 
 def first_attempt_signature() -> Signature:

@@ -1,8 +1,9 @@
 import pytest
 
+from morgandk import terms
 from morgandk.check import (Signature, TypeCheckError, check_declaration,
                             check_rule, check_signature, infer)
-from morgandk.parser import RuleDecl, SourceSpan, parse_file, parse_term
+from morgandk.parser import RuleDecl, SourceSpan, parse_file, parse_term, pretty
 from morgandk.rewrite import compile_rule
 from morgandk.terms import TYPE, App, Const, Ctx, Var, app
 
@@ -194,3 +195,91 @@ def test_prefix_monotonicity(full_sig):
         check_declaration(sig, d, 100000)
     assert "extraId" in sig.consts
     assert "extra" not in full_sig.consts
+
+
+# -- telescopes: application spines, products and abstraction chains ----
+
+_TELESCOPE = "A : Type. a : A. P : A -> Type. g : x : A -> y : A -> P x."
+
+
+def _telescope_error(text):
+    sig = check_signature(_decls(_TELESCOPE + " def f1 : A -> A.", Signature()))
+    decls = _decls(text, sig)
+    with pytest.raises(TypeCheckError) as e:
+        for d in decls:
+            check_declaration(sig, d)
+    err = e.value
+    return (err.kind, err.msg,
+            None if err.expected is None else pretty(err.expected),
+            None if err.actual is None else pretty(err.actual))
+
+
+@pytest.mark.parametrize("text,expected", [
+    # the third argument meets `P a`, with the pending `x` substituted
+    ("def d : A := g a a a.",
+     ("not-a-function", "application of a non-function", None, "P a")),
+    ("def h : x : A -> P x := x => y => x.",
+     ("mismatch", "abstraction checked against a non-product type",
+      "P x", None)),
+    # the third abstraction's annotation, with the opened names printed
+    ("def k : x : A -> y : P x -> z : P x -> A := "
+     "x : A => y : P x => z : P y => x.",
+     ("mismatch", "domain annotation does not match", "P x", "P y")),
+    # names drawn along one chain stay apart
+    ("def k : x : A -> x : A -> x : P x -> A := "
+     "x : A => x : A => x : P x => x.",
+     ("mismatch", "type mismatch", "A", "P x_0")),
+    # two products equal up to binder names, in one declaration: each
+    # application prints the names of its own head's type
+    ("k : x : A -> z : A -> P z. k2 : y : A -> w : A -> P w. "
+     "h : (z : A -> P z) -> A -> A. def e : A := h (k a) (k2 a).",
+     ("mismatch", "type mismatch", "A", "w : A -> P w")),
+    ("c : x : A -> y : P x -> y.",
+     ("sort-error", "product codomain must be a type or a kind", None,
+      "P x")),
+    ("[x] f1 x x --> x.",
+     ("rule-ill-typed", "rule head 'f1' is over-applied", None, None)),
+    ("[x] f1 (a x) --> x.",
+     ("rule-ill-typed", "over-applied constant 'a' in pattern", None, None)),
+])
+def test_errors_inside_a_telescope(text, expected):
+    assert _telescope_error(text) == expected
+
+
+def _wide(n):
+    """A constant over n binders, an n-argument application of it, and
+    an n-abstraction definition checked against its n-binder type."""
+    xs = [f"x{i}" for i in range(n)]
+    ty = " -> ".join(f"{x} : A" for x in xs) + " -> P x0"
+    return _decls(
+        f"{_TELESCOPE} p : x : A -> P x. c : {ty}.\n"
+        f"def d : P a := c {' '.join(['a'] * n)}.\n"
+        f"def f : {ty} := {' => '.join(f'{x} : A' for x in xs)} => p x0.",
+        Signature())
+
+
+def test_telescope_work_is_linear_in_the_width(monkeypatch):
+    # each domain is opened once with the binders before it, and the
+    # final codomain and body once with them all: twice the width
+    # rebuilds about twice the nodes
+    rebuild = terms._rebuild
+    visits = [0]
+
+    def counted(t, leaf, depth):
+        visits[0] += 1
+        return rebuild(t, leaf, depth)
+
+    decls = [_wide(n) for n in (200, 400)]
+    monkeypatch.setattr(terms, "_rebuild", counted)
+    counts = []
+    for ds in decls:
+        visits[0] = 0
+        sig = check_signature(ds)
+        counts.append(visits[0])
+        assert sig.consts["d"].ty == _pt("P a", sig)
+    assert counts[1] <= 2.3 * counts[0], counts
+
+
+def test_a_wide_telescope_checks_without_recursion(default_recursion_limit):
+    sig = check_signature(_wide(2000))
+    assert {"c", "d", "f"} <= sig.consts.keys()

@@ -182,6 +182,27 @@ def test_fuel_exhaustion(full_sig):
         == _pt("succ l0 (succ l0 (succ l0 (succ l0 (zero l0))))", full_sig)
 
 
+def test_a_chain_of_beta_steps_costs_a_tick_each():
+    # one substitution contracts the three steps, and the budget still
+    # runs out at the third, as one step at a time did; a trace records
+    # each step on its own
+    rules = {}
+    k = parse_term("x => y => z => x", frozenset())
+    t = app(k, Const("a"), Const("b"), Const("c"))
+    with pytest.raises(FuelExhausted):
+        Reducer(rules, Fuel(2)).whnf(t)
+    fuel = Fuel(3)
+    assert Reducer(rules, fuel).whnf(t) == Const("a")
+    assert fuel.remaining == 0
+    # a chain longer than its arguments stops at the last argument
+    fuel = Fuel(5)
+    assert Reducer(rules, fuel).whnf(App(k, Const("a"))) == parse_term(
+        "y => z => a", frozenset({"a"}))
+    assert fuel.remaining == 4
+    nf, steps = Reducer(rules).normalize_traced(t)
+    assert nf == Const("a") and [name for _, name in steps] == ["beta"] * 3
+
+
 def _numeral(n):
     t = App(Const("zero"), Const("l0"))
     for _ in range(n):

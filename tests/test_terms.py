@@ -75,9 +75,25 @@ def test_free_vars_and_occurs_of_deep_terms(default_recursion_limit):
 def test_instantiate_shifts_under_binders():
     # the body `y => #1` refers past y to the binder being opened
     body = Lam("y", None, Bound(1))
-    assert instantiate(body, Bound(0)) == Lam("y", None, Bound(1))
-    assert instantiate(body, Var("a")) == Lam("y", None, Var("a"))
+    assert instantiate(body, (Bound(0),)) == Lam("y", None, Bound(1))
+    assert instantiate(body, (Var("a"),)) == Lam("y", None, Var("a"))
     assert shift(body, 1) == Lam("y", None, Bound(2))
+
+
+def test_instantiate_opens_several_binders_at_once():
+    # index 0 is the innermost opened binder, so args[-1]; the indices
+    # past the two opened binders move down by two, also under a binder
+    a, b = Const("a"), Const("b")
+    body = App(App(Bound(0), Bound(1)), Lam("w", None, App(Bound(3), Bound(2))))
+    assert instantiate(body, (a, b)) == App(
+        App(b, a), Lam("w", None, App(Bound(1), a)))
+    assert instantiate(App(Bound(2), Bound(5)), (a, b)) == App(Bound(0),
+                                                               Bound(3))
+    # an argument's own loose index is shifted under the binder it passes
+    body = Lam("w", None, App(Bound(1), Bound(2)))
+    assert instantiate(body, (Bound(0), Var("a"))) == Lam(
+        "w", None, App(Var("a"), Bound(1)))
+    assert instantiate(body, ()) is body
 
 
 def test_spine_left_associative():
@@ -134,12 +150,32 @@ def test_subst_removes_the_variable(t, x, s):
 
 @given(_terms(), _names)
 def test_instantiate_undoes_abstract(t, x):
-    assert instantiate(abstract(t, x), Var(x)) == t
+    assert instantiate(abstract(t, x), (Var(x),)) == t
 
 
 @given(_terms(), _terms())
 def test_instantiate_undoes_shift(t, s):
-    assert instantiate(shift(t, 1), s) == t
+    assert instantiate(shift(t, 1), (s,)) == t
+
+
+@given(_terms(), st.lists(st.tuples(st.sampled_from(["y", "z"]), _terms()),
+                          min_size=1, max_size=4))
+def test_instantiate_equals_opening_one_binder_at_a_time(t, binders):
+    # k lambdas over `y` and `z` (a repeat shadows), all under an outer
+    # binder over `x`: t's `x` is a loose index past the k binders, and
+    # so is each argument's, which is shifted where it lands
+    nested = t
+    for name, _ in reversed(binders):
+        nested = lam(name, None, nested)
+    nested = abstract(nested, "x")
+    args = [abstract(a, "x") for _, a in binders]
+    one_at_a_time = nested
+    for a in args:
+        one_at_a_time = instantiate(one_at_a_time.body, (a,))
+    body = nested
+    for _ in args:
+        body = body.body
+    assert instantiate(body, args) == one_at_a_time
 
 
 # binder hints that collide with free names, with the printer's own
