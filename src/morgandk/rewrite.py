@@ -4,10 +4,16 @@ and critical pair analysis.
 
 Rule left-hand sides are applicative patterns: a constant head applied to
 argument patterns built from constants, applications and pattern
-variables, with no binders.  Matching is modulo reduction (arguments are
-weak-head normalized as far as the pattern shape demands) and a repeated
-pattern variable compares its matches up to conversion, so non-left-linear
-rules behave definitionally.
+variables, with no binders.  Matching is modulo reduction and walks the
+forced argument spine: at a constant head, an argument whose pattern is
+not a variable is weak-head normalized once per head attempt, all of the
+head's rules read that forced argument, and a nested application pattern
+walks the forced subject's spine in lockstep with its own.  A cache hit
+costs no fuel, so cached fuel use is that of forcing at every pattern
+level; uncached it is never more, so an uncached run that fits a budget
+under re-forcing still fits it.  A repeated pattern variable compares
+its matches up to conversion, so non-left-linear rules behave
+definitionally.
 
 Traced reduction instead takes one leftmost-outermost step at a time with
 plain syntactic matching, so every recorded step can be replayed without
@@ -161,9 +167,16 @@ class Reducer:
     def match(self, pat: Term, t: Term, sub: dict[str, Term]) -> bool:
         """Match modulo reduction: weak-head normalize the subject where
         the pattern demands it, compare repeated variables by `conv`."""
+        if pat.__class__ is not Var:
+            t = self.whnf(t)
         return _match(pat, t, sub, self.conv, self.whnf)
 
     def whnf(self, t: Term) -> Term:
+        """The weak-head normal form.  At a constant head the rules are
+        tried in order against one list of forced arguments: an argument
+        whose pattern is not a variable is forced once per head attempt,
+        however many rules read it, and `_match` does not force it again.
+        A pattern variable takes the argument as given."""
         if self.whnf_cache is not None and t in self.whnf_cache:
             return self.whnf_cache[t]
         orig = t
@@ -180,15 +193,25 @@ class Reducer:
                 t = app(instantiate(body, args[:k]), *args[k:])
                 continue
             nxt = None
-            if isinstance(head, Const):
-                match_arg = self.match
-                for r in self.rules.get(head.name, ()):
+            rules = self.rules.get(head.name) if isinstance(head, Const) else None
+            if rules:
+                forced: list[Optional[Term]] = [None] * len(args)
+                for r in rules:
                     n = len(r.lhs_args)
-                    if n <= len(args):
-                        sub: dict[str, Term] = {}
-                        if all(map(match_arg, r.lhs_args, args, repeat(sub))):
-                            nxt = app(msubst(r.rhs, sub), *args[n:])
+                    if n > len(args):
+                        continue
+                    sub: dict[str, Term] = {}
+                    for i, pat in enumerate(r.lhs_args):
+                        a = args[i]
+                        if pat.__class__ is not Var:
+                            a = forced[i]
+                            if a is None:
+                                a = forced[i] = self.whnf(args[i])
+                        if not _match(pat, a, sub, self.conv, self.whnf):
                             break
+                    else:
+                        nxt = app(msubst(r.rhs, sub), *args[n:])
+                        break
             if nxt is None:
                 break
             self.fuel.tick()
@@ -436,25 +459,37 @@ def _match(pat: Term, t: Term, sub: dict[str, Term],
            whnf: Optional[Callable[[Term], Term]] = None) -> bool:
     """The one first-order matcher: extend `sub` so that `pat` instantiates
     to `t`.  A repeated pattern variable compares its matches with `eq`
-    (`==`, which is alpha-equivalence, by default); with `whnf`, the
-    subject is weak-head normalized wherever the pattern demands a
-    constant or an application."""
-    match pat:
-        case Var(v):
-            if v in sub:
-                return eq(sub[v], t) if eq is not None else sub[v] == t
+    (`==`, which is alpha-equivalence, by default).
+
+    The pattern's spine and the subject's are walked in lockstep: the
+    heads first, then the arguments left to right.  A variable head
+    (`F x`) takes the subject's prefix node that is left over.  With
+    `whnf`, matching is modulo reduction.  Then `t` must already be
+    weak-head normal unless `pat` is a variable, and an argument is
+    forced once, when its pattern is not a variable.  A prefix of a
+    weak-head normal spine is weak-head normal too, since every rule of
+    its head that takes fewer arguments was tried on the same
+    arguments, so the prefixes are not forced again."""
+    args: list[tuple[Term, Term]] = []  # (pattern, subject) pairs
+    while pat.__class__ is App:
+        if t.__class__ is not App:
+            return False
+        args.append((pat.arg, t.arg))
+        pat, t = pat.fn, t.fn
+    if pat.__class__ is Var:
+        v = pat.name
+        if v not in sub:
             sub[v] = t
-            return True
-        case Const(c):
-            if whnf is not None:
-                t = whnf(t)
-            return isinstance(t, Const) and t.name == c
-        case App(pf, pa):
-            if whnf is not None:
-                t = whnf(t)
-            return (isinstance(t, App) and _match(pf, t.fn, sub, eq, whnf)
-                    and _match(pa, t.arg, sub, eq, whnf))
-    return False
+        elif not (eq(sub[v], t) if eq is not None else sub[v] == t):
+            return False
+    elif t.__class__ is not Const or t.name != pat.name:
+        return False
+    for p, a in reversed(args):
+        if whnf is not None and p.__class__ is not Var:
+            a = whnf(a)
+        if not _match(p, a, sub, eq, whnf):
+            return False
+    return True
 
 
 def match_pattern(pat: Term, t: Term,

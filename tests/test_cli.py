@@ -256,6 +256,17 @@ def test_reduce_deep_numeral(capsys, depth, default_recursion_limit):
     assert out == _numeral_text(2 * depth) + "\n"
 
 
+def test_reduce_of_nested_redexes(capsys, default_recursion_limit):
+    # matching forces a rule's argument with one nested whnf call per
+    # level, so 500 levels fit the default recursion limit (README,
+    # "Depth")
+    depth = 500
+    code, out, err = run(capsys, "reduce",
+                         "sym (" * depth + "i" + ")" * depth)
+    assert code == 0 and err == ""
+    assert out == "i\n"
+
+
 def test_reduce_of_deeply_nested_redexes_still_exits_3(
         capsys, default_recursion_limit):
     # weak-head normalizing a rule's argument during matching is still a

@@ -1,3 +1,5 @@
+from itertools import repeat
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,7 +11,8 @@ from morgandk.rewrite import (DEFAULT_FUEL, CriticalPair, Fails, Fuel,
                               RuleCompileError, compile_rule, critical_pairs,
                               joinable, match_pattern, unify)
 from morgandk.terms import (App, Bound, Const, Lam, Pi, Sort, Var, alpha_eq,
-                            app, free_vars, lam, msubst, spine, subst)
+                            app, free_vars, instantiate, lam, msubst, spine,
+                            subst, subterms)
 from morgandk.theory import INTERVAL_FACE_HEADS, interval_face_rules
 
 
@@ -841,3 +844,222 @@ def test_unify_agrees_with_the_triangular_reference(rules):
             assert mgu == {k: _resolve(v, ref) for k, v in ref.items()}
             # idempotent: applying it again changes nothing
             assert {k: msubst(v, mgu) for k, v in mgu.items()} == mgu
+
+
+# -- matching against the forced argument spine ------------------------------
+# The reference below is the matcher and rule loop that `_match` and
+# `Reducer.whnf` replaced: each rule of a head forces its arguments again,
+# and the matcher weak-head normalizes the subject at every application
+# level of a pattern, the bare head included.
+
+def _match_reference(pat, t, sub, eq=None, whnf=None):
+    match pat:
+        case Var(v):
+            if v in sub:
+                return eq(sub[v], t) if eq is not None else sub[v] == t
+            sub[v] = t
+            return True
+        case Const(c):
+            if whnf is not None:
+                t = whnf(t)
+            return isinstance(t, Const) and t.name == c
+        case App(pf, pa):
+            if whnf is not None:
+                t = whnf(t)
+            return (isinstance(t, App)
+                    and _match_reference(pf, t.fn, sub, eq, whnf)
+                    and _match_reference(pa, t.arg, sub, eq, whnf))
+    return False
+
+
+class _ReferenceReducer(Reducer):
+    def whnf(self, t):
+        if self.whnf_cache is not None and t in self.whnf_cache:
+            return self.whnf_cache[t]
+        orig = t
+        while True:
+            head, args = spine(t)
+            if isinstance(head, Lam) and args:
+                body, k = head.body, 1
+                while k < len(args) and body.__class__ is Lam:
+                    body, k = body.body, k + 1
+                for _ in range(k):
+                    self.fuel.tick()
+                t = app(instantiate(body, args[:k]), *args[k:])
+                continue
+            nxt = None
+            if isinstance(head, Const):
+                def match(p, a, sub):
+                    return _match_reference(p, a, sub, self.conv, self.whnf)
+                for r in self.rules.get(head.name, ()):
+                    n = len(r.lhs_args)
+                    if n <= len(args):
+                        sub = {}
+                        if all(map(match, r.lhs_args, args, repeat(sub))):
+                            nxt = app(msubst(r.rhs, sub), *args[n:])
+                            break
+            if nxt is None:
+                break
+            self.fuel.tick()
+            t = nxt
+        if self.whnf_cache is not None:
+            self.whnf_cache[orig] = t
+            self.whnf_cache[t] = t
+        return t
+
+
+def _signature_subterms(sig):
+    """Every subterm of the signature's types, definition bodies and rule
+    right-hand sides, once per `==` class, loose bound indices included."""
+    roots = [info.ty for info in sig.consts.values()]
+    roots += [info.body for info in sig.consts.values()
+              if info.body is not None]
+    roots += [r.rhs for r in sig.rule_list()]
+    return list(dict.fromkeys(s for t in roots for s, _ in subterms(t)))
+
+
+def _normal_form_and_fuel(red, t):
+    """t's normal form, or None when the fuel runs out, and the fuel used."""
+    start = red.fuel.remaining
+    try:
+        return red.normalize(t), start - red.fuel.remaining
+    except FuelExhausted:
+        return None, start - red.fuel.remaining
+
+
+@pytest.mark.parametrize("label", ["full", "first-attempt"])
+def test_reducer_agrees_with_the_reference_on_the_signature(full_sig, fa_sig,
+                                                            label):
+    # a fresh reducer per subterm, so each fuel count is the subterm's own
+    sig = full_sig if label == "full" else fa_sig
+    budget = 5_000
+    terms = _signature_subterms(sig)
+    assert len(terms) > 800
+    fewer = 0
+    for t in terms:
+        want, used = _normal_form_and_fuel(
+            _ReferenceReducer(sig.rules, Fuel(budget)), t)
+        assert want is not None, t  # every subterm fits the budget cached
+        assert _normal_form_and_fuel(sig.reducer(Fuel(budget)), t) \
+            == (want, used), t
+        ref, ref_used = _normal_form_and_fuel(
+            _ReferenceReducer(sig.rules, Fuel(budget), cached=False), t)
+        got, got_used = _normal_form_and_fuel(
+            sig.reducer(Fuel(budget), cached=False), t)
+        assert got_used <= ref_used, t
+        fewer += got_used < ref_used
+        # running out of fuel uncached can only turn into a result
+        assert got == want or (got is None is ref), t
+    assert fewer > 0  # 36 subterms of the full signature, 8 of the other
+
+
+# subjects over the pattern heads, two free variables and a pattern
+# variable's name, so that a subject may also contain a pattern
+_subjects = st.recursive(
+    st.sampled_from(["f", "g", "c"]).map(Const)
+    | st.sampled_from(["a", "b", "x"]).map(Var),
+    lambda sub: st.tuples(sub, st.lists(sub, min_size=1, max_size=3)).map(
+        lambda p: app(p[0], *p[1])),
+    max_leaves=8)
+
+
+@st.composite
+def _match_cases(draw):
+    pat = draw(_patterns())
+    # an instance of the pattern, often with repeated variables made to
+    # agree, or an unrelated subject
+    if draw(st.booleans()):
+        sub = {v: draw(_subjects) for v in sorted(free_vars(pat))}
+        return pat, msubst(pat, sub)
+    return pat, draw(_subjects)
+
+
+_F, _x, _y = Var("F"), Var("x"), Var("y")
+_f, _g, _c = Const("f"), Const("g"), Const("c")
+
+
+@example((App(_F, _x), app(_f, _c, _g)))           # F takes a prefix
+@example((App(_F, _x), _c))                         # spine too short
+@example((app(_F, _x, _y), App(_f, _c)))            # spine too short
+@example((app(_F, _x, _y), app(_f, _c, _g, _c)))    # F takes `f c`
+@example((app(_f, App(_F, _x), _x), app(_f, app(_g, _c, _c), _c)))
+@example((app(_f, _x, _x), app(_f, _c, _g)))        # repeated, disagree
+@example((app(_f, _x, App(_g, _x)), app(_f, _c, App(_g, _c))))
+@given(_match_cases())
+def test_lockstep_match_agrees_with_the_binary_reference(case):
+    pat, t = case
+    sub = {}
+    want = sub if _match_reference(pat, t, sub) else None
+    assert match_pattern(pat, t) == want
+
+
+# uncached and cached steps of normalize(i => sym^k (Imin i i)).  Uncached,
+# forcing at every pattern level took 68 / 414 / 2,080 / 11,946 / 57,632
+# steps for k = 3..7 and ran out of the default fuel at 8.  What growth is
+# left comes from `Imin i i`, which duplicates its argument
+_NESTED_SYM_STEPS = {3: (11, 4), 4: (20, 7), 5: (33, 8), 6: (50, 12),
+                     7: (79, 13), 8: (112, 18), 9: (173, 19)}
+
+
+@pytest.mark.parametrize("k", sorted(_NESTED_SYM_STEPS))
+def test_steps_to_normalize_nested_sym(full_sig, k):
+    t = _pt("i => " + "sym (" * k + "Imin i i" + ")" * k, full_sig)
+    want = "i => Imax (sym i) (sym i)" if k % 2 else "i => Imin i i"
+    for cached, steps in zip((False, True), _NESTED_SYM_STEPS[k]):
+        fuel = Fuel()
+        assert pretty(full_sig.reducer(fuel, cached).normalize(t)) == want
+        assert DEFAULT_FUEL - fuel.remaining == steps, cached
+
+
+def test_each_argument_is_forced_once_per_head_attempt(full_sig,
+                                                       monkeypatch):
+    # every whnf call on this term makes one head attempt on a spine with
+    # arguments (after its step, `sym (sym i)` goes on from the bare `i`),
+    # so no call may weak-head normalize the same argument object twice
+    whnf, calls, callers = Reducer.whnf, [], []
+
+    def counted(self, t):
+        calls.append((callers[-1] if callers else None, t))
+        callers.append(len(calls))
+        try:
+            return whnf(self, t)
+        finally:
+            callers.pop()
+    monkeypatch.setattr(Reducer, "whnf", counted)
+    t = _pt("sym (sym (sym i))", full_sig)
+    assert full_sig.reducer(cached=False).normalize(t) == App(Const("sym"),
+                                                              Var("i"))
+    forced = [(caller, id(arg)) for caller, arg in calls if caller]
+    assert len(forced) == len(set(forced))
+    # the reference makes 206 calls: 203 from inside another, which force
+    # 43 distinct (call, argument) pairs
+    assert len(calls) == 8
+
+
+@settings(deadline=None)
+@example([compile_rule("nested", ("x",), app(_f, app(_g, _c, _x)), _x),
+          compile_rule("var-head", ("F", "x"), App(_g, App(_F, _x)), _F),
+          compile_rule("unfold", (), Const("d"), _c)],
+         app(_f, app(_g, Const("d"), Var("a"))))
+@given(_rule_sets(), _subjects)
+def test_reducer_agrees_with_the_reference_on_random_rule_sets(case_rules, t):
+    # no corpus rule nests a non-variable pattern inside an argument
+    # pattern, or has a variable-headed one, so random rule sets check
+    # that nested arguments are still forced.  They need not terminate,
+    # and a cache hit costs no fuel, so the cached reducers are run only
+    # where the uncached reference reached a normal form
+    rules = {}
+    for r in case_rules:
+        rules.setdefault(r.head, []).append(r)
+    budget = 100
+    ref, ref_used = _normal_form_and_fuel(
+        _ReferenceReducer(rules, Fuel(budget), cached=False), t)
+    got, got_used = _normal_form_and_fuel(
+        Reducer(rules, Fuel(budget), cached=False), t)
+    assert got_used <= ref_used
+    if ref is None:
+        return
+    assert got == ref
+    want = _normal_form_and_fuel(_ReferenceReducer(rules, Fuel(budget)), t)
+    assert want[0] == ref
+    assert _normal_form_and_fuel(Reducer(rules, Fuel(budget)), t) == want
