@@ -176,7 +176,9 @@ class Reducer:
         tried in order against one list of forced arguments: an argument
         whose pattern is not a variable is forced once per head attempt,
         however many rules read it, and `_match` does not force it again.
-        A pattern variable takes the argument as given."""
+        A variable pattern takes its argument as given, with no matcher
+        call, on its first occurrence, and compares it with `conv` on a
+        repeat; such an argument is never reduced."""
         if self.whnf_cache is not None and t in self.whnf_cache:
             return self.whnf_cache[t]
         orig = t
@@ -202,11 +204,16 @@ class Reducer:
                         continue
                     sub: dict[str, Term] = {}
                     for i, pat in enumerate(r.lhs_args):
-                        a = args[i]
-                        if pat.__class__ is not Var:
-                            a = forced[i]
-                            if a is None:
-                                a = forced[i] = self.whnf(args[i])
+                        if pat.__class__ is Var:
+                            seen = sub.get(pat.name)
+                            if seen is None:
+                                sub[pat.name] = args[i]
+                            elif not self.conv(seen, args[i]):
+                                break
+                            continue
+                        a = forced[i]
+                        if a is None:
+                            a = forced[i] = self.whnf(args[i])
                         if not _match(pat, a, sub, self.conv, self.whnf):
                             break
                     else:
@@ -227,14 +234,25 @@ class Reducer:
         then the children of the result are normalized left to right
         (a lambda's body before its domain) and it is rebuilt.  The
         whnf calls, cache probes and entries and fuel ticks come in the
-        order of a recursive descent."""
+        order of a recursive descent.
+
+        With the cache, a whnf that is still being rebuilt further up
+        raises FuelExhausted when `whnf` returns it again: the normal
+        form would contain itself, and since a cache hit costs no fuel
+        the descent would otherwise never end.  That is the verdict the
+        uncached reducer reaches on the same input, and a terminating
+        normalization never meets such a term."""
         cache = self.nf_cache
         todo: list = [t]  # terms to normalize and (term, whnf) to rebuild
         done: list[Term] = []  # normal forms of the children so far
+        # the whnfs whose rebuild is pending, when cache hits cost no fuel
+        pending: Optional[set[Term]] = set() if cache is not None else None
         while todo:
             item = todo.pop()
             if item.__class__ is tuple:
                 orig, w = item
+                if pending is not None:
+                    pending.remove(w)
                 cls = w.__class__
                 # w itself when every child is already normal, so
                 # that a normal term keeps its identity
@@ -259,6 +277,11 @@ class Reducer:
                 orig = item
                 t = self.whnf(item)
                 cls = t.__class__
+                if pending is not None and (cls is App or cls is Lam
+                                            or cls is Pi):
+                    if t in pending:
+                        raise FuelExhausted("the normal form contains itself")
+                    pending.add(t)
                 if cls is App:
                     todo += ((orig, t), t.arg, t.fn)
                     continue
@@ -675,7 +698,12 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
     (head, arity) is tried against the rules with that key alone.  A
     subterm headed by a pattern variable (`F x`) has no key: the
     variable may stand for a partial application of any head, so it is
-    tried against every rule.
+    tried against every rule.  The rules are grouped by key once, and
+    each first rule visits, in ascending order, only the second rules
+    that share a key with one of its inner sites (all of them when a
+    site has no key) and the later rules with its own key, for the root
+    overlap.  A second rule is renamed apart once per distinct variable
+    set of the first rules, not once per pair.
     """
     keys = [(r.head, len(r.lhs_args)) for r in rules]
     # each rule's inner overlap sites in preorder, with their keys
@@ -688,17 +716,28 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
                 inner.append((tuple(path), tuple(nodes), sub_t,
                               _overlap_key(sub_t)))
         sites.append(inner)
+    by_key: dict[tuple[str, int], list[int]] = {}
+    for j, k in enumerate(keys):
+        by_key.setdefault(k, []).append(j)
+    renamed: dict[tuple[int, frozenset[str]], RewriteRule] = {}
     out: list[CriticalPair] = []
     for i, r1 in enumerate(rules):
+        site_keys = {k for *_, k in sites[i]}
+        if None in site_keys:
+            seconds: Sequence[int] = range(len(rules))
+        else:
+            seconds = sorted({j for j in by_key[keys[i]] if j > i}.union(
+                *(by_key.get(k, ()) for k in site_keys)))
         avoid = frozenset(r1.pat_vars)
-        for j, r2 in enumerate(rules):
+        for j in seconds:
             tried = [(pos, above, sub_t) for pos, above, sub_t, k in sites[i]
                      if k is None or k == keys[j]]
             if j > i and keys[j] == keys[i]:
                 tried.append(((), (), r1.lhs))
-            if not tried:
-                continue
-            r2r = _rename_apart(r2, avoid)
+            r2 = rules[j]
+            r2r = renamed.get((j, avoid))
+            if r2r is None:
+                r2r = renamed[j, avoid] = _rename_apart(r2, avoid)
             for pos, above, sub_t in tried:
                 mgu = unify(sub_t, r2r.lhs)
                 if mgu is None:

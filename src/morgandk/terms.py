@@ -352,12 +352,16 @@ def _rebuild(t: Term, leaf: Callable[[Term, int], Term], depth: int) -> Term:
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every bound index of t at or above `cutoff` (counted
-    from t's top): the indices that point past t's own binders."""
+    from t's top): the indices that point past t's own binders.  A shift
+    by 0 returns t before anything is built."""
+    if not by:
+        return t
+
     def leaf(v, depth):
         if isinstance(v, Bound) and v.index >= cutoff + depth:
             return Bound(v.index + by)
         return v
-    return _rebuild(t, leaf, 0) if by else t
+    return _rebuild(t, leaf, 0)
 
 
 def abstract(t: Term, name: str) -> Term:
@@ -400,10 +404,13 @@ def open_binder(hint: str, body: Term,
 def msubst(t: Term, sub: dict[str, Term]) -> Term:
     """Simultaneous substitution of free variables: a replacement is
     inserted as is (never substituted again) and shifted under the
-    binders it passes."""
+    binders it passes; outside every binder it is inserted itself,
+    with no call to `shift`."""
     def leaf(v, depth):
-        if isinstance(v, Var) and v.name in sub:
-            return shift(sub[v.name], depth)
+        if v.__class__ is Var:
+            repl = sub.get(v.name)
+            if repl is not None:
+                return shift(repl, depth) if depth else repl
         return v
     return _rebuild(t, leaf, 0) if sub else t
 

@@ -231,6 +231,21 @@ def test_reduce_fuel_bounds_only_the_term(capsys, monkeypatch):
     assert code == 3 and "fuel" in err
 
 
+@pytest.mark.parametrize("rules", ["[] f --> g f.",
+                                   "def h : A.\n[] f --> g h.\n[] h --> g f."])
+def test_reduce_runs_out_of_fuel_on_a_normal_form_that_contains_itself(
+        tmp_path, rules):
+    # in a process of its own, so that a regression fails on the timeout
+    # instead of hanging the suite
+    f = tmp_path / "loop.dk"
+    f.write_text(f"A : Type.\ng : A -> A.\ndef f : A.\n{rules}\n")
+    done = subprocess.run([sys.executable, "-m", "morgandk", "reduce", "f",
+                           str(f)], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, encoding="utf-8", timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "error: fuel exhausted\n")
+
+
 def test_reduce_rejects_nonpositive_fuel(capsys):
     code, _, err = run(capsys, "reduce", "--fuel", "0", "x")
     assert code == 2 and "positive" in err
