@@ -7,11 +7,13 @@ rule `name --> body` named `name.def`).
 
 A telescope is checked in one loop, not by recursion down it: an
 application's whole spine, a product's nested domains, and a chain of
-abstractions checked against a product.  Products are peeled as they
-are written, so each domain, and at the end the body, is opened once
-with a multi-binder `instantiate` over the binders before it; a type is
-weak-head normalized only where it is not syntactically a product.
-The binders' names are drawn against one set per telescope.
+abstractions, inferred or checked against a product.  Products are
+peeled as they are written, so each domain, and at the end the body, is
+opened once with a multi-binder `instantiate` over the binders before
+it; a type is weak-head normalized only where it is not syntactically a
+product.  An inferred chain's type abstracts the body's type over all
+the opened names in one walk.  The binders' names are drawn against one
+set per telescope.
 
 As in a Dedukti signature, only a definable ('def') constant without a
 body may take rules, and `check_rule` alone decides it: the parser asks
@@ -37,15 +39,12 @@ from .parser import (Declaration, DefinableConst, Definition, RuleDecl,
 from .rewrite import (DEFAULT_FUEL, Fuel, Reducer, RewriteRule,
                       RuleCompileError, compile_rule)
 from .terms import (App, Const, Ctx, KIND, Lam, Pi, Record, Sort, TYPE,
-                    Term, Var, abstract, fresh_name, instantiate,
-                    open_binder, spine)
+                    Term, Var, abstract, fresh_name, instantiate, spine)
 
 __all__ = [
     "TypeCheckError", "ConstInfo", "Signature",
     "infer", "check", "check_rule", "check_declaration", "check_signature",
 ]
-
-_set = object.__setattr__
 
 
 class TypeCheckError(Exception):
@@ -84,13 +83,6 @@ class TypeCheckError(Exception):
 
 class ConstInfo(Record):
     __slots__ = __match_args__ = ("name", "ty", "static", "body")
-
-    def __init__(self, name: str, ty: Term, static: bool,
-                 body: Optional[Term] = None):
-        _set(self, "name", name)
-        _set(self, "ty", ty)
-        _set(self, "static", static)
-        _set(self, "body", body)
 
 
 class Signature:
@@ -151,31 +143,37 @@ def infer(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> Term:
             return _apply(red, infer(sig, ctx, head, red), args,
                           lambda a, dom: check(sig, ctx, a, dom, red),
                           _non_function)
-        case Lam(hint, dom, body):
-            if dom is None:
-                raise TypeCheckError(
-                    "cannot infer the type of an unannotated abstraction")
-            _check_is_type(sig, ctx, dom, red)
-            v, body = open_binder(hint, body, ctx.names())
-            tb = infer(sig, ctx.push(v, dom), body, red)
-            if tb == KIND:
-                raise TypeCheckError("an abstraction cannot produce a kind",
-                                     kind="sort-error")
-            return Pi(hint, dom, abstract(tb, v))
-        case Pi():
-            # the whole telescope: each domain is opened with the
-            # binders before it, the final codomain once with them all
+        case Lam() | Pi():
+            # the whole telescope of products or of abstractions: each
+            # domain is opened with the binders before it, the final
+            # codomain or body once with them all
+            cls = t.__class__
             taken = ctx.names()
             opened: list[Term] = []
-            while t.__class__ is Pi:
+            binders: list[Term] = []
+            while t.__class__ is cls:
+                if t.dom is None:
+                    raise TypeCheckError(
+                        "cannot infer the type of an unannotated abstraction")
                 dom = instantiate(t.dom, opened)
                 _check_is_type(sig, ctx, dom, red)
                 v = fresh_name(t.var, taken)
                 taken.add(v)
                 ctx = ctx.push(v, dom)
                 opened.append(Var(v))
-                t = t.cod
-            s = red.whnf(infer(sig, ctx, instantiate(t, opened), red))
+                binders.append(t)
+                t = t.cod if cls is Pi else t.body
+            s = infer(sig, ctx, instantiate(t, opened), red)
+            if cls is Lam:
+                if s == KIND:
+                    raise TypeCheckError("an abstraction cannot produce a kind",
+                                         kind="sort-error")
+                # each annotation as written is its product's domain
+                s = abstract(s, [x.name for x in opened])
+                for b in reversed(binders):
+                    s = Pi(b.var, b.dom, s)
+                return s
+            s = red.whnf(s)
             if not isinstance(s, Sort):
                 raise TypeCheckError("product codomain must be a type or a kind",
                                      actual=s, kind="sort-error")
@@ -320,15 +318,15 @@ def check_declaration(sig: Signature, decl: Declaration,
         match decl:
             case StaticConst(name, ty, _) | DefinableConst(name, ty, _):
                 _check_const_type(sig, ty, red)
-                sig.add_const(ConstInfo(name, ty,
-                                        static=isinstance(decl, StaticConst)))
+                sig.add_const(ConstInfo(name, ty, isinstance(decl, StaticConst),
+                                        None))
             case Definition(name, ty, body, _):
                 if ty is None:
                     ty = infer(sig, Ctx(), body, red)
                 else:
                     _check_const_type(sig, ty, red)
                     check(sig, Ctx(), body, ty, red)
-                sig.add_const(ConstInfo(name, ty, static=False, body=body))
+                sig.add_const(ConstInfo(name, ty, False, body))
                 sig.add_rule(RewriteRule(f"{name}.def", name, (),
                                          Const(name), body, ()))
             case RuleDecl(pat_vars, lhs, rhs, _):

@@ -43,11 +43,6 @@ _set = object.__setattr__
 class SourceSpan(Record):
     __slots__ = __match_args__ = ("file", "line", "col")
 
-    def __init__(self, file: str, line: int, col: int):
-        _set(self, "file", file)
-        _set(self, "line", line)
-        _set(self, "col", col)
-
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
 

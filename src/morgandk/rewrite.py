@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_FUEL = 100_000
-_set = object.__setattr__
 
 
 class FuelExhausted(Exception):
@@ -85,15 +84,6 @@ class RuleCompileError(Exception):
 class RewriteRule(Record):
     __slots__ = __match_args__ = ("name", "head", "pat_vars", "lhs", "rhs",
                                   "lhs_args")
-
-    def __init__(self, name: str, head: str, pat_vars: tuple[str, ...],
-                 lhs: Term, rhs: Term, lhs_args: tuple[Term, ...]):
-        _set(self, "name", name)
-        _set(self, "head", head)
-        _set(self, "pat_vars", pat_vars)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "lhs_args", lhs_args)
 
 
 def _check_pattern(t: Term, pat_vars: frozenset[str]) -> None:
@@ -161,6 +151,7 @@ class Reducer:
         self.fuel = fuel if fuel is not None else Fuel()
         self.whnf_cache: Optional[dict[Term, Term]] = {} if cached else None
         self.nf_cache: Optional[dict[Term, Term]] = {} if cached else None
+        self.deciding: set[tuple[Term, Term]] = set()  # see `conv`
 
     # matching, modulo reduction
 
@@ -305,29 +296,41 @@ class Reducer:
     def conv(self, a: Term, b: Term) -> bool:
         """Incremental conversion: weak-head both sides, compare outer
         structure, recurse.  Eta: an abstraction converts with anything
-        whose application to the bound variable converts with its body."""
+        whose application to the bound variable converts with its body.
+
+        A weak-head normal pair met again while it is still being decided
+        raises FuelExhausted, cached or not: `conv` is deterministic in
+        the pair, so that call would never return.  The guard is inline,
+        so that it adds no frame to the recursion."""
         if a == b:
             return True
-        a = self.whnf(a)
-        b = self.whnf(b)
-        match a, b:
-            case Sort(x), Sort(y):
-                return x == y
-            case Pi(_, d1, c1), Pi(_, d2, c2):
-                return self.conv(d1, d2) and self.conv(c1, c2)
-            case Lam(_, _, b1), Lam(_, _, b2):
-                return self.conv(b1, b2)
-            case (Lam(_, _, body), other) | (other, Lam(_, _, body)):
-                return not isinstance(other, (Sort, Pi)) and self.conv(
-                    body, App(shift(other, 1), Bound(0)))
-            case _:
-                h1, args1 = spine(a)
-                h2, args2 = spine(b)
-                # after whnf a head is a constant, a free or bound
-                # variable, or a sort (an applied product is ill-typed)
-                if len(args1) != len(args2) or isinstance(h1, Pi) or h1 != h2:
-                    return False
-                return all(self.conv(x, y) for x, y in zip(args1, args2))
+        a, b = pair = self.whnf(a), self.whnf(b)
+        deciding = self.deciding
+        size = len(deciding)
+        deciding.add(pair)  # one probe, where a test and an add take two
+        if len(deciding) == size:
+            raise FuelExhausted("the conversion problem contains itself")
+        try:
+            match a, b:
+                case Sort(x), Sort(y):
+                    return x == y
+                case Pi(_, d1, c1), Pi(_, d2, c2):
+                    return self.conv(d1, d2) and self.conv(c1, c2)
+                case Lam(_, _, b1), Lam(_, _, b2):
+                    return self.conv(b1, b2)
+                case (Lam(_, _, body), other) | (other, Lam(_, _, body)):
+                    return not isinstance(other, (Sort, Pi)) and self.conv(
+                        body, App(shift(other, 1), Bound(0)))
+                case _:
+                    h1, args1 = spine(a)
+                    h2, args2 = spine(b)
+                    # after whnf a head is a constant, a free or bound
+                    # variable, or a sort (an applied product is ill-typed)
+                    if len(args1) != len(args2) or isinstance(h1, Pi) or h1 != h2:
+                        return False
+                    return all(self.conv(x, y) for x, y in zip(args1, args2))
+        finally:
+            deciding.remove(pair)
 
     # traced reduction
 

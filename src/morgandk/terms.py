@@ -22,8 +22,9 @@ it and keeps its own stack: `free_vars`, `occurs`, the printer's
 choice of binder names and the rule pattern check are built on it.
 The traversals that rebuild a term (`shift`, `abstract`, `instantiate`,
 `msubst`) share `_rebuild`, which still recurses.  `instantiate` opens
-any number of nested binders in one walk, so a checker that peels a
-telescope substitutes into each domain, and into the final body, once.
+any number of nested binders in one walk, and `abstract` closes them,
+so a checker that peels a telescope substitutes into each domain, and
+into the final body and its type, once.
 """
 
 from __future__ import annotations
@@ -283,12 +284,12 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 
 def lam(name: str, dom: Optional[Term], body: Term) -> Lam:
     """The abstraction `name : dom => body`, binding the free `name`."""
-    return Lam(name, dom, abstract(body, name))
+    return Lam(name, dom, abstract(body, (name,)))
 
 
 def pi(name: str, dom: Term, cod: Term) -> Pi:
     """The product `name : dom -> cod`, binding the free `name`."""
-    return Pi(name, dom, abstract(cod, name))
+    return Pi(name, dom, abstract(cod, (name,)))
 
 
 def subterms(t: Term) -> Iterator[tuple[Term, int]]:
@@ -364,14 +365,22 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     return _rebuild(t, leaf, 0)
 
 
-def abstract(t: Term, name: str) -> Term:
-    """The body of a binder over the free variable `name` wrapped around
-    t: occurrences of `name` become that binder's index, and indices
-    that already pointed past t move up by one."""
+def abstract(t: Term, names: Sequence[str]) -> Term:
+    """The body of k = len(names) nested binders wrapped around t in one
+    walk, binding the free variable `names[0]` at the outermost binder
+    and `names[-1]` at the innermost: occurrences of each name become its
+    binder's index (the innermost binder's, for a repeated name), and
+    indices that already pointed past t move up by k.  So it is the body
+    of nested `lam`s over the names, each binding one; `instantiate` with
+    the names' variables undoes it."""
+    k = len(names)
+    index = {name: k - 1 - i for i, name in enumerate(names)}
+
     def leaf(v, depth):
         if isinstance(v, Var):
-            return Bound(depth) if v.name == name else v
-        return Bound(v.index + 1) if v.index >= depth else v
+            i = index.get(v.name)
+            return v if i is None else Bound(depth + i)
+        return Bound(v.index + k) if v.index >= depth else v
     return _rebuild(t, leaf, 0)
 
 

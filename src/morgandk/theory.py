@@ -88,51 +88,40 @@ FULL_CONFIG = TheoryConfig(
     cubical=True,
 )
 
-# Every corpus path is built once, here: a `Path` keeps its string and
-# its hash once computed, so each build's `stat` and cache probe reuse them.
-_CORE = _THEORY_DIR / "01-2ltt-core.dk"
-_T1 = _THEORY_DIR / "02-axioms-t1.dk"
-_T2 = _THEORY_DIR / "03-axioms-t2.dk"
-_T3 = _THEORY_DIR / "04-axioms-t3.dk"
-_UNIVALENCE = _THEORY_DIR / "05-univalence.dk"
-_NAT = _THEORY_DIR / "06-nat-morphism.dk"
-_NAT_EXTERNAL = _THEORY_DIR / "nat-external_eq" / "06-nat-morphism.dk"
-_CUBICAL_CORE = _THEORY_DIR / "07-cubical-core.dk"
-_INTERVAL = _THEORY_DIR / "08-cubical-interval.dk"
-_PATHS = _THEORY_DIR / "09-cubical-paths.dk"
-_FACES = _THEORY_DIR / "10-cubical-faces.dk"
-_CUBICAL_BLOCKS = (_CUBICAL_CORE, _INTERVAL, _PATHS, _FACES,
-                   _THEORY_DIR / "11-cubical-facetype.dk",
-                   _THEORY_DIR / "12-cubical-systems.dk",
-                   _THEORY_DIR / "13-cubical-comp.dk")
-_EXAMPLES_2LTT = _THEORY_DIR / "14-examples-2ltt.dk"
-_EXAMPLES_FILLING = _THEORY_DIR / "15-examples-filling.dk"
+# The corpus files in dependency order, each with the `TheoryConfig`
+# field that selects it and the value that field must have (no field:
+# every configuration).  Every path is built once, here: a `Path` keeps
+# its string and its hash once computed, so each build's `stat` and
+# cache probe reuse them.
+_BLOCKS = tuple((_THEORY_DIR / name, field, value) for name, field, value in (
+    ("01-2ltt-core.dk", None, None),
+    ("02-axioms-t1.dk", "t1_injectivity", True),
+    ("03-axioms-t2.dk", "t2_primitive_iso_as_rewrite", True),
+    ("04-axioms-t3.dk", "t3_repletion", True),
+    ("05-univalence.dk", "include_weak_univalence", True),
+    ("nat-external_eq/06-nat-morphism.dk", "nat_morphism_strength",
+     "external_eq"),
+    ("06-nat-morphism.dk", "nat_morphism_strength", "definitional"),
+    ("07-cubical-core.dk", "cubical", True),
+    ("08-cubical-interval.dk", "cubical", True),
+    ("09-cubical-paths.dk", "cubical", True),
+    ("10-cubical-faces.dk", "cubical", True),
+    ("11-cubical-facetype.dk", "cubical", True),
+    ("12-cubical-systems.dk", "cubical", True),
+    ("13-cubical-comp.dk", "cubical", True),
+    ("14-examples-2ltt.dk", None, None),
+    ("15-examples-filling.dk", "cubical", True),
+))
 
 
 def blocks_for(cfg: TheoryConfig) -> list[Path]:
-    """The corpus files a configuration selects, in dependency order.
-    File names are stable across configurations: the `external_eq`
-    number morphism sits in a subdirectory under the same name as the
-    definitional one."""
-    out = [_CORE]
-    if cfg.t1_injectivity:
-        out.append(_T1)
-    if cfg.t2_primitive_iso_as_rewrite:
-        out.append(_T2)
-    if cfg.t3_repletion:
-        out.append(_T3)
-    if cfg.include_weak_univalence:
-        out.append(_UNIVALENCE)
-    if cfg.nat_morphism_strength == "external_eq":
-        out.append(_NAT_EXTERNAL)
-    elif cfg.nat_morphism_strength == "definitional":
-        out.append(_NAT)
-    if cfg.cubical:
-        out.extend(_CUBICAL_BLOCKS)
-    out.append(_EXAMPLES_2LTT)
-    if cfg.cubical:
-        out.append(_EXAMPLES_FILLING)
-    return out
+    """The corpus files a configuration selects: the rows of `_BLOCKS`
+    whose field has the row's value, in dependency order.  File names
+    are stable across configurations: the `external_eq` number morphism
+    sits in a subdirectory under the same name as the definitional
+    one."""
+    return [path for path, field, value in _BLOCKS
+            if field is None or getattr(cfg, field) == value]
 
 
 # path -> ((st_mtime_ns, st_size) of the file read, its identifiers,
@@ -285,7 +274,8 @@ def build_theory(cfg: TheoryConfig) -> Signature:
 
 
 _FIRST_ATTEMPT = _THEORY_DIR / "quarantine" / "faces-first-attempt.dk"
-_FIRST_ATTEMPT_PATHS = (_CORE, _CUBICAL_CORE, _INTERVAL, _PATHS, _FACES,
+# the core and the cubical blocks through faces
+_FIRST_ATTEMPT_PATHS = (*blocks_for(TheoryConfig(cubical=True))[:5],
                         _FIRST_ATTEMPT)
 
 

@@ -283,3 +283,61 @@ def test_telescope_work_is_linear_in_the_width(monkeypatch):
 def test_a_wide_telescope_checks_without_recursion(default_recursion_limit):
     sig = check_signature(_wide(2000))
     assert {"c", "d", "f"} <= sig.consts.keys()
+
+
+def _chain(n):
+    """An untyped definition over n annotated abstractions, its type
+    inferred."""
+    xs = [f"x{i}" for i in range(n)]
+    return _decls(f"{_TELESCOPE} def u := "
+                  f"{' => '.join(f'{x} : A' for x in xs)} => x0.", Signature())
+
+
+def test_an_inferred_abstraction_chain_checks_without_recursion(
+        default_recursion_limit):
+    sig = check_signature(_chain(2000))
+    assert sig.consts["u"].ty == _pt(" -> ".join(["A"] * 2001), sig)
+
+
+def test_inferred_chain_work_is_linear_in_the_width(monkeypatch):
+    # each annotation is opened once with the binders before it, the
+    # body once with them all, and the body's type abstracted over them
+    # all in one walk
+    rebuild = terms._rebuild
+    visits = [0]
+
+    def counted(t, leaf, depth):
+        visits[0] += 1
+        return rebuild(t, leaf, depth)
+
+    decls = [_chain(n) for n in (200, 400)]
+    monkeypatch.setattr(terms, "_rebuild", counted)
+    counts = []
+    for ds in decls:
+        visits[0] = 0
+        check_signature(ds)
+        counts.append(visits[0])
+    assert counts[1] <= 2.3 * counts[0], counts
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("def u := x : A => y => x.",
+     ("mismatch", "cannot infer the type of an unannotated abstraction",
+      None, None)),
+    ("def u := x : A => y : A => Type.",
+     ("sort-error", "an abstraction cannot produce a kind", None, None)),
+    ("def u := x : A => y : Type => y.",
+     ("sort-error", "expected a type", "Type", "Kind")),
+])
+def test_errors_inside_an_inferred_abstraction_chain(text, expected):
+    assert _telescope_error(text) == expected
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("def u := x : A => x : P x => x.", "x : A -> P x -> P x"),
+    ("def u := x : A => x_0 : A => x : P x_0 => x.",
+     "A -> x_0 : A -> P x_0 -> P x_0"),
+])
+def test_an_inferred_chain_keeps_the_written_binder_names(text, expected):
+    sig = check_signature(_decls(_TELESCOPE + text, Signature()))
+    assert pretty(sig.consts["u"].ty) == expected

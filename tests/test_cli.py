@@ -246,6 +246,21 @@ def test_reduce_runs_out_of_fuel_on_a_normal_form_that_contains_itself(
         3, "", "error: fuel exhausted\n")
 
 
+def test_check_runs_out_of_fuel_on_a_conversion_that_contains_itself(
+        tmp_path):
+    # conv(f, h) asks conv(g f, g h), which asks conv(f, h) again; in a
+    # process of its own, so that a regression fails on the timeout
+    f = tmp_path / "loop.dk"
+    f.write_text("A : Type.\ng : A -> A.\ndef f : A.\n[] f --> g f.\n"
+                 "def h : A.\n[] h --> g h.\nP : A -> Type.\np : P f.\n"
+                 "def q : P h := p.\n")
+    done = subprocess.run([sys.executable, "-m", "morgandk", "check",
+                           str(f)], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, encoding="utf-8", timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "error: fuel exhausted\n")
+
+
 def test_reduce_rejects_nonpositive_fuel(capsys):
     code, _, err = run(capsys, "reduce", "--fuel", "0", "x")
     assert code == 2 and "positive" in err

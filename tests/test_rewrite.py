@@ -256,6 +256,28 @@ def test_normalize_runs_out_of_fuel_on_a_normal_form_that_contains_itself(
         red.normalize(Const("f"))
 
 
+@pytest.mark.parametrize("fuel", [20, DEFAULT_FUEL])
+@pytest.mark.parametrize("cached", [False, True])
+def test_conv_runs_out_of_fuel_on_a_problem_that_contains_itself(
+        cached, fuel):
+    # conv(f, h) asks conv(g f, g h), which asks conv(f, h) again
+    red = Reducer(_rule_dict(
+        compile_rule("f", (), Const("f"), App(Const("g"), Const("f"))),
+        compile_rule("h", (), Const("h"), App(Const("g"), Const("h")))),
+        Fuel(fuel), cached)
+    with _deadline(60), pytest.raises(FuelExhausted):
+        red.conv(Const("f"), Const("h"))
+    assert not red.deciding
+
+
+def test_conv_decides_a_repeated_problem_that_does_not_contain_itself():
+    # both arguments ask conv(a, c), one after the other
+    red = Reducer(_rule_dict(compile_rule("a", (), Const("a"), Const("b")),
+                             compile_rule("c", (), Const("c"), Const("b"))))
+    assert red.conv(app(Const("k"), Const("a"), Const("a")),
+                    app(Const("k"), Const("c"), Const("c")))
+
+
 def test_a_chain_of_beta_steps_costs_a_tick_each():
     # one substitution contracts the three steps, and the budget still
     # runs out at the third, as one step at a time did; a trace records

@@ -153,6 +153,20 @@ def test_instantiate_undoes_abstract(t, x):
     assert instantiate(abstract(t, x), (Var(x),)) == t
 
 
+@given(_terms(), st.lists(_names, max_size=4))
+def test_abstract_equals_binding_one_name_at_a_time(t, names):
+    # a repeated name is bound by the innermost of its binders
+    nested = t
+    for name in reversed(names):
+        nested = lam(name, None, nested)
+    body = abstract(t, names)
+    for name in reversed(names):
+        body = Lam(name, None, body)
+    assert body == nested
+    if len(set(names)) == len(names):
+        assert instantiate(abstract(t, names), [Var(n) for n in names]) == t
+
+
 @given(_terms(), _terms())
 def test_instantiate_undoes_shift(t, s):
     assert instantiate(shift(t, 1), (s,)) == t

@@ -383,6 +383,51 @@ def test_cold_sweep_parses_each_file_once(cold_caches, monkeypatch):
     assert parsed == files
 
 
+def _reference_blocks(cfg):
+    """The corpus files a configuration selects, written out flag by
+    flag."""
+    names = ["01-2ltt-core.dk"]
+    if cfg.t1_injectivity:
+        names.append("02-axioms-t1.dk")
+    if cfg.t2_primitive_iso_as_rewrite:
+        names.append("03-axioms-t2.dk")
+    if cfg.t3_repletion:
+        names.append("04-axioms-t3.dk")
+    if cfg.include_weak_univalence:
+        names.append("05-univalence.dk")
+    if cfg.nat_morphism_strength == "external_eq":
+        names.append("nat-external_eq/06-nat-morphism.dk")
+    elif cfg.nat_morphism_strength == "definitional":
+        names.append("06-nat-morphism.dk")
+    if cfg.cubical:
+        names += ["07-cubical-core.dk", "08-cubical-interval.dk",
+                  "09-cubical-paths.dk", "10-cubical-faces.dk",
+                  "11-cubical-facetype.dk", "12-cubical-systems.dk",
+                  "13-cubical-comp.dk"]
+    names.append("14-examples-2ltt.dk")
+    if cfg.cubical:
+        names.append("15-examples-filling.dk")
+    return names
+
+
+def test_blocks_for_selects_the_files_in_dependency_order():
+    configs = list(_all_configs())
+    assert len(set(configs)) == 96
+    for cfg in configs:
+        assert [p.relative_to(CORPUS_DIR).as_posix()
+                for p in blocks_for(cfg)] == _reference_blocks(cfg), cfg
+
+
+def test_first_attempt_checks_core_through_faces(monkeypatch):
+    built = []
+    monkeypatch.setattr(theory, "_build", built.append)
+    first_attempt_signature()
+    assert [p.relative_to(CORPUS_DIR).as_posix() for p in built[0]] == [
+        "01-2ltt-core.dk", "07-cubical-core.dk", "08-cubical-interval.dk",
+        "09-cubical-paths.dk", "10-cubical-faces.dk",
+        "quarantine/faces-first-attempt.dk"]
+
+
 def test_cached_parses_equal_fresh_ones(cold_caches):
     # file-path prefix -> uncached parse of its last file, and the
     # namespace after it
@@ -681,7 +726,7 @@ def test_mutating_a_built_signature_leaves_the_next_build_unchanged(
         cold_caches):
     sig = build_theory(FULL_CONFIG)
     before = _shown(sig)
-    sig.consts["Imin"] = ConstInfo("Imin", TYPE, static=True)
+    sig.consts["Imin"] = ConstInfo("Imin", TYPE, static=True, body=None)
     del sig.consts["cL"]
     sig.rules["Imin"].clear()
     sig.rules["sym"].append(sig.rules["Imax"][0])
