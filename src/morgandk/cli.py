@@ -24,7 +24,7 @@ from .check import (DEFAULT_FUEL, Signature, TypeCheckError,
 from .parser import ParseError, parse_file, parse_term, pretty
 from .rewrite import (CriticalPair, Fuel, FuelExhausted, critical_pairs,
                       joinable)
-from .theory import FULL_CONFIG, TheoryConfig, build_theory
+from .theory import FULL_CONFIG, TheoryConfig, build_theory, read_source
 
 FUEL_ENV = "MORGANDK_FUEL"
 
@@ -96,7 +96,8 @@ def _require_paths(paths: list[str]) -> list[Path] | None:
     for p in paths:
         path = Path(p)
         if not path.is_file():
-            _diag(f"error: no such file: {p}")
+            what = "not a file" if path.exists() else "no such file"
+            _diag(f"error: {what}: {p}")
             return None
         out.append(path)
     return out
@@ -112,7 +113,7 @@ def _check_files(paths: list[Path], fuel_steps: int,
     consts = set(sig.consts)
     for path in paths:
         try:
-            text = path.read_text(encoding="utf-8")
+            text = read_source(path)
         except UnicodeDecodeError as e:
             raise _InputError(
                 f"{path}: not valid UTF-8 at byte {e.start}") from None

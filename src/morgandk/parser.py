@@ -12,6 +12,9 @@ Terms: `x : A -> B` (product), `A -> B` (non-dependent product),
 `x : A => b` and `x => b` (abstraction), juxtaposition (application),
 `Type` (the sort of types).  Comments are `(; ... ;)` and nest.
 
+A token is a plain `(kind, text, line, col)` tuple, and the parser walks
+the token list by index.
+
 Identifier resolution happens at parse time: binder-bound names become
 de Bruijn indices (Bound), rule pattern variables become Var, previously
 declared names become Const.  Anything else is a free Var in term
@@ -30,14 +33,11 @@ from .terms import (App, Bound, Const, Lam, Pi, Record, Sort, Term, TYPE,
                     Var, occurs, open_binder, spine, subterms)
 
 __all__ = [
-    "SourceSpan", "ParseError", "Token",
+    "SourceSpan", "ParseError",
     "StaticConst", "DefinableConst", "Definition", "RuleDecl", "Declaration",
     "tokenize", "identifiers", "parse_file", "parse_term",
     "pretty", "print_declaration",
 ]
-
-
-_set = object.__setattr__
 
 
 class SourceSpan(Record):
@@ -52,16 +52,6 @@ class ParseError(Exception):
         super().__init__(f"{span}: {msg}")
         self.msg = msg
         self.span = span
-
-
-class Token(Record):
-    __slots__ = __match_args__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        _set(self, "kind", kind)  # "ident", "sym", "eof"
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
 
 
 class StaticConst(Record):
@@ -94,6 +84,9 @@ _TOKEN = re.compile(r"\s*(?:(\(;)|(:=|-->|->|=>|[:()\[\],.])|([\w']+)"
 # inside a comment, what nests, closes or starts a line
 _COMMENT = re.compile(r"\(;|;\)|\n")
 
+# a token: (kind, text, line, col)
+_Tok = tuple[str, str, int, int]
+
 
 def identifiers(text: str) -> frozenset[str]:
     """Every maximal run of identifier characters in `text`, comments
@@ -102,8 +95,12 @@ def identifiers(text: str) -> frozenset[str]:
     return frozenset(_IDENT_RUN.findall(text))
 
 
-def tokenize(text: str, file: str = "<input>") -> list[Token]:
-    toks: list[Token] = []
+def tokenize(text: str, file: str = "<input>") -> list[_Tok]:
+    """The tokens of `text`, each a plain tuple `(kind, text, line,
+    col)`: kind "ident", "sym", or "eof" for the one empty token that
+    ends the list.  Comments are skipped; an unterminated comment or a
+    character that starts no token raises ParseError."""
+    toks: list[_Tok] = []
     i, line, bol = 0, 1, 0  # bol: where the current line begins
     while True:
         m = _TOKEN.match(text, i)
@@ -115,7 +112,7 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
             bol = nl + 1
         col = start - bol + 1
         if kind is None:
-            toks.append(Token("eof", "", line, col))
+            toks.append(("eof", "", line, col))
             return toks
         i = m.end()
         if kind == 1:
@@ -133,13 +130,13 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
             raise ParseError(f"unexpected character {m.group(4)!r}",
                              SourceSpan(file, line, col))
         else:
-            toks.append(Token("sym" if kind == 2 else "ident", m.group(kind),
-                              line, col))
+            toks.append(("sym" if kind == 2 else "ident", m.group(kind),
+                         line, col))
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], file: str, consts: set[str]):
-        # one more eof, so that `peek(1)` at the end is a plain index
+    def __init__(self, toks: list[_Tok], file: str, consts: set[str]):
+        # one more eof: looking one token past the end is a plain index
         self.toks = toks + toks[-1:]
         self.pos = 0
         self.file = file
@@ -152,55 +149,53 @@ class _Parser:
         self.depth = 0
         self.binders: dict[str, list[int]] = {}
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
+    def peek(self) -> _Tok:
+        return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> _Tok:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
-    def span(self, tok: Token) -> SourceSpan:
-        return SourceSpan(self.file, tok.line, tok.col)
+    def span(self, tok: _Tok) -> SourceSpan:
+        return SourceSpan(self.file, tok[2], tok[3])
 
-    def fail(self, msg: str, tok: Optional[Token] = None):
+    def fail(self, msg: str, tok: Optional[_Tok] = None):
         raise ParseError(msg, self.span(tok or self.peek()))
 
     def at_sym(self, s: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == s
+        # no identifier and not eof spells a symbol
+        return self.toks[self.pos][1] == s
 
-    def expect_sym(self, s: str) -> Token:
+    def expect_sym(self, s: str) -> _Tok:
         if not self.at_sym(s):
-            self.fail(f"expected {s!r}, found {self.peek().text!r}")
+            self.fail(f"expected {s!r}, found {self.peek()[1]!r}")
         return self.next()
 
-    def expect_ident(self) -> Token:
+    def expect_ident(self) -> _Tok:
         t = self.peek()
-        if t.kind != "ident":
-            self.fail(f"expected an identifier, found {t.text!r}")
+        if t[0] != "ident":
+            self.fail(f"expected an identifier, found {t[1]!r}")
         return self.next()
 
     # -- terms ------------------------------------------------------------
 
-    def bind(self, name: Optional[str]) -> None:
-        """Open a binder of `name` (None: a non-dependent arrow)."""
-        if name is not None:
-            self.binders.setdefault(name, []).append(self.depth)
+    def bind(self, name: str) -> None:
+        """Open a binder of `name`."""
+        self.binders.setdefault(name, []).append(self.depth)
         self.depth += 1
 
-    def unbind(self, name: Optional[str]) -> None:
+    def unbind(self, name: str) -> None:
         """Close the innermost binder, which `bind(name)` opened."""
         self.depth -= 1
-        if name is not None:
-            self.binders[name].pop()
+        self.binders[name].pop()
 
     def term(self) -> Term:
-        """Parse a term in the current scope.  Works over an explicit
-        stack of the constructions still open, innermost last, rather
-        than by recursion, so nesting is not bounded by the
-        interpreter's recursion limit:
+        """Parse a term in the current scope.  Reads the tokens by index
+        and works over an explicit stack of the constructions still
+        open, innermost last, rather than by recursion, so nesting is
+        not bounded by the interpreter's recursion limit:
 
             ("binder", name)  `name :` read; the domain is parsed
             ("arrow",)        an application is parsed; `->` may follow
@@ -208,96 +203,100 @@ class _Parser:
             ("paren",)        `(` read
             ("pi" | "lam", name, dom)  the body is parsed in the scope
                               of a binder of `name` (None: an arrow)
-        """
+
+        A symbol is told by its text alone: no identifier and not eof
+        spells one."""
+        toks, pos, depth = self.toks, self.pos, self.depth
+        binders, consts, pat_vars = self.binders, self.consts, self.pat_vars
         stack: list[tuple] = []
         start: Optional[str] = "term"  # what to parse next
         done: Term  # the subterm just parsed, when `start` is None
         while True:
             if start == "term":
-                tok = self.peek()
-                if (tok.kind == "ident" and tok.text != "Type"
-                        and self.peek(1).kind == "sym"
-                        and self.peek(1).text in (":", "=>")):
-                    name = self.next().text
-                    if self.next().text == "=>":
-                        stack.append(("lam", name, None))
-                        self.bind(name)
+                kind, text, _, _ = toks[pos]
+                if (kind == "ident" and text != "Type"
+                        and toks[pos + 1][1] in (":", "=>")):
+                    pos += 2
+                    if toks[pos - 1][1] == "=>":
+                        stack.append(("lam", text, None))
+                        binders.setdefault(text, []).append(depth)
+                        depth += 1
                         continue
-                    stack.append(("binder", name))
+                    stack.append(("binder", text))
                 else:
                     stack.append(("arrow",))
                 stack.append(("appl", None))
                 start = "atom"
                 continue
             if start == "atom":
-                tok = self.peek()
-                if self.at_sym("("):
-                    self.next()
+                tok = toks[pos]
+                kind, text, _, _ = tok
+                if text == "(":
+                    pos += 1
                     stack.append(("paren",))
                     start = "term"
                     continue
-                if tok.kind != "ident":
-                    self.fail(f"expected a term, found {tok.text!r}", tok)
-                self.next()
-                done = self._name(tok)
+                if kind != "ident":
+                    self.fail(f"expected a term, found {text!r}", tok)
+                pos += 1
+                # the term the identifier stands for in the current scope
+                if text == "Type":
+                    done = TYPE
+                elif depths := binders.get(text):
+                    done = Bound(depth - 1 - depths[-1])
+                elif text in (pat_vars or ()):
+                    done = Var(text)
+                elif text in consts:
+                    done = Const(text)
+                elif pat_vars is not None:
+                    self.fail(f"unbound identifier {text!r} in rewrite rule",
+                              tok)
+                else:
+                    done = Var(text)
                 start = None
             # hand the finished subterm to the innermost open construction
             if not stack:
+                self.pos = pos
                 return done
             frame = stack.pop()
             kind = frame[0]
+            text = toks[pos][1]
             if kind == "appl":
-                fn = frame[1]
-                if fn is not None:
-                    done = App(fn, done)
-                nxt = self.peek()
-                if self.at_sym("(") or (nxt.kind == "ident" and not (
-                        nxt.text != "Type" and self.peek(1).kind == "sym"
-                        and self.peek(1).text == ":")):
+                if frame[1] is not None:
+                    done = App(frame[1], done)
+                if text == "(" or (toks[pos][0] == "ident" and (
+                        text == "Type" or toks[pos + 1][1] != ":")):
                     stack.append(("appl", done))
                     start = "atom"
             elif kind == "paren":
-                self.expect_sym(")")
+                if text != ")":
+                    self.fail(f"expected ')', found {text!r}", toks[pos])
+                pos += 1
             elif kind == "arrow":
-                if self.at_sym("->"):
-                    self.next()
+                if text == "->":
+                    pos += 1
                     stack.append(("pi", None, done))
-                    self.bind(None)
+                    depth += 1
                     start = "term"
             elif kind == "binder":
+                if text != "->" and text != "=>":
+                    self.fail("expected '->' or '=>' after binder", toks[pos])
+                pos += 1
                 name = frame[1]
-                if self.at_sym("->"):
-                    stack.append(("pi", name, done))
-                elif self.at_sym("=>"):
-                    stack.append(("lam", name, done))
-                else:
-                    self.fail("expected '->' or '=>' after binder")
-                self.next()
-                self.bind(name)
+                stack.append(("pi" if text == "->" else "lam", name, done))
+                binders.setdefault(name, []).append(depth)
+                depth += 1
                 start = "term"
             else:
                 _, name, dom = frame
-                self.unbind(name)
+                depth -= 1
+                if name is not None:
+                    binders[name].pop()
                 done = (Pi if kind == "pi" else Lam)(name or "_", dom, done)
-
-    def _name(self, tok: Token) -> Term:
-        """The term an identifier stands for in the current scope."""
-        if tok.text == "Type":
-            return TYPE
-        depths = self.binders.get(tok.text)
-        if depths:
-            return Bound(self.depth - 1 - depths[-1])
-        if tok.text in (self.pat_vars or ()):
-            return Var(tok.text)
-        if tok.text in self.consts:
-            return Const(tok.text)
-        if self.pat_vars is not None:
-            self.fail(f"unbound identifier {tok.text!r} in rewrite rule", tok)
-        return Var(tok.text)
 
     # -- declarations -----------------------------------------------------
 
-    def declare(self, name: str, tok: Token):
+    def declare(self, name: str, tok: _Tok):
         if name in self.consts:
             self.fail(f"{name!r} is already declared", tok)
         if name == "Type":
@@ -308,28 +307,28 @@ class _Parser:
         start = self.peek()
         if self.at_sym("["):
             return self.rule()
-        if start.kind == "ident" and start.text == "def":
+        if start[0] == "ident" and start[1] == "def":
             self.next()
-            return self.definition(start)
+            return self.definition()
         name_tok = self.expect_ident()
         self.expect_sym(":")
         ty = self.term()
         self.expect_sym(".")
-        self.declare(name_tok.text, name_tok)
-        return StaticConst(name_tok.text, ty, self.span(name_tok))
+        self.declare(name_tok[1], name_tok)
+        return StaticConst(name_tok[1], ty, self.span(name_tok))
 
-    def definition(self, start: Token) -> Declaration:
+    def definition(self) -> Declaration:
         name_tok = self.expect_ident()
-        name = name_tok.text
+        name = name_tok[1]
         params: list[tuple[str, Term]] = []
         while self.at_sym("("):
             self.next()
-            p = self.expect_ident()
+            p = self.expect_ident()[1]
             self.expect_sym(":")
             pty = self.term()
             self.expect_sym(")")
-            params.append((p.text, pty))
-            self.bind(p.text)
+            params.append((p, pty))
+            self.bind(p)
         ty: Optional[Term] = None
         if self.at_sym(":"):
             self.next()
@@ -360,11 +359,11 @@ class _Parser:
         if not self.at_sym("]"):
             while True:
                 v = self.expect_ident()
-                if v.text in pat_vars:
-                    self.fail(f"duplicate pattern variable {v.text!r}", v)
-                pat_vars.append(v.text)
+                if v[1] in pat_vars:
+                    self.fail(f"duplicate pattern variable {v[1]!r}", v)
+                pat_vars.append(v[1])
                 # an explicit arity annotation is tolerated and ignored
-                if self.peek().kind == "ident" and self.peek().text.isdigit():
+                if self.peek()[0] == "ident" and self.peek()[1].isdigit():
                     self.next()
                 if self.at_sym(","):
                     self.next()
@@ -386,7 +385,7 @@ class _Parser:
 
     def file_decls(self) -> list[Declaration]:
         out = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             out.append(self.declaration())
         return out
 
@@ -404,8 +403,8 @@ def parse_term(text: str, consts: set[str] | frozenset[str] = frozenset(),
                file: str = "<term>") -> Term:
     p = _Parser(tokenize(text, file), file, set(consts))
     t = p.term()
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
+    if p.peek()[0] != "eof":
+        p.fail(f"trailing input {p.peek()[1]!r}")
     return t
 
 

@@ -41,7 +41,7 @@ __all__ = [
     "TheoryConfig", "FULL_CONFIG", "NAT_STRENGTHS",
     "blocks_for", "build_theory", "first_attempt_signature",
     "INTERVAL_FACE_HEADS", "interval_face_rules",
-    "write_theory_files",
+    "write_theory_files", "read_source",
 ]
 
 
@@ -144,6 +144,13 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
 _CACHE: dict[Path, tuple[tuple[int, int], frozenset[str], dict]] = {}
 
 
+def read_source(path: Path) -> str:
+    """A theory file's text, read as UTF-8 without the byte-order mark
+    it may start with.  The mark is dropped after decoding, so the byte
+    offset of a decoding error counts from the start of the file."""
+    return path.read_text(encoding="utf-8").removeprefix("\ufeff")
+
+
 def _parse(path: Path, sig: Signature) -> tuple:
     """The cache entry of `parse_file` on a corpus file in the namespace
     of `sig`, keyed by the declared names the file mentions.  A stat of
@@ -155,14 +162,14 @@ def _parse(path: Path, sig: Signature) -> tuple:
     known = _CACHE.get(path)
     text = None
     if known is None or known[0] != stamp:
-        text = path.read_text(encoding="utf-8")
+        text = read_source(path)
         known = (stamp, identifiers(text), {})
     _, names, parses = known
     seen = frozenset(sig.consts.keys() & names)
     parse = parses.get(seen)
     if parse is None:
         if text is None:
-            text = path.read_text(encoding="utf-8")
+            text = read_source(path)
         decls = tuple(parse_file(text, path.name, set(sig.consts)))
         parse = parses[seen] = (decls, {})
         _CACHE[path] = known

@@ -56,6 +56,57 @@ def test_check_missing_file(capsys):
     assert "no such file" in err
 
 
+def test_check_a_directory_is_not_a_file(capsys, tmp_path):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: not a file: {tmp_path}\n")
+
+
+_BOM = "\ufeff"
+
+
+def test_a_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    # the mark is dropped on reading: the same output and the same
+    # spans as the file without it, for check and for reduce
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    outputs = []
+    for text in ("A : Type.\ndef id : A -> A.\n[x] id x --> x.\n",
+                 "A : ) .\n"):
+        got = []
+        for folder, prefix in ((plain, ""), (marked, _BOM)):
+            f = folder / "t.dk"
+            f.write_text(prefix + text, encoding="utf-8")
+            runs = [run(capsys, "check", str(f)),
+                    run(capsys, "reduce", "id (id a)", str(f))]
+            got.append([(code, out.replace(str(folder), "DIR"),
+                         err.replace(str(folder), "DIR"))
+                        for code, out, err in runs])
+        assert got[0] == got[1]
+        outputs.append(got[0])
+    parse_error = "parse error: DIR/t.dk:1:5: expected a term, found ')'\n"
+    assert outputs == [
+        [(0, "checked DIR/t.dk (3 declarations)\n", ""), (0, "a\n", "")],
+        2 * [(2, "", parse_error)]]
+
+
+def test_a_byte_order_mark_elsewhere_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "t.dk"
+    f.write_text(f"{_BOM}A : Type.\nB :{_BOM} A.\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out, err) == (
+        2, "", f"parse error: {f}:2:4: unexpected character '\\ufeff'\n")
+
+
+def test_a_decoding_error_counts_the_byte_order_mark(tmp_path):
+    f = tmp_path / "latin1.dk"
+    f.write_bytes(_BOM.encode() + "A : Type.\ncafé : A -> Type.\n".encode(
+        "latin-1"))
+    done = _check_in_the_c_locale(f)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: {f}: not valid UTF-8 at byte 16\n")
+
+
 def _run_in_locale(argv, locale="C"):
     """`morgandk *argv` in a fresh process under `locale`, with UTF-8
     mode and locale coercion off, so that Python decodes the arguments

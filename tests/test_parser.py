@@ -1,11 +1,12 @@
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from morgandk import parser
+from morgandk import parser, theory
 from morgandk.parser import (Definition, ParseError, RuleDecl, SourceSpan,
-                             StaticConst, Token, identifiers, parse_file,
+                             StaticConst, identifiers, parse_file,
                              parse_term, pretty, print_declaration, tokenize)
 from morgandk.terms import (TYPE, App, Bound, Const, Lam, Pi, Var, alpha_eq,
                             app, lam, pi)
@@ -148,7 +149,7 @@ def test_identifiers_cover_every_identifier_token(text):
         toks = tokenize(text)
     except ParseError:
         return
-    assert {t.text for t in toks if t.kind == "ident"} <= identifiers(text)
+    assert {t for kind, t, _, _ in toks if kind == "ident"} <= identifiers(text)
 
 
 _SYMBOLS = (":=", "-->", "->", "=>", ":", "(", ")", "[", "]", ",", ".")
@@ -158,9 +159,9 @@ def _ident_char(c: str) -> bool:
     return c.isalnum() or c == "_" or c == "'"
 
 
-def reference_tokenize(text: str, file: str = "<input>") -> list[Token]:
+def reference_tokenize(text: str, file: str = "<input>") -> list[tuple]:
     """One character at a time: the reference for `tokenize`."""
-    toks: list[Token] = []
+    toks: list[tuple] = []
     i, line, col = 0, 1, 1
     n = len(text)
     while i < n:
@@ -201,7 +202,7 @@ def reference_tokenize(text: str, file: str = "<input>") -> list[Token]:
             continue
         for sym in _SYMBOLS:
             if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
+                toks.append(("sym", sym, line, col))
                 i += len(sym)
                 col += len(sym)
                 break
@@ -210,13 +211,13 @@ def reference_tokenize(text: str, file: str = "<input>") -> list[Token]:
                 j = i
                 while j < n and _ident_char(text[j]):
                     j += 1
-                toks.append(Token("ident", text[i:j], line, col))
+                toks.append(("ident", text[i:j], line, col))
                 col += j - i
                 i = j
             else:
                 raise ParseError(f"unexpected character {c!r}",
                                  SourceSpan(file, line, col))
-    toks.append(Token("eof", "", line, col))
+    toks.append(("eof", "", line, col))
     return toks
 
 
@@ -254,6 +255,223 @@ def test_tokenize_agrees_with_the_reference_on_the_corpus(path):
     # every shipped file, the quarantined first attempt among them
     text = path.read_text()
     assert tokenize(text, path.name) == reference_tokenize(text, path.name)
+
+
+class ReferenceParser(parser._Parser):
+    """The parser with one method call per token: `peek`, `at_sym` and
+    `next` at every step of `term`, a symbol told by its kind and its
+    text, and scope kept through `bind` and `_name`.  It reads the same
+    token tuples as `parser._Parser` and shares its declaration-level
+    code, which it drives through these helpers: the reference for the
+    index-walking `term`."""
+
+    def peek(self, ahead=0):
+        return self.toks[self.pos + ahead]
+
+    def next(self):
+        t = self.toks[self.pos]
+        if t[0] != "eof":
+            self.pos += 1
+        return t
+
+    def at_sym(self, s):
+        kind, text, _, _ = self.peek()
+        return kind == "sym" and text == s
+
+    def bind(self, name):
+        if name is not None:
+            self.binders.setdefault(name, []).append(self.depth)
+        self.depth += 1
+
+    def unbind(self, name):
+        self.depth -= 1
+        if name is not None:
+            self.binders[name].pop()
+
+    def term(self):
+        stack = []
+        start = "term"
+        while True:
+            if start == "term":
+                kind, text, _, _ = self.peek()
+                if (kind == "ident" and text != "Type"
+                        and self.peek(1)[0] == "sym"
+                        and self.peek(1)[1] in (":", "=>")):
+                    name = self.next()[1]
+                    if self.next()[1] == "=>":
+                        stack.append(("lam", name, None))
+                        self.bind(name)
+                        continue
+                    stack.append(("binder", name))
+                else:
+                    stack.append(("arrow",))
+                stack.append(("appl", None))
+                start = "atom"
+                continue
+            if start == "atom":
+                tok = self.peek()
+                if self.at_sym("("):
+                    self.next()
+                    stack.append(("paren",))
+                    start = "term"
+                    continue
+                if tok[0] != "ident":
+                    self.fail(f"expected a term, found {tok[1]!r}", tok)
+                self.next()
+                done = self._name(tok)
+                start = None
+            if not stack:
+                return done
+            frame = stack.pop()
+            kind = frame[0]
+            if kind == "appl":
+                fn = frame[1]
+                if fn is not None:
+                    done = App(fn, done)
+                nxt = self.peek()
+                if self.at_sym("(") or (nxt[0] == "ident" and not (
+                        nxt[1] != "Type" and self.peek(1)[0] == "sym"
+                        and self.peek(1)[1] == ":")):
+                    stack.append(("appl", done))
+                    start = "atom"
+            elif kind == "paren":
+                self.expect_sym(")")
+            elif kind == "arrow":
+                if self.at_sym("->"):
+                    self.next()
+                    stack.append(("pi", None, done))
+                    self.bind(None)
+                    start = "term"
+            elif kind == "binder":
+                name = frame[1]
+                if self.at_sym("->"):
+                    stack.append(("pi", name, done))
+                elif self.at_sym("=>"):
+                    stack.append(("lam", name, done))
+                else:
+                    self.fail("expected '->' or '=>' after binder")
+                self.next()
+                self.bind(name)
+                start = "term"
+            else:
+                _, name, dom = frame
+                self.unbind(name)
+                done = (Pi if kind == "pi" else Lam)(name or "_", dom, done)
+
+    def _name(self, tok):
+        text = tok[1]
+        if text == "Type":
+            return TYPE
+        depths = self.binders.get(text)
+        if depths:
+            return Bound(self.depth - 1 - depths[-1])
+        if text in (self.pat_vars or ()):
+            return Var(text)
+        if text in self.consts:
+            return Const(text)
+        if self.pat_vars is not None:
+            self.fail(f"unbound identifier {text!r} in rewrite rule", tok)
+        return Var(text)
+
+
+def _parsed(parser_class, toks, file, consts):
+    """The declarations with their reprs, or the ParseError's message
+    and span."""
+    try:
+        decls = parser_class(toks, file, set(consts)).file_decls()
+    except ParseError as e:
+        return e.msg, e.span
+    return decls, [repr(d) for d in decls]
+
+
+_MUTATIONS = ("delete", "duplicate", "swap")
+
+
+def _mutate(toks, i, how):
+    """A copy of `toks` with token i deleted, duplicated, or swapped
+    with the next one; the final eof stays."""
+    out = list(toks)
+    if how == "delete":
+        del out[i]
+    elif how == "duplicate":
+        out.insert(i, out[i])
+    else:
+        out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
+
+def _scopes():
+    """Each shipped file, with the names declared by the files a build
+    checks before it."""
+    orders = [blocks_for(FULL_CONFIG),
+              blocks_for(FULL_CONFIG.replace(
+                  nat_morphism_strength="external_eq")),
+              theory._FIRST_ATTEMPT_PATHS]
+    scopes = {}
+    for order in orders:
+        consts: set[str] = set()
+        for path in order:
+            scopes.setdefault(path.resolve(), frozenset(consts))
+            parse_file(path.read_text(), path.name, consts)
+    return scopes
+
+
+SCOPES = _scopes()
+
+
+@pytest.mark.parametrize("how", [None, *_MUTATIONS],
+                         ids=lambda how: how or "shipped")
+@pytest.mark.parametrize("path", sorted(THEORIES.rglob("*.dk")),
+                         ids=lambda p: str(p.relative_to(THEORIES)))
+def test_parse_agrees_with_the_reference_parser(path, how):
+    # the file as shipped, or 10 seeded mutants of it, in the names the
+    # files before it declare: equal declarations, binder hints and
+    # spans included, or the same error at the same place
+    consts = SCOPES[path.resolve()]
+    toks = tokenize(path.read_text(), path.name)
+    rng = random.Random(f"{path.name}:{how}")
+    mutants = [toks] if how is None else [
+        _mutate(toks, rng.randrange(len(toks) - 2), how) for _ in range(10)]
+    for i, mutant in enumerate(mutants):
+        assert (_parsed(parser._Parser, mutant, path.name, consts)
+                == _parsed(ReferenceParser, mutant, path.name, consts)), i
+
+
+_binder_names = st.sampled_from(["x", "y", "A", "f", "Type"])
+
+
+def _compound_terms(inner):
+    pair = st.tuples(inner, inner)
+    return st.one_of(
+        st.tuples(_binder_names, inner, inner).map(
+            lambda t: "{} : {} -> {}".format(*t)),
+        st.tuples(_binder_names, inner, inner).map(
+            lambda t: "{} : {} => {}".format(*t)),
+        st.tuples(_binder_names, inner).map(lambda t: "{} => {}".format(*t)),
+        pair.map(" -> ".join), pair.map(" ".join), inner.map("({})".format))
+
+
+_term_texts = st.recursive(_binder_names, _compound_terms, max_leaves=8)
+# declarations of the names c0, c1, ... over the constants A and f
+_decl_texts = st.lists(st.one_of(
+    _term_texts.map("c{{}} : {}.".format),
+    st.tuples(_term_texts, _term_texts).map(
+        lambda t: "def c{{}} : {} := {}.".format(*t)),
+    st.tuples(_term_texts, _term_texts).map(
+        lambda t: "[x, y] f {} --> {}.".format(*t))), max_size=3).map(
+    lambda ds: "\n".join(d.format(i) for i, d in enumerate(ds)))
+
+
+@settings(max_examples=500)
+@given(_decl_texts, st.integers(0, 10**6),
+       st.sampled_from((None, *_MUTATIONS)))
+def test_parse_agrees_with_the_reference_parser_on_random_text(
+        text, where, how):
+    toks = tokenize(text)
+    if how is not None and len(toks) > 2:
+        toks = _mutate(toks, where % (len(toks) - 2), how)
+    assert (_parsed(parser._Parser, toks, "<t>", {"A", "f"})
+            == _parsed(ReferenceParser, toks, "<t>", {"A", "f"}))
 
 
 def test_parse_and_print_a_deep_numeral(default_recursion_limit):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from morgandk import (algebra, check, cli, parser, rewrite,  # noqa: F401
                       surface, theory)
 from morgandk.algebra import interval_eq, interval_from_term
-from morgandk.parser import parse_file, parse_term, tokenize
+from morgandk.parser import parse_file, parse_term
 from morgandk.rewrite import critical_pairs
 from morgandk.terms import (KIND, TYPE, App, Bound, Const, Ctx, Lam, Pi,
                             Record, Var)
@@ -52,7 +52,7 @@ TWINS = {cls: _twin(cls) for cls in RECORDS}
 def test_every_module_s_records_are_found():
     names = {cls.__name__ for cls in RECORDS}
     assert {"Sort", "Const", "Var", "Bound", "App", "Lam", "Pi", "Ctx",
-            "SourceSpan", "Token", "RuleDecl", "ConstInfo", "RewriteRule",
+            "SourceSpan", "RuleDecl", "ConstInfo", "RewriteRule",
             "CriticalPair", "Gen", "Holds", "Fails", "TheoryConfig",
             "Level", "APair"} <= names
 
@@ -103,7 +103,6 @@ def _samples():
     sig = build_theory(FULL_CONFIG)
     text = ("A : Type.\ndef f : A -> A.\n[x] f (f x) --> f x.\n"
             "def g := x : A => f x.\n")
-    yield from tokenize(text, "s.dk")
     decls = parse_file(text, "s.dk")
     yield from decls
     yield decls[0].span

@@ -383,6 +383,20 @@ def test_cold_sweep_parses_each_file_once(cold_caches, monkeypatch):
     assert parsed == files
 
 
+def test_a_corpus_file_may_start_with_a_byte_order_mark(cold_caches,
+                                                        tmp_path):
+    # the same declarations and spans as the file without the mark
+    core = CORPUS_DIR / "01-2ltt-core.dk"
+    parses = []
+    for folder, prefix in (("plain", ""), ("marked", "\ufeff")):
+        path = tmp_path / folder / core.name
+        path.parent.mkdir()
+        path.write_text(prefix + core.read_text(), encoding="utf-8")
+        decls, _ = theory._parse(path, Signature())
+        parses.append((decls, repr(decls)))
+    assert parses[0] == parses[1] and len(parses[0][0]) == 86
+
+
 def _reference_blocks(cfg):
     """The corpus files a configuration selects, written out flag by
     flag."""
