@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from morgandk import (algebra, check, cli, parser, rewrite,  # noqa: F401
                       surface, theory)
 from morgandk.algebra import interval_eq, interval_from_term
-from morgandk.parser import parse_file, parse_term
+from morgandk.parser import parse_file, parse_term, tokenize
 from morgandk.rewrite import critical_pairs
 from morgandk.terms import (KIND, TYPE, App, Bound, Const, Ctx, Lam, Pi,
                             Record, Var)
@@ -126,11 +126,48 @@ def _samples():
 
 SAMPLES = list(_samples())
 
+# tokens are plain `(kind, text, line, col)` tuples, not records; their twin
+# is the frozen dataclass they replaced, and they must carry its values in
+# its order and compare, hash, copy and pickle as it does
+TokenTwin = dataclasses.make_dataclass(
+    "Token", [("kind", str), ("text", str), ("line", int), ("col", int)],
+    frozen=True)
+TOKENS = tokenize("A : Type.\ndef f : A -> A.\n[x] f (f x) --> f x.\n"
+                  "def g := x : A => f x.\n", "s.dk")
 
-@pytest.mark.parametrize("record", SAMPLES,
-                         ids=lambda r: r.__class__.__name__)
+
+def _assert_token_alike(token, twin):
+    assert token.__class__ is tuple
+    assert token == dataclasses.astuple(twin)
+    assert [type(v) for v in token] == [str, str, int, int]
+    assert hash(token) == hash(twin)
+    for back in (copy.copy(token), pickle.loads(pickle.dumps(token))):
+        assert back.__class__ is tuple and back == token
+        assert hash(back) == hash(token)
+    for i in range(len(token)):
+        with pytest.raises(TypeError):
+            token[i] = token[i]
+    assert not hasattr(token, "__dict__")
+
+
+def _sample_id(value):
+    return "Token" if value.__class__ is tuple else value.__class__.__name__
+
+
+@pytest.mark.parametrize("record", TOKENS + SAMPLES, ids=_sample_id)
 def test_sample_records_behave_as_their_twins(record):
-    _assert_alike(*_pair(record))
+    if record.__class__ is tuple:
+        _assert_token_alike(record, TokenTwin(*record))
+    else:
+        _assert_alike(*_pair(record))
+
+
+def test_tokens_compare_as_their_twins():
+    twins = [TokenTwin(*t) for t in TOKENS]
+    for a, ta in zip(TOKENS, twins):
+        for b, tb in zip(TOKENS, twins):
+            assert (a == b) == (ta == tb)
+            assert (a != b) == (ta != tb)
 
 
 def test_sample_records_compare_as_their_twins():
