@@ -179,6 +179,15 @@ class _Parser:
             self.fail(f"expected an identifier, found {t[1]!r}")
         return self.next()
 
+    def expect_name(self) -> _Tok:
+        """An identifier that a declaration, a parameter or a pattern
+        variable binds.  `Type` always reads as the sort, so it binds
+        nothing."""
+        t = self.expect_ident()
+        if t[1] == "Type":
+            self.fail("'Type' is reserved", t)
+        return t
+
     # -- terms ------------------------------------------------------------
 
     def bind(self, name: str) -> None:
@@ -299,8 +308,6 @@ class _Parser:
     def declare(self, name: str, tok: _Tok):
         if name in self.consts:
             self.fail(f"{name!r} is already declared", tok)
-        if name == "Type":
-            self.fail("'Type' is reserved", tok)
         self.consts.add(name)
 
     def declaration(self) -> Declaration:
@@ -310,7 +317,7 @@ class _Parser:
         if start[0] == "ident" and start[1] == "def":
             self.next()
             return self.definition()
-        name_tok = self.expect_ident()
+        name_tok = self.expect_name()
         self.expect_sym(":")
         ty = self.term()
         self.expect_sym(".")
@@ -318,12 +325,12 @@ class _Parser:
         return StaticConst(name_tok[1], ty, self.span(name_tok))
 
     def definition(self) -> Declaration:
-        name_tok = self.expect_ident()
+        name_tok = self.expect_name()
         name = name_tok[1]
         params: list[tuple[str, Term]] = []
         while self.at_sym("("):
             self.next()
-            p = self.expect_ident()[1]
+            p = self.expect_name()[1]
             self.expect_sym(":")
             pty = self.term()
             self.expect_sym(")")
@@ -358,7 +365,7 @@ class _Parser:
         pat_vars: list[str] = []
         if not self.at_sym("]"):
             while True:
-                v = self.expect_ident()
+                v = self.expect_name()
                 if v[1] in pat_vars:
                     self.fail(f"duplicate pattern variable {v[1]!r}", v)
                 pat_vars.append(v[1])

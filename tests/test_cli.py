@@ -193,6 +193,17 @@ def test_check_parse_error_located_in_a_later_file(capsys, tmp_path):
     assert err == f"parse error: {bad}:3:10: expected a term, found ')'\n"
 
 
+@pytest.mark.parametrize("text,where", [
+    ("A : Type.\ndef f (Type : A) : A := Type.\n", "2:8"),
+    ("A : Type.\ndef g : A -> A.\n[Type] g Type --> Type.\n", "3:2"),
+])
+def test_check_refuses_type_as_a_bound_name(capsys, tmp_path, text, where):
+    bad = tmp_path / "bad.dk"
+    bad.write_text(text)
+    assert run(capsys, "check", str(bad)) == (
+        2, "", f"parse error: {bad}:{where}: 'Type' is reserved\n")
+
+
 _RULE_CONTEXT = ("T : Type. U : Type. c : T. def f : T -> T. "
                  "def h : T -> U -> T. def g : T -> T := x : T => x.\n")
 

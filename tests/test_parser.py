@@ -93,6 +93,31 @@ def test_reserved_name():
         parse_file("Type : Type.", "<t>", set())
 
 
+# `Type` always reads as the sort, so a parameter or a pattern variable of
+# that name would bind nothing
+@pytest.mark.parametrize("text,line,col", [
+    ("A : Type.\ndef f (Type : A) : A := Type.", 2, 8),
+    ("A : Type.\ndef g : A -> A.\n[Type] g Type --> Type.", 3, 2),
+])
+def test_type_is_reserved_as_a_parameter_and_a_pattern_variable(text, line,
+                                                                col):
+    with pytest.raises(ParseError) as err:
+        parse_file(text, "<t>", set())
+    assert (err.value.msg, err.value.span) == (
+        "'Type' is reserved", SourceSpan("<t>", line, col))
+
+
+@pytest.mark.parametrize("name", ["Typ", "Type2"])
+def test_names_that_start_like_type_still_bind(name):
+    decls = parse_file(f"A : Type.\ndef f ({name} : A) : A := {name}.\n"
+                       f"def g : A -> A.\n[{name}] g {name} --> {name}.",
+                       "<t>", set())
+    assert decls[1].body == Lam(name, Const("A"), Bound(0))
+    assert decls[1].body.var == name
+    assert decls[3].pat_vars == (name,)
+    assert decls[3].lhs == App(Const("g"), Var(name))
+
+
 def test_parameterized_definition_sugar():
     decls = parse_file(
         "def f (i : Lev) (A : T i) : T i := A.",

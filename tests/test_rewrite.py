@@ -1097,7 +1097,10 @@ def test_lockstep_match_agrees_with_the_binary_reference(case):
 # steps for k = 3..7 and ran out of the default fuel at 8.  What growth is
 # left comes from `Imin i i`, which duplicates its argument
 _NESTED_SYM_STEPS = {3: (11, 4), 4: (20, 7), 5: (33, 8), 6: (50, 12),
-                     7: (79, 13), 8: (112, 18), 9: (173, 19)}
+                     7: (79, 13), 8: (112, 18), 9: (173, 19),
+                     10: (238, 25), 11: (363, 26), 12: (492, 33),
+                     13: (745, 34), 14: (1002, 42), 15: (1511, 43),
+                     16: (2024, 52)}
 
 
 @pytest.mark.parametrize("k", sorted(_NESTED_SYM_STEPS))
