@@ -12,7 +12,6 @@ order, so identical inputs print identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -82,6 +81,7 @@ class _Out:
 
     def emit(self, text: str, **payload) -> None:
         if self.json:
+            import json  # only this format pays for the import
             print(json.dumps(payload, sort_keys=True))
         else:
             print(text)

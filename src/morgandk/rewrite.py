@@ -31,9 +31,17 @@ own root step.  Replay and the critical pairs rebuild a path's
 ancestors with one helper.  On well-typed terms the two
 strategies compute the same normal forms.
 
-Normalization, traced or not, keeps its own stack or path instead of
-recursing, so a term's depth is not bounded by the interpreter's
-recursion limit.
+A rule fires by calling a builder of its right-hand side on the match,
+which `compile_msubst` makes on the rule's first firing, where `msubst`
+would walk the whole right-hand side at every step.
+
+Normalization, traced or not, walks the term over its own stack or path
+instead of recursing, so a deep term whose redexes do not nest, such as
+a 10,000-deep numeral, normalizes at the default recursion limit.  The
+rest still recurses: `whnf` forces a rule's arguments with one nested
+call per level, so nested redexes such as 1,000 nested `sym` exhaust
+the recursion limit, and so do `conv` on deep terms and a builder on a
+deep right-hand side.
 """
 
 from __future__ import annotations
@@ -44,8 +52,10 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import Fails, Holds, Verdict
 from .terms import (App, Bound, Const, Lam, Pi, Record, Sort, Term, Var,
-                    app, free_vars, fresh_name, instantiate, msubst, occurs,
-                    shift, spine, subterms)
+                    app, compile_msubst, free_vars, fresh_name, instantiate,
+                    msubst, occurs, shift, spine, subterms)
+
+_set = object.__setattr__
 
 __all__ = [
     "DEFAULT_FUEL", "Fuel", "FuelExhausted",
@@ -82,8 +92,13 @@ class RuleCompileError(Exception):
 
 
 class RewriteRule(Record):
-    __slots__ = __match_args__ = ("name", "head", "pat_vars", "lhs", "rhs",
-                                  "lhs_args")
+    """A rule as `compile_rule` checks it.  From its first firing on,
+    the builder of its right-hand side sits in the slot `_build`, which
+    is no field (`_compile_rhs`)."""
+
+    __slots__ = ("name", "head", "pat_vars", "lhs", "rhs", "lhs_args",
+                 "_build")
+    __match_args__ = ("name", "head", "pat_vars", "lhs", "rhs", "lhs_args")
 
 
 def _check_pattern(t: Term, pat_vars: frozenset[str]) -> None:
@@ -115,6 +130,16 @@ def compile_rule(name: str, pat_vars: Sequence[str], lhs: Term,
             f"pattern variables {sorted(missing)} appear only on the right-hand side")
     ordered = tuple(v for v in pat_vars if v in used)
     return RewriteRule(name, head.name, ordered, lhs, rhs, tuple(args))
+
+
+def _compile_rhs(rule: RewriteRule) -> Callable[[dict[str, Term]], Term]:
+    """The rule's right-hand side compiled by `compile_msubst`, kept in
+    its `_build` slot.  Compiled on the rule's first firing rather than
+    when the rule is built, since `_rename_apart` builds renamed copies
+    that never fire."""
+    build = compile_msubst(rule.rhs, rule.pat_vars)
+    _set(rule, "_build", build)
+    return build
 
 
 # -- reduction ------------------------------------------------------------
@@ -169,9 +194,24 @@ class Reducer:
         however many rules read it, and `_match` does not force it again.
         A variable pattern takes its argument as given, with no matcher
         call, on its first occurrence, and compares it with `conv` on a
-        repeat; such an argument is never reduced."""
-        if self.whnf_cache is not None and t in self.whnf_cache:
-            return self.whnf_cache[t]
+        repeat; such an argument is never reduced.
+
+        A term whose head is neither an applied lambda nor a constant
+        with rules is returned before its spine is built or the cache
+        probed: it cannot step."""
+        head = t
+        while head.__class__ is App:
+            head = head.fn
+        if head.__class__ is Const:
+            if not self.rules.get(head.name):
+                return t
+        elif head.__class__ is not Lam or head is t:
+            return t
+        cache = self.whnf_cache
+        if cache is not None:
+            hit = cache.get(t)
+            if hit is not None:
+                return hit
         orig = t
         while True:
             head, args = spine(t)
@@ -208,15 +248,16 @@ class Reducer:
                         if not _match(pat, a, sub, self.conv, self.whnf):
                             break
                     else:
-                        nxt = app(msubst(r.rhs, sub), *args[n:])
+                        build = getattr(r, "_build", None) or _compile_rhs(r)
+                        nxt = app(build(sub), *args[n:])
                         break
             if nxt is None:
                 break
             self.fuel.tick()
             t = nxt
-        if self.whnf_cache is not None:
-            self.whnf_cache[orig] = t
-            self.whnf_cache[t] = t
+        if cache is not None:
+            cache[orig] = t
+            cache[t] = t
         return t
 
     def normalize(self, t: Term) -> Term:
@@ -225,7 +266,10 @@ class Reducer:
         then the children of the result are normalized left to right
         (a lambda's body before its domain) and it is rebuilt.  The
         whnf calls, cache probes and entries and fuel ticks come in the
-        order of a recursive descent.
+        order of a recursive descent.  A variable, a bound index, a sort
+        or a constant without rules is its own normal form, with no
+        whnf call and no cache entry; a rebuilt node keeps its identity
+        when each child is identical or equal to the one it had.
 
         With the cache, a whnf that is still being rebuilt further up
         raises FuelExhausted when `whnf` returns it again: the normal
@@ -233,7 +277,7 @@ class Reducer:
         the descent would otherwise never end.  That is the verdict the
         uncached reducer reaches on the same input, and a terminating
         normalization never meets such a term."""
-        cache = self.nf_cache
+        cache, rules = self.nf_cache, self.rules
         todo: list = [t]  # terms to normalize and (term, whnf) to rebuild
         done: list[Term] = []  # normal forms of the children so far
         # the whnfs whose rebuild is pending, when cache hits cost no fuel
@@ -249,22 +293,34 @@ class Reducer:
                 # that a normal term keeps its identity
                 if cls is App:
                     a, f = done.pop(), done.pop()
-                    t = w if f == w.fn and a == w.arg else App(f, a)
+                    t = w if ((f is w.fn or f == w.fn)
+                              and (a is w.arg or a == w.arg)) else App(f, a)
                 elif cls is Lam:
                     d = done.pop() if w.dom is not None else None
                     b = done.pop()
-                    t = w if d == w.dom and b == w.body else Lam(w.var, d, b)
+                    t = w if ((d is w.dom or d == w.dom)
+                              and (b is w.body or b == w.body)) \
+                        else Lam(w.var, d, b)
                     contracted = _eta_body(t)
                     if contracted is not None:
                         self.fuel.tick()
                         t = contracted
                 else:
                     c, d = done.pop(), done.pop()
-                    t = w if d == w.dom and c == w.cod else Pi(w.var, d, c)
+                    t = w if ((d is w.dom or d == w.dom)
+                              and (c is w.cod or c == w.cod)) \
+                        else Pi(w.var, d, c)
             else:
-                if cache is not None and item in cache:
-                    done.append(cache[item])
+                cls = item.__class__
+                if (cls is Var or cls is Bound or cls is Sort
+                        or (cls is Const and not rules.get(item.name))):
+                    done.append(item)  # a leaf that cannot step
                     continue
+                if cache is not None:
+                    hit = cache.get(item)
+                    if hit is not None:
+                        done.append(hit)
+                        continue
                 orig = item
                 t = self.whnf(item)
                 cls = t.__class__
@@ -353,7 +409,8 @@ class Reducer:
                         and len(r.lhs_args) == len(args)):
                     sub: dict[str, Term] = {}
                     if all(map(_match, r.lhs_args, args, repeat(sub))):
-                        return r.name, msubst(r.rhs, sub)
+                        build = getattr(r, "_build", None) or _compile_rhs(r)
+                        return r.name, build(sub)
         return None
 
     def _headed_by_rules(self, t: Term) -> bool:

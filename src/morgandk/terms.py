@@ -21,7 +21,11 @@ which yields every node in preorder with the number of binders above
 it and keeps its own stack: `free_vars`, `occurs`, the printer's
 choice of binder names and the rule pattern check are built on it.
 The traversals that rebuild a term (`shift`, `abstract`, `instantiate`,
-`msubst`) share `_rebuild`, which still recurses.  `instantiate` opens
+`msubst`) share `_rebuild`, which still recurses.  A firing rule does
+not call `msubst` on its right-hand side: `compile_msubst` turns a term
+into a function of the substitution, once per rule, which builds the
+same term without a walk or a call per node that does not change.
+`instantiate` opens
 any number of nested binders in one walk, and `abstract` closes them,
 so a checker that peels a telescope substitutes into each domain, and
 into the final body and its type, once.
@@ -29,7 +33,7 @@ into the final body and its type, once.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 __all__ = [
@@ -39,6 +43,7 @@ __all__ = [
     "app", "spine", "lam", "pi",
     "subterms", "free_vars", "fresh_name", "occurs",
     "abstract", "instantiate", "open_binder", "shift", "subst", "msubst",
+    "compile_msubst",
     "alpha_eq", "Ctx",
 ]
 
@@ -422,6 +427,50 @@ def msubst(t: Term, sub: dict[str, Term]) -> Term:
                 return shift(repl, depth) if depth else repl
         return v
     return _rebuild(t, leaf, 0) if sub else t
+
+
+def compile_msubst(t: Term, names: Sequence[str]
+                   ) -> Callable[[dict[str, Term]], Term]:
+    """`msubst(t, sub)` for a `sub` that binds each of `names` and
+    nothing else, compiled once for t, in one bottom-up pass, into a
+    function of `sub`.  It returns each subterm without one of the names
+    as it is, builds only the nodes above them, and shifts a replacement
+    under the binders it passes, as `msubst` does.  It recurses as deep
+    as the nodes above the names, as `_rebuild` does."""
+    return _compile(t, names, 0) or (lambda sub: t)
+
+
+def _compile(t: Optional[Term], names: Sequence[str],
+             depth: int) -> Optional[Callable[[dict[str, Term]], Term]]:
+    """`compile_msubst` of t under `depth` binders, or None when no name
+    occurs in t.  A name outside every binder is looked up by
+    `itemgetter`, in C."""
+    cls = t.__class__
+    if cls is Var:
+        name = t.name
+        if name not in names:
+            return None
+        if not depth:
+            return itemgetter(name)
+        return lambda sub: shift(sub[name], depth)
+    if cls is App:
+        fn, arg = t.fn, t.arg
+        f, a = _compile(fn, names, depth), _compile(arg, names, depth)
+        if f is None:
+            return None if a is None else lambda sub: App(fn, a(sub))
+        if a is None:
+            return lambda sub: App(f(sub), arg)
+        return lambda sub: App(f(sub), a(sub))
+    if cls is Lam or cls is Pi:
+        dom = t.dom
+        body = t.body if cls is Lam else t.cod
+        d = _compile(dom, names, depth)
+        b = _compile(body, names, depth + 1)
+        if d is None and b is None:
+            return None
+        var, d, b = t.var, d or (lambda sub: dom), b or (lambda sub: body)
+        return lambda sub: cls(var, d(sub), b(sub))
+    return None  # a constant, a sort, a bound index or a missing domain
 
 
 def subst(t: Term, name: str, repl: Term) -> Term:

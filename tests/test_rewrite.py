@@ -13,8 +13,8 @@ from morgandk.rewrite import (DEFAULT_FUEL, CriticalPair, Fails, Fuel,
                               RuleCompileError, compile_rule, critical_pairs,
                               joinable, match_pattern, unify)
 from morgandk.terms import (App, Bound, Const, Lam, Pi, Sort, Var, alpha_eq,
-                            app, free_vars, instantiate, lam, msubst, spine,
-                            subst, subterms)
+                            app, free_vars, instantiate, lam, msubst, pi,
+                            spine, subst, subterms)
 from morgandk.theory import INTERVAL_FACE_HEADS, interval_face_rules
 
 
@@ -870,11 +870,28 @@ def _patterns():
         max_leaves=5)
 
 
+def _right_hand_sides():
+    """Patterns that may also bind `z` under an abstraction or a product
+    and apply any term, so that a pattern variable can sit under a binder
+    and an index can point past another binder."""
+    return st.recursive(
+        st.one_of(_pvars.map(Var), _heads.map(Const), st.just(Var("z"))),
+        lambda sub: st.one_of(
+            st.tuples(sub, st.lists(sub, min_size=1, max_size=2)).map(
+                lambda p: app(p[0], *p[1])),
+            st.tuples(st.none() | sub, sub).map(
+                lambda p: lam("z", p[0], p[1])),
+            # unannotated once more, so that binders nest more often
+            sub.map(lambda body: lam("z", None, body)),
+            st.tuples(sub, sub).map(lambda p: pi("z", p[0], p[1]))),
+        max_leaves=5)
+
+
 @st.composite
 def _rule(draw, name):
     lhs = app(Const(draw(_heads)), *draw(st.lists(_patterns(), max_size=2)))
     used = free_vars(lhs)
-    rhs = draw(_patterns())
+    rhs = draw(_right_hand_sides())
     rhs = msubst(rhs, {v: Const("c") for v in free_vars(rhs) - used})
     return compile_rule(name, sorted(used), lhs, rhs)
 
@@ -1053,12 +1070,17 @@ def test_reducer_agrees_with_the_reference_on_the_signature(full_sig, fa_sig,
 
 
 # subjects over the pattern heads, two free variables and a pattern
-# variable's name, so that a subject may also contain a pattern
+# variable's name, so that a subject may also contain a pattern, and over
+# abstractions and bound indices, loose ones included, so that rules
+# fire under binders and matches carry indices
 _subjects = st.recursive(
     st.sampled_from(["f", "g", "c"]).map(Const)
-    | st.sampled_from(["a", "b", "x"]).map(Var),
-    lambda sub: st.tuples(sub, st.lists(sub, min_size=1, max_size=3)).map(
-        lambda p: app(p[0], *p[1])),
+    | st.sampled_from(["a", "b", "x"]).map(Var)
+    | st.integers(0, 1).map(Bound),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.lists(sub, min_size=1, max_size=3)).map(
+            lambda p: app(p[0], *p[1])),
+        sub.map(lambda body: Lam("z", None, body))),
     max_leaves=8)
 
 
@@ -1113,6 +1135,16 @@ def test_steps_to_normalize_nested_sym(full_sig, k):
         assert DEFAULT_FUEL - fuel.remaining == steps, cached
 
 
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="whnf forces a rule's arguments with one nested "
+                          "call per level (ROADMAP item 7)")
+def test_normalize_of_deeply_nested_sym(full_sig, default_recursion_limit):
+    t = Var("i")
+    for _ in range(10_000):
+        t = App(Const("sym"), t)
+    assert full_sig.reducer().normalize(t) == Var("i")
+
+
 def test_each_argument_is_forced_once_per_head_attempt(full_sig,
                                                        monkeypatch):
     # every whnf call on this term makes one head attempt on a spine with
@@ -1139,6 +1171,49 @@ def test_each_argument_is_forced_once_per_head_attempt(full_sig,
 
 
 @settings(deadline=None)
+@given(_right_hand_sides(), st.data())
+def test_a_compiled_right_hand_side_builds_what_msubst_builds(rhs, data):
+    # matches with bound indices, loose ones included, shifted under the
+    # binders of the right-hand side; without a pattern variable there,
+    # the right-hand side itself
+    rhs = msubst(rhs, {"z": Const("c")})
+    pat_vars = sorted(free_vars(rhs))
+    rule = compile_rule("r", pat_vars, app(_f, *map(Var, pat_vars)), rhs)
+    sub = {v: data.draw(_subjects) for v in pat_vars}
+    build = rewrite._compile_rhs(rule)
+    assert build(sub) == msubst(rule.rhs, sub)
+    assert rule._build is build
+    if not free_vars(rule.rhs):
+        assert build(sub) is rule.rhs
+
+
+# [x] f x --> y : A => g x y
+_UNDER_A_BINDER = compile_rule("f", ("x",), App(_f, _x),
+                               lam("y", Const("A"), app(_g, _x, Var("y"))))
+
+
+def test_a_match_is_shifted_under_a_binder_of_the_right_hand_side():
+    # fired under a lambda, x matches that lambda's index, which must
+    # point past the new binder y
+    rules = _rule_dict(_UNDER_A_BINDER)
+    step = Lam("y", Const("A"), app(_g, Bound(1), Bound(0)))
+    assert Reducer(rules).whnf(App(_f, Bound(0))) == step
+    assert _ReferenceReducer(rules).whnf(App(_f, Bound(0))) == step
+    # z => k (f z); eta then contracts y : A => g z y to g z, where an
+    # unshifted match would leave y : A => g y y
+    t = Lam("z", None, App(Const("k"), App(_f, Bound(0))))
+    want = Lam("z", None, App(Const("k"), App(_g, Bound(0))))
+    for cached in (True, False):
+        assert Reducer(rules, cached=cached).normalize(t) == want
+        assert _ReferenceReducer(rules, cached=cached).normalize(t) == want
+    nf, steps = Reducer(rules).normalize_traced(t)
+    assert nf == want and [name for _, name in steps] == ["f", "eta"]
+    assert Reducer(rules).replay(t, steps) == want
+
+
+@settings(deadline=None)
+@example([_UNDER_A_BINDER],
+         Lam("z", None, app(Const("k"), App(_f, Bound(0)), Bound(1))))
 @example([compile_rule("nested", ("x",), app(_f, app(_g, _c, _x)), _x),
           compile_rule("var-head", ("F", "x"), App(_g, App(_F, _x)), _F),
           compile_rule("unfold", (), Const("d"), _c)],
@@ -1147,9 +1222,11 @@ def test_each_argument_is_forced_once_per_head_attempt(full_sig,
 def test_reducer_agrees_with_the_reference_on_random_rule_sets(case_rules, t):
     # no corpus rule nests a non-variable pattern inside an argument
     # pattern, or has a variable-headed one, so random rule sets check
-    # that nested arguments are still forced.  They need not terminate,
-    # and a cache hit costs no fuel, so the cached reducers are run only
-    # where the uncached reference reached a normal form
+    # that nested arguments are still forced, and their right-hand sides
+    # may put a match under a binder, against the reference's `msubst`.
+    # They need not terminate, and a cache hit costs no fuel, so the
+    # cached reducers are run only where the uncached reference reached a
+    # normal form
     rules = {}
     for r in case_rules:
         rules.setdefault(r.head, []).append(r)

@@ -60,17 +60,22 @@ def test_cli_import_loads_the_wrapped_modules_and_not_the_surface(
     # the CLI tracer installs right after `import morgandk.cli` and looks
     # each wrapped module up in sys.modules; the surface syntax is for
     # the tests alone, so no command pays for importing it, and no
-    # command pays for `dataclasses` and the `inspect` it imports
+    # command pays for `dataclasses` and the `inspect` it imports, nor
+    # for `json` unless it writes json-lines
     src = str(Path(__file__).resolve().parent.parent / "src")
-    script = "import sys, morgandk.cli; print(*sys.modules)"
-    shown = subprocess.run([sys.executable, "-c", script],
-                           env={**os.environ, "PYTHONPATH": src},
-                           capture_output=True, text=True,
-                           check=True).stdout.split()
+
+    def modules(script):
+        return set(subprocess.run(
+            [sys.executable, "-c", f"import sys{script}; print(*sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True).stdout.split())
+    shown = modules(", morgandk.cli")
+    loaded = shown - modules("")  # beyond a bare interpreter's
     wrapped = {f"morgandk.{mod}" for mod, _, _ in layertrace.WRAPPED}
-    assert wrapped <= set(shown)
+    assert wrapped <= shown
     assert "morgandk.surface" not in shown
     assert "dataclasses" not in shown and "inspect" not in shown
+    assert "json" not in loaded
 
 
 def test_reducer_exposes_its_caches():
