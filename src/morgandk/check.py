@@ -12,8 +12,15 @@ peeled as they are written, so each domain, and at the end the body, is
 opened once with a multi-binder `instantiate` over the binders before
 it; a type is weak-head normalized only where it is not syntactically a
 product.  An inferred chain's type abstracts the body's type over all
-the opened names in one walk.  The binders' names are drawn against one
-set per telescope.
+the opened names in one walk.
+
+Scope: a declaration's type and body are checked closed, a free
+variable reported `unbound` before that term is checked (a rule's
+context is its pattern variables).  The context is a dict from each
+name in scope to its type.  A telescope copies its caller's dict once
+and adds each opened binder under a name fresh for it, which captures
+no Var of the term, as each is a key.  An abstraction's annotation is
+typed whether the abstraction is inferred or checked.
 
 As in a Dedukti signature, only a definable ('def') constant without a
 body may take rules, and `check_rule` alone decides it: the parser asks
@@ -38,8 +45,8 @@ from .parser import (Declaration, DefinableConst, Definition, RuleDecl,
                      SourceSpan, StaticConst, pretty)
 from .rewrite import (DEFAULT_FUEL, Fuel, Reducer, RewriteRule,
                       RuleCompileError, compile_rule)
-from .terms import (App, Const, Ctx, KIND, Lam, Pi, Record, Sort, TYPE,
-                    Term, Var, abstract, fresh_name, instantiate, spine)
+from .terms import (App, Const, KIND, Lam, Pi, Record, Sort, TYPE, Term, Var,
+                    abstract, fresh_name, instantiate, spine, subterms)
 
 __all__ = [
     "TypeCheckError", "ConstInfo", "Signature",
@@ -122,7 +129,10 @@ class Signature:
         return s
 
 
-def infer(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> Term:
+def infer(sig: Signature, ctx: dict[str, Term], t: Term, red: Reducer) -> Term:
+    """The type of `t` in `ctx`, a dict from each name in scope to its
+    type, which is left unchanged.  Every Var of `t` must be a key of
+    `ctx`: the names opened for binders avoid those keys alone."""
     match t:
         case Sort(k):
             if k == "TYPE":
@@ -134,7 +144,7 @@ def infer(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> Term:
                 raise TypeCheckError(f"undeclared constant {n!r}", kind="unbound")
             return info.ty
         case Var(n):
-            ty = ctx.lookup(n)
+            ty = ctx.get(n)
             if ty is None:
                 raise TypeCheckError(f"unbound variable {n!r}", kind="unbound")
             return ty
@@ -148,7 +158,7 @@ def infer(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> Term:
             # domain is opened with the binders before it, the final
             # codomain or body once with them all
             cls = t.__class__
-            taken = ctx.names()
+            ctx = dict(ctx)
             opened: list[Term] = []
             binders: list[Term] = []
             while t.__class__ is cls:
@@ -157,9 +167,8 @@ def infer(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> Term:
                         "cannot infer the type of an unannotated abstraction")
                 dom = instantiate(t.dom, opened)
                 _check_is_type(sig, ctx, dom, red)
-                v = fresh_name(t.var, taken)
-                taken.add(v)
-                ctx = ctx.push(v, dom)
+                v = fresh_name(t.var, ctx)
+                ctx[v] = dom
                 opened.append(Var(v))
                 binders.append(t)
                 t = t.cod if cls is Pi else t.body
@@ -209,20 +218,24 @@ def _apply(red: Reducer, ty: Term, args: Sequence[Term],
     return instantiate(ty, pending)
 
 
-def _check_is_type(sig: Signature, ctx: Ctx, t: Term, red: Reducer) -> None:
+def _check_is_type(sig: Signature, ctx: dict[str, Term], t: Term,
+                   red: Reducer) -> None:
     s = red.whnf(infer(sig, ctx, t, red))
     if s != TYPE:
         raise TypeCheckError("expected a type", expected=TYPE, actual=s,
                              kind="sort-error")
 
 
-def check(sig: Signature, ctx: Ctx, t: Term, ty: Term, red: Reducer) -> None:
+def check(sig: Signature, ctx: dict[str, Term], t: Term, ty: Term,
+          red: Reducer) -> None:
+    """Check `t` against `ty`, a type in `ctx`.  As for `infer`, every
+    Var of `t` must be a key of `ctx`, which is left unchanged."""
     if t.__class__ is Lam:
         # the whole chain of abstractions, against products peeled as
         # in `_apply`: each annotation and domain is opened with the
         # binders before it, and the body and the codomain once at the
         # end
-        taken = ctx.names()
+        ctx = dict(ctx)
         opened: list[Term] = []  # a variable for each abstraction so far
         pending: list[Term] = []  # those owed to `ty`, outermost first
         while t.__class__ is Lam:
@@ -241,9 +254,12 @@ def check(sig: Signature, ctx: Ctx, t: Term, ty: Term, red: Reducer) -> None:
                 if not red.conv(annotated, dom):
                     raise TypeCheckError("domain annotation does not match",
                                          expected=dom, actual=annotated)
-            v = fresh_name(t.var, taken)
-            taken.add(v)
-            ctx = ctx.push(v, dom)
+                # the domain of a type is a type, and so is an annotation
+                # equal to it; one that only converts with it may not be
+                if annotated != dom:
+                    _check_is_type(sig, ctx, annotated, red)
+            v = fresh_name(t.var, ctx)
+            ctx[v] = dom
             x = Var(v)
             opened.append(x)
             pending.append(x)
@@ -254,8 +270,17 @@ def check(sig: Signature, ctx: Ctx, t: Term, ty: Term, red: Reducer) -> None:
         raise TypeCheckError("type mismatch", expected=ty, actual=it)
 
 
+def _check_closed(t: Term) -> None:
+    """A declaration's type or body has no Var: each is checked in the
+    empty context, where `infer`'s precondition asks for none."""
+    for s, _ in subterms(t):
+        if s.__class__ is Var:
+            raise TypeCheckError(f"unbound variable {s.name!r}", kind="unbound")
+
+
 def _check_const_type(sig: Signature, ty: Term, red: Reducer) -> None:
-    s = red.whnf(infer(sig, Ctx(), ty, red))
+    _check_closed(ty)
+    s = red.whnf(infer(sig, {}, ty, red))
     if not isinstance(s, Sort):
         raise TypeCheckError("a declared type must be a type or a kind",
                              actual=s, kind="sort-error")
@@ -305,7 +330,7 @@ def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
 
     try:
         ty = walk(rule.lhs, None)
-        check(sig, Ctx(tuple(types.items())), rule.rhs, ty, red)
+        check(sig, types, rule.rhs, ty, red)
     except TypeCheckError as e:
         e.kind = "rule-ill-typed"
         raise
@@ -322,10 +347,12 @@ def check_declaration(sig: Signature, decl: Declaration,
                                         None))
             case Definition(name, ty, body, _):
                 if ty is None:
-                    ty = infer(sig, Ctx(), body, red)
+                    _check_closed(body)
+                    ty = infer(sig, {}, body, red)
                 else:
                     _check_const_type(sig, ty, red)
-                    check(sig, Ctx(), body, ty, red)
+                    _check_closed(body)
+                    check(sig, {}, body, ty, red)
                 sig.add_const(ConstInfo(name, ty, False, body))
                 sig.add_rule(RewriteRule(f"{name}.def", name, (),
                                          Const(name), body, ()))

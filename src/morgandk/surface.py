@@ -11,7 +11,7 @@ nothing on the command path imports it.
 
 from __future__ import annotations
 
-from .terms import App, Const, Ctx, Record, Term, Var, app, lam, pi
+from .terms import App, Const, Record, Term, Var, app, lam, pi
 
 __all__ = [
     "Level", "L0", "CL",
@@ -257,14 +257,11 @@ def encode(e: Ast, lev: Level, layer: str = INTERNAL) -> Term:
     raise EncodeError(f"not surface syntax: {e!r}")
 
 
-def encode_context(entries: list[tuple[str, Ast, Level, str]]) -> Ctx:
-    """Translate (name, type, level, layer) entries to a typing context
-    of decoded types, in order."""
-    ctx = Ctx()
-    for name, ty, lev, layer in entries:
-        decoded = app(_decoder(layer), lev.term(), encode(ty, lev, layer))
-        ctx = ctx.push(name, decoded)
-    return ctx
+def encode_context(entries: list[tuple[str, Ast, Level, str]]) -> dict[str, Term]:
+    """Translate (name, type, level, layer) entries to a typing context:
+    each name's decoded type, a later entry shadowing an earlier one."""
+    return {name: app(_decoder(layer), lev.term(), encode(ty, lev, layer))
+            for name, ty, lev, layer in entries}
 
 
 # -- the filling example --------------------------------------------------

@@ -34,7 +34,7 @@ into the final body and its type, once.
 from __future__ import annotations
 
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Container, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "Record",
@@ -44,7 +44,7 @@ __all__ = [
     "subterms", "free_vars", "fresh_name", "occurs",
     "abstract", "instantiate", "open_binder", "shift", "subst", "msubst",
     "compile_msubst",
-    "alpha_eq", "Ctx",
+    "alpha_eq",
 ]
 
 
@@ -321,7 +321,7 @@ def free_vars(t: Term) -> frozenset[str]:
     return frozenset(s.name for s, _ in subterms(t) if s.__class__ is Var)
 
 
-def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
+def fresh_name(base: str, avoid: Container[str]) -> str:
     if base not in avoid:
         return base
     n = 0
@@ -481,30 +481,3 @@ def subst(t: Term, name: str, repl: Term) -> Term:
 def alpha_eq(a: Term, b: Term) -> bool:
     """Equality up to renaming of bound variables, which is `==`."""
     return a == b
-
-
-class Ctx(Record):
-    """Typing context: ordered name/type pairs, innermost binding last.
-
-    Lookup resolves to the innermost entry, so pushing an existing name
-    shadows the older entry.
-    """
-
-    __slots__ = __match_args__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[str, Term], ...] = ()):
-        _set(self, "entries", entries)
-
-    def push(self, name: str, ty: Term) -> "Ctx":
-        return Ctx(self.entries + ((name, ty),))
-
-    def lookup(self, name: str) -> Optional[Term]:
-        for n, ty in reversed(self.entries):
-            if n == name:
-                return ty
-        return None
-
-    def names(self) -> set[str]:
-        """The names bound here, as a new set: a walk that opens a
-        telescope adds each name it draws to it."""
-        return {n for n, _ in self.entries}

@@ -14,7 +14,7 @@ import pytest
 
 from morgandk.algebra import (DM4Value, Fails as OFails, Holds as OHolds,
                               audit_equation, check_rule_sound)
-from morgandk.check import Ctx, check, infer
+from morgandk.check import check, infer
 from morgandk.parser import (RuleDecl, parse_file, parse_term,
                              print_declaration, pretty)
 from morgandk.rewrite import (Fails as RFails, Fuel, Holds as RHolds,
@@ -200,7 +200,7 @@ def test_criterion_07_filling(record, full_sig):
     term, ty = filling_example()
     checks = True
     try:
-        check(full_sig, Ctx(), term, ty, red)
+        check(full_sig, {}, term, ty, red)
     except Exception:
         checks = False
     at1 = red.normalize(App(term, Const("1")))
@@ -267,11 +267,11 @@ def test_criterion_09_subject_reduction(record, full_sig):
     for info in full_sig.consts.values():
         try:
             nty = red.normalize(info.ty)
-            sort = red.whnf(infer(full_sig, Ctx(), nty, red))
+            sort = red.whnf(infer(full_sig, {}, nty, red))
             ok = ok and isinstance(sort, Sort)
             types += 1
             if info.body is not None:
-                check(full_sig, Ctx(), red.normalize(info.body),
+                check(full_sig, {}, red.normalize(info.body),
                       info.ty, red)
                 bodies += 1
         except Exception:

@@ -1,11 +1,12 @@
 import pytest
 
 from morgandk import terms
-from morgandk.check import (Signature, TypeCheckError, check_declaration,
-                            check_rule, check_signature, infer)
+from morgandk.check import (Signature, TypeCheckError, check,
+                            check_declaration, check_rule, check_signature,
+                            infer)
 from morgandk.parser import RuleDecl, SourceSpan, parse_file, parse_term, pretty
 from morgandk.rewrite import compile_rule
-from morgandk.terms import TYPE, App, Const, Ctx, Var, app
+from morgandk.terms import TYPE, App, Const, Var, app
 
 
 def _pt(text, sig):
@@ -18,33 +19,33 @@ def _decls(text, sig):
 
 def test_infer_nat_code(full_sig):
     red = full_sig.reducer()
-    got = infer(full_sig, Ctx(), _pt("Nat l0", full_sig), red)
+    got = infer(full_sig, {}, _pt("Nat l0", full_sig), red)
     assert red.conv(got, _pt("T l0", full_sig))
 
 
 def test_infer_universe_code(full_sig):
     red = full_sig.reducer()
-    got = infer(full_sig, Ctx(), _pt("t l0", full_sig), red)
+    got = infer(full_sig, {}, _pt("t l0", full_sig), red)
     assert red.conv(got, _pt("T (lsuc l0)", full_sig))
 
 
 def test_infer_variable_lookup(full_sig):
     red = full_sig.reducer()
     ty = _pt("eps l0 exA", full_sig)
-    ctx = Ctx().push("x", ty)
+    ctx = {"x": ty}
     assert infer(full_sig, ctx, Var("x"), red) == ty
 
 
 def test_check_pair_through_definition(full_sig):
     red = full_sig.reducer()
     t = _pt("pair l0 exA exB exa exb", full_sig)
-    got = infer(full_sig, Ctx(), t, red)
+    got = infer(full_sig, {}, t, red)
     assert red.conv(got, _pt("eps l0 (Sig l0 exA exB)", full_sig))
 
 
 def test_check_mismatch_distinct_types(full_sig):
     red = full_sig.reducer()
-    ctx = Ctx().push("a", _pt("eps l0 exA", full_sig))
+    ctx = {"a": _pt("eps l0 exA", full_sig)}
     ty = infer(full_sig, ctx, Var("a"), red)
     assert not red.conv(ty, _pt("eps l0 (Nat l0)", full_sig))
 
@@ -241,6 +242,10 @@ def _telescope_error(text):
      ("rule-ill-typed", "rule head 'f1' is over-applied", None, None)),
     ("[x] f1 (a x) --> x.",
      ("rule-ill-typed", "over-applied constant 'a' in pattern", None, None)),
+    # an annotation that converts with its domain is still typed
+    ("def K : A -> A -> A. [x, y] K x y --> x. "
+     "def f : P a -> P a := x : P (K a (a a)) => x.",
+     ("not-a-function", "application of a non-function", None, "A")),
 ])
 def test_errors_inside_a_telescope(text, expected):
     assert _telescope_error(text) == expected
@@ -281,8 +286,37 @@ def test_telescope_work_is_linear_in_the_width(monkeypatch):
 
 
 def test_a_wide_telescope_checks_without_recursion(default_recursion_limit):
-    sig = check_signature(_wide(2000))
+    sig = check_signature(_wide(8000))
     assert {"c", "d", "f"} <= sig.consts.keys()
+
+
+@pytest.mark.parametrize("text,ty,fails", [
+    # a product telescope, an inferred chain and a checked chain
+    ("y : A -> P y -> P x", None, False),
+    ("y : A => z : P y => x", None, False),
+    ("y => z => x", "y : A -> P y -> A", False),
+    # each failing after it has opened names
+    ("y : A -> z : P y -> P (a a)", None, True),
+    ("y : A => z : P y => y y", None, True),
+    ("y => z => y y", "A -> A -> A", True),
+])
+def test_infer_and_check_leave_the_caller_s_context_as_it_was(text, ty,
+                                                              fails):
+    sig = check_signature(_decls(_TELESCOPE, Signature()))
+    red = sig.reducer()
+    ctx = {"x": _pt("A", sig)}
+    before = dict(ctx)
+    t = _pt(text, sig)
+    raised = False
+    try:
+        if ty is None:
+            infer(sig, ctx, t, red)
+        else:
+            check(sig, ctx, t, _pt(ty, sig), red)
+    except TypeCheckError:
+        raised = True
+    assert raised == fails
+    assert ctx == before
 
 
 def _chain(n):
@@ -328,6 +362,9 @@ def test_inferred_chain_work_is_linear_in_the_width(monkeypatch):
      ("sort-error", "an abstraction cannot produce a kind", None, None)),
     ("def u := x : A => y : Type => y.",
      ("sort-error", "expected a type", "Type", "Kind")),
+    ("def K : A -> A -> A. [x, y] K x y --> x. "
+     "def u := x : P (K a (a a)) => x.",
+     ("not-a-function", "application of a non-function", None, "A")),
 ])
 def test_errors_inside_an_inferred_abstraction_chain(text, expected):
     assert _telescope_error(text) == expected

@@ -323,6 +323,36 @@ def test_check_runs_out_of_fuel_on_a_conversion_that_contains_itself(
         3, "", "error: fuel exhausted\n")
 
 
+@pytest.mark.parametrize("text,error", [
+    # each declaration is checked closed: a binder's opened name cannot
+    # capture a free variable of the term, as `_` and `y_0` would
+    ("A : Type. P : A -> Type. T : A -> P _.",
+     "1:26: [unbound] unbound variable '_'"),
+    ("A : Type.\ndef f : A -> A -> A := y : A => y : A => y_0.",
+     "2:5: [unbound] unbound variable 'y_0'"),
+    ("A : Type. P : A -> Type.\nT : y : A -> y : A -> P y_0.",
+     "2:1: [unbound] unbound variable 'y_0'"),
+    ("A : Type.\ndef g := y : A => y : A => y_0.",
+     "2:5: [unbound] unbound variable 'y_0'"),
+    # a checked abstraction's annotation is typed, though it converts
+    ("A : Type. a : A. U : Type. El : U -> Type. u : U.\n"
+     "def K : U -> A -> U. [x, y] K x y --> x.\n"
+     "def f : El u -> El u := x : El (K u (a a)) => x.",
+     "3:5: [not-a-function] application of a non-function\n"
+     "  actual:   A"),
+], ids=["arrow", "checked-chain", "pi-telescope", "inferred-chain",
+        "annotation"])
+def test_check_rejects_a_free_variable_and_an_ill_typed_annotation(
+        tmp_path, text, error):
+    f = tmp_path / "t.dk"
+    f.write_text(text + "\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "morgandk", "check",
+                           str(f)], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, encoding="utf-8", timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", f"type error: {f}:{error}\n")
+
+
 def test_reduce_rejects_nonpositive_fuel(capsys):
     code, _, err = run(capsys, "reduce", "--fuel", "0", "x")
     assert code == 2 and "positive" in err

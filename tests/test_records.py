@@ -20,8 +20,8 @@ from morgandk import (algebra, check, cli, parser, rewrite,  # noqa: F401
 from morgandk.algebra import interval_eq, interval_from_term
 from morgandk.parser import parse_file, parse_term, tokenize
 from morgandk.rewrite import critical_pairs
-from morgandk.terms import (KIND, TYPE, App, Bound, Const, Ctx, Lam, Pi,
-                            Record, Var)
+from morgandk.terms import (KIND, TYPE, App, Bound, Const, Lam, Pi, Record,
+                            Var)
 from morgandk.theory import (FULL_CONFIG, NAT_STRENGTHS, build_theory,
                              interval_face_rules)
 
@@ -51,7 +51,7 @@ TWINS = {cls: _twin(cls) for cls in RECORDS}
 
 def test_every_module_s_records_are_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert {"Sort", "Const", "Var", "Bound", "App", "Lam", "Pi", "Ctx",
+    assert {"Sort", "Const", "Var", "Bound", "App", "Lam", "Pi",
             "SourceSpan", "RuleDecl", "ConstInfo", "RewriteRule",
             "CriticalPair", "Gen", "Holds", "Fails", "TheoryConfig",
             "Level", "APair"} <= names
@@ -116,7 +116,6 @@ def _samples():
     yield interval_eq(interval_from_term(i), interval_from_term(i))
     yield FULL_CONFIG
     yield theory.TheoryConfig()
-    yield Ctx().push("x", TYPE).push("y", KIND)
     yield surface.L0.suc()
     yield surface.APair("x", surface.ANat(), surface.AUniv(),
                         surface.AZero(), surface.ATt())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from morgandk.parser import parse_term, pretty
-from morgandk.terms import (TYPE, App, Bound, Const, Ctx, Lam, Pi, Sort, Var,
+from morgandk.terms import (TYPE, App, Bound, Const, Lam, Pi, Sort, Var,
                             abstract, alpha_eq, app, free_vars, fresh_name,
                             instantiate, lam, occurs, pi, shift, spine, subst,
                             subterms)
@@ -106,12 +106,6 @@ def test_spine_left_associative():
 def test_fresh_name_avoids():
     n = fresh_name("x", frozenset({"x", "x'"}))
     assert n not in {"x", "x'"}
-
-
-def test_ctx_shadowing():
-    ctx = Ctx().push("x", Const("A")).push("x", Const("B"))
-    assert ctx.lookup("x") == Const("B")
-    assert ctx.lookup("y") is None
 
 
 def test_sorts():

@@ -16,7 +16,7 @@ from morgandk.surface import (CL, EXTERNAL, INTERNAL, L0, AApp, AEq, AFalse,
                               ASig, ASnd, ASucc, ASum, ATrue, ATt, AVar,
                               AZero, Level, encode, encode_context,
                               filling_example)
-from morgandk.terms import TYPE, App, Const, Ctx, Var, alpha_eq, app, lam
+from morgandk.terms import TYPE, App, Const, Var, alpha_eq, app, lam
 from morgandk.theory import (FULL_CONFIG, NAT_STRENGTHS, TheoryConfig,
                              blocks_for, build_theory,
                              first_attempt_signature, interval_face_rules)
@@ -247,7 +247,7 @@ def test_encode_formers(full_sig, layer, e, internal, external, is_type):
     assert pretty(got) == want
     # repr shows the binder hints, which pretty could rename
     assert repr(got) == repr(_pt(want, full_sig))
-    ty = infer(full_sig, Ctx(), got, full_sig.reducer())
+    ty = infer(full_sig, {}, got, full_sig.reducer())
     if is_type:
         assert ty == App(Const("T" if layer == INTERNAL else "xT"),
                          Const("l0"))
@@ -266,13 +266,16 @@ def test_encode_application_is_meta_level(full_sig):
 
 
 def test_encode_context_shapes():
-    assert encode_context([]).entries == ()
-    ctx = encode_context([("x", ANat(), L0, INTERNAL)])
-    assert ctx.lookup("x") == app(Const("eps"), Const("l0"),
-                                  app(Const("Nat"), Const("l0")))
+    assert encode_context([]) == {}
+    nat = app(Const("eps"), Const("l0"), app(Const("Nat"), Const("l0")))
+    assert encode_context([("x", ANat(), L0, INTERNAL)]) == {"x": nat}
     ctx = encode_context([("p", ASig("x", ANat(), ANat()), L0, INTERNAL)])
-    assert ctx.lookup("p") == app(Const("eps"), Const("l0"),
-                                  encode(ASig("x", ANat(), ANat()), L0))
+    assert ctx == {"p": app(Const("eps"), Const("l0"),
+                            encode(ASig("x", ANat(), ANat()), L0))}
+    # a later entry of a name shadows an earlier one
+    ctx = encode_context([("x", ASig("y", ANat(), ANat()), L0, INTERNAL),
+                          ("x", ANat(), L0, INTERNAL)])
+    assert ctx == {"x": nat}
 
 
 def test_levels():
@@ -286,7 +289,7 @@ def test_levels():
 def test_filling_example_shape(full_sig):
     term, ty = filling_example()
     red = full_sig.reducer()
-    got = infer(full_sig, Ctx(), term, red)
+    got = infer(full_sig, {}, term, red)
     assert red.conv(got, ty)
 
 

@@ -1,8 +1,10 @@
 """The benchmark's layer tracer (`perfbench/layertrace.py`) wraps kernel
 functions by name from outside `src/`.  These tests keep the names it
 pins and the reducer attributes it reads in place, and check that it
-leaves the package as it found it."""
+leaves the package as it found it.  One more keeps the package free of
+runtime dependencies."""
 
+import ast
 import gc
 import importlib
 import importlib.util
@@ -126,3 +128,27 @@ def test_tracer_counts_every_unify_call(layertrace, full_sig, monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.counters()["calls"]["rewrite.unify"] == calls[0]
+
+
+def test_the_package_imports_the_standard_library_alone():
+    # the README's "no runtime dependencies": every import in every
+    # module, nested ones included, is relative, of the package itself,
+    # or of a module of the standard library
+    src = Path(__file__).resolve().parent.parent / "src" / "morgandk"
+    allowed = sys.stdlib_module_names | {"morgandk"}
+    seen, outside = set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                seen.add(top)
+                if top not in allowed:
+                    outside.append((path.name, name))
+    assert outside == []
+    assert "json" in seen  # cli.py imports it inside a function
