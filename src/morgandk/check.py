@@ -14,13 +14,14 @@ it; a type is weak-head normalized only where it is not syntactically a
 product.  An inferred chain's type abstracts the body's type over all
 the opened names in one walk.
 
-Scope: a declaration's type and body are checked closed, a free
-variable reported `unbound` before that term is checked (a rule's
-context is its pattern variables).  The context is a dict from each
-name in scope to its type.  A telescope copies its caller's dict once
-and adds each opened binder under a name fresh for it, which captures
-no Var of the term, as each is a key.  An abstraction's annotation is
-typed whether the abstraction is inferred or checked.
+Scope is the parser's: `parser.parse_file` refuses an unbound
+identifier at its token, so a declaration's type and body are closed
+and a rule's Vars are its pattern variables, which are its context.
+The context is a dict from each name in scope to its type.  A telescope
+copies its caller's dict once and adds each opened binder under a name
+fresh for it, which captures no Var of the term, as each is a key.
+An abstraction's annotation is typed whether the abstraction is
+inferred or checked.
 
 As in a Dedukti signature, only a definable ('def') constant without a
 body may take rules, and `check_rule` alone decides it: the parser asks
@@ -46,7 +47,7 @@ from .parser import (Declaration, DefinableConst, Definition, RuleDecl,
 from .rewrite import (DEFAULT_FUEL, Fuel, Reducer, RewriteRule,
                       RuleCompileError, compile_rule)
 from .terms import (App, Const, KIND, Lam, Pi, Record, Sort, TYPE, Term, Var,
-                    abstract, fresh_name, instantiate, spine, subterms)
+                    abstract, fresh_name, instantiate, spine)
 
 __all__ = [
     "TypeCheckError", "ConstInfo", "Signature",
@@ -270,16 +271,7 @@ def check(sig: Signature, ctx: dict[str, Term], t: Term, ty: Term,
         raise TypeCheckError("type mismatch", expected=ty, actual=it)
 
 
-def _check_closed(t: Term) -> None:
-    """A declaration's type or body has no Var: each is checked in the
-    empty context, where `infer`'s precondition asks for none."""
-    for s, _ in subterms(t):
-        if s.__class__ is Var:
-            raise TypeCheckError(f"unbound variable {s.name!r}", kind="unbound")
-
-
 def _check_const_type(sig: Signature, ty: Term, red: Reducer) -> None:
-    _check_closed(ty)
     s = red.whnf(infer(sig, {}, ty, red))
     if not isinstance(s, Sort):
         raise TypeCheckError("a declared type must be a type or a kind",
@@ -318,13 +310,11 @@ def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
         if not isinstance(head, Const):
             raise TypeCheckError(
                 "pattern variables must occur bare in left-hand sides")
-        info = sig.consts.get(head.name)
-        if info is None:
-            raise TypeCheckError(f"undeclared constant {head.name!r}", kind="unbound")
         # the computed type of a subpattern is not compared with
         # `expected`: it mentions pattern variables the match will only
         # later determine, and sound rules routinely refine it
-        return _apply(red, info.ty, args, walk, lambda w: TypeCheckError(
+        ty = infer(sig, {}, head, red)  # `unbound` if undeclared
+        return _apply(red, ty, args, walk, lambda w: TypeCheckError(
             f"rule head {head.name!r} is over-applied" if p is rule.lhs
             else f"over-applied constant {head.name!r} in pattern"))
 
@@ -338,6 +328,10 @@ def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
 
 def check_declaration(sig: Signature, decl: Declaration,
                       fuel_steps: int = DEFAULT_FUEL) -> Signature:
+    """Check `decl` and add it to `sig`, which it returns.  As `infer`
+    and `check` ask, its terms are closed but for a rule's pattern
+    variables: `parser.parse_file` makes them so, and a binder's opened
+    name could capture a free Var that it had let through."""
     red = sig.reducer(Fuel(fuel_steps))
     try:
         match decl:
@@ -347,11 +341,9 @@ def check_declaration(sig: Signature, decl: Declaration,
                                         None))
             case Definition(name, ty, body, _):
                 if ty is None:
-                    _check_closed(body)
                     ty = infer(sig, {}, body, red)
                 else:
                     _check_const_type(sig, ty, red)
-                    _check_closed(body)
                     check(sig, {}, body, ty, red)
                 sig.add_const(ConstInfo(name, ty, False, body))
                 sig.add_rule(RewriteRule(f"{name}.def", name, (),

@@ -34,7 +34,7 @@ _FLAGS = {"t1": "t1_injectivity", "t2": "t2_primitive_iso_as_rewrite",
 
 
 class _InputError(Exception):
-    """A bad flag or fuel setting."""
+    """A bad flag, fuel setting or path."""
 
 
 def _config_from_flags(flags: list[str] | None) -> TheoryConfig:
@@ -91,14 +91,13 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _require_paths(paths: list[str]) -> list[Path] | None:
+def _require_paths(paths: list[str]) -> list[Path]:
     out = []
     for p in paths:
         path = Path(p)
         if not path.is_file():
             what = "not a file" if path.exists() else "no such file"
-            _diag(f"error: {what}: {p}")
-            return None
+            raise _InputError(f"{what}: {p}")
         out.append(path)
     return out
 
@@ -127,31 +126,37 @@ def _check_files(paths: list[Path], fuel_steps: int,
 
 def cmd_check(args) -> int:
     paths = _require_paths(args.paths)
-    if paths is None:
-        return 2
     out = _Out(args.format)
     fuel = _resolve_fuel(args.fuel)
     _check_files(paths, fuel, out)
     return 0
 
 
+def _emit_steps(out: _Out, steps) -> None:
+    for pos, rule in steps:
+        out.emit(f"step {rule} at {'.'.join(pos) or 'root'}",
+                 event="step", rule=rule, path=list(pos))
+
+
 def cmd_reduce(args) -> int:
     out = _Out(args.format)
     fuel = _resolve_fuel(args.fuel)
+    if args.paths and args.flag:
+        raise _InputError("--flag selects the built-in theory, which FILE "
+                          "arguments replace: give one or the other")
     if args.paths:
-        paths = _require_paths(args.paths)
-        if paths is None:
-            return 2
-        sig = _check_files(paths, fuel)
+        sig = _check_files(_require_paths(args.paths), fuel)
     else:
         sig = build_theory(_config_from_flags(args.flag))
     term = parse_term(args.term, frozenset(sig.consts))
     red = sig.reducer(fuel=Fuel(fuel))
     if args.trace:
-        nf, steps = red.normalize_traced(term)
-        for pos, rule in steps:
-            out.emit(f"step {rule} at {'.'.join(pos) or 'root'}",
-                     event="step", rule=rule, path=list(pos))
+        try:
+            nf, steps = red.normalize_traced(term)
+        except FuelExhausted as e:
+            _emit_steps(out, e.steps)  # the steps taken, then the error
+            raise
+        _emit_steps(out, steps)
         out.emit(pretty(nf), event="normal", term=pretty(nf))
     else:
         nf = pretty(red.normalize(term))
@@ -199,8 +204,6 @@ def cmd_cp(args) -> int:
     fuel = _resolve_fuel(args.fuel)
     ctx_paths = _require_paths(args.context or [])
     tgt_paths = _require_paths(args.paths)
-    if ctx_paths is None or tgt_paths is None:
-        return 2
     sig = _check_files(ctx_paths, fuel)
     before = set(map(id, sig.rule_list()))
     _check_files(tgt_paths, fuel, sig=sig)

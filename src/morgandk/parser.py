@@ -15,12 +15,16 @@ Terms: `x : A -> B` (product), `A -> B` (non-dependent product),
 A token is a plain `(kind, text, line, col)` tuple, and the parser walks
 the token list by index.
 
-Identifier resolution happens at parse time: binder-bound names become
-de Bruijn indices (Bound), rule pattern variables become Var, previously
-declared names become Const.  Anything else is a free Var in term
-position but an error inside rewrite rules, where an unbound identifier
-is always a mistake.  The parser keeps scope only: a rule must be headed
-by a declared constant, and whether that constant may take rules is the
+Scope is resolved here, once: binder-bound names become de Bruijn
+indices (Bound), rule pattern variables become Var, names declared
+earlier, in this file or an earlier one, become Const, a binder taking
+precedence over a pattern variable and a pattern variable over a
+constant.  In a file any other identifier is an error at its token, so
+every declaration `parse_file` returns is closed but for its rule's
+pattern variables, and the checker does not look again.  Only
+`parse_term` keeps such an identifier as a free Var, for `reduce` and
+the oracles.  The parser keeps scope only: a rule must be headed by a
+declared constant, and whether that constant may take rules is the
 checker's decision (`check.check_rule`).
 """
 
@@ -141,8 +145,9 @@ class _Parser:
         self.pos = 0
         self.file = file
         self.consts = consts
-        # inside a rewrite rule: its pattern variables; no free identifiers
-        self.pat_vars: Optional[frozenset[str]] = None
+        # the pattern variables in scope, none outside a rule; None only
+        # under `parse_term`, where an unbound identifier is a free Var
+        self.pat_vars: Optional[frozenset[str]] = frozenset()
         # the scope: how many binders enclose the current position, and
         # for each name the depths of the enclosing binders of that name,
         # innermost last (a non-dependent arrow binds no name)
@@ -173,20 +178,16 @@ class _Parser:
             self.fail(f"expected {s!r}, found {self.peek()[1]!r}")
         return self.next()
 
-    def expect_ident(self) -> _Tok:
-        t = self.peek()
-        if t[0] != "ident":
-            self.fail(f"expected an identifier, found {t[1]!r}")
-        return self.next()
-
     def expect_name(self) -> _Tok:
         """An identifier that a declaration, a parameter or a pattern
         variable binds.  `Type` always reads as the sort, so it binds
         nothing."""
-        t = self.expect_ident()
+        t = self.peek()
+        if t[0] != "ident":
+            self.fail(f"expected an identifier, found {t[1]!r}")
         if t[1] == "Type":
             self.fail("'Type' is reserved", t)
-        return t
+        return self.next()
 
     # -- terms ------------------------------------------------------------
 
@@ -258,8 +259,7 @@ class _Parser:
                 elif text in consts:
                     done = Const(text)
                 elif pat_vars is not None:
-                    self.fail(f"unbound identifier {text!r} in rewrite rule",
-                              tok)
+                    self.fail(f"unbound identifier {text!r}", tok)
                 else:
                     done = Var(text)
                 start = None
@@ -377,13 +377,12 @@ class _Parser:
                 else:
                     break
         self.expect_sym("]")
+        # a parse error ends the parse, so nothing reads the scope after it
         self.pat_vars = frozenset(pat_vars)
-        try:
-            lhs = self.term()
-            self.expect_sym("-->")
-            rhs = self.term()
-        finally:
-            self.pat_vars = None
+        lhs = self.term()
+        self.expect_sym("-->")
+        rhs = self.term()
+        self.pat_vars = frozenset()
         self.expect_sym(".")
         if not isinstance(spine(lhs)[0], Const):
             self.fail("rule left-hand side must be headed by a declared "
@@ -400,7 +399,9 @@ class _Parser:
 def parse_file(text: str, file: str = "<input>",
                consts: Optional[set[str]] = None) -> list[Declaration]:
     """Parse one file's declarations.  `consts` carries the names
-    declared by earlier files and is updated in place."""
+    declared by earlier files and is updated in place.  An identifier
+    that no binder, pattern variable or declaration binds raises
+    ParseError at its token."""
     p = _Parser(tokenize(text, file), file,
                 consts if consts is not None else set())
     return p.file_decls()
@@ -408,7 +409,10 @@ def parse_file(text: str, file: str = "<input>",
 
 def parse_term(text: str, consts: set[str] | frozenset[str] = frozenset(),
                file: str = "<term>") -> Term:
+    """Parse a term in the scope of `consts`, where an identifier that
+    nothing binds is a free Var."""
     p = _Parser(tokenize(text, file), file, set(consts))
+    p.pat_vars = None
     t = p.term()
     if p.peek()[0] != "eof":
         p.fail(f"trailing input {p.peek()[1]!r}")

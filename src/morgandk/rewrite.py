@@ -70,7 +70,11 @@ DEFAULT_FUEL = 100_000
 
 class FuelExhausted(Exception):
     """The step budget ran out.  Deliberately not a rewriting verdict:
-    callers must not read it as 'normal form reached' or 'not joinable'."""
+    callers must not read it as 'normal form reached' or 'not joinable'.
+    `steps` holds the steps `Reducer.normalize_traced` took before the
+    budget ran out, and is empty when raised elsewhere."""
+
+    steps: Sequence[Step] = ()
 
 
 class Fuel:
@@ -120,14 +124,16 @@ def compile_rule(name: str, pat_vars: Sequence[str], lhs: Term,
     pv = frozenset(pat_vars)
     _check_pattern(lhs, pv)
     used = free_vars(lhs)
-    loose = free_vars(rhs) - used - pv
+    # the right-hand side's variables the left-hand side does not bind:
+    # each is loose, or a pattern variable the left-hand side leaves out
+    unmatched = free_vars(rhs) - used
+    loose = unmatched - pv
     if loose:
         raise RuleCompileError(
             f"right-hand side has unbound variables: {sorted(loose)}")
-    missing = (free_vars(rhs) & pv) - used
-    if missing:
+    if unmatched:
         raise RuleCompileError(
-            f"pattern variables {sorted(missing)} appear only on the right-hand side")
+            f"pattern variables {sorted(unmatched)} appear only on the right-hand side")
     ordered = tuple(v for v in pat_vars if v in used)
     return RewriteRule(name, head.name, ordered, lhs, rhs, tuple(args))
 
@@ -455,7 +461,7 @@ class Reducer:
         chain above it is entered there again if its new head has rules.
         The steps are those of a fresh search from the root after every
         step, and on the numerals of `exDouble` the work is linear in
-        the depth."""
+        the depth.  A FuelExhausted it raises carries the steps taken."""
         steps: list[Step] = []
         nodes: list[Term] = []  # the ancestors of `node`, root first
         keys: list[str] = []  # the child taken at each ancestor
@@ -476,7 +482,11 @@ class Reducer:
                     del watch[bisect_left(watch, len(nodes)):]
                 hit = self._rule_step_at_root(node)
                 continue
-            self.fuel.tick()
+            try:
+                self.fuel.tick()
+            except FuelExhausted as e:
+                e.steps = steps
+                raise
             name, node = hit
             steps.append((tuple(keys), name))
             n = j = len(nodes)

@@ -4,7 +4,8 @@ from morgandk import terms
 from morgandk.check import (Signature, TypeCheckError, check,
                             check_declaration, check_rule, check_signature,
                             infer)
-from morgandk.parser import RuleDecl, SourceSpan, parse_file, parse_term, pretty
+from morgandk.parser import (Definition, RuleDecl, SourceSpan, parse_file,
+                             parse_term, pretty)
 from morgandk.rewrite import compile_rule
 from morgandk.terms import TYPE, App, Const, Var, app
 
@@ -87,6 +88,17 @@ def test_unbound_reference_rejected():
     assert e.value.kind == "unbound"
 
 
+@pytest.mark.parametrize("ty", [None, Const("A")], ids=["untyped", "typed"])
+def test_a_hand_built_free_variable_is_unbound(ty):
+    # the parser refuses it; a declaration built by hand still meets
+    # `infer`'s lookup
+    sig = check_signature(parse_file("A : Type.", "<t>", set()))
+    decl = Definition("c", ty, Var("x"), SourceSpan("<t>", 2, 1))
+    with pytest.raises(TypeCheckError) as e:
+        check_declaration(sig, decl)
+    assert e.value.render() == "<t>:2:1: [unbound] unbound variable 'x'"
+
+
 def test_redeclaration_rejected():
     sig = Signature()
     decls = parse_file("Lev : Type.", "<t>", set())
@@ -131,6 +143,16 @@ def test_check_rule_alone_rejects_an_undeclared_or_static_head():
         with pytest.raises(TypeCheckError) as e:
             check_rule(sig, rule, sig.reducer())
         assert e.value.kind == kind, head
+
+
+def test_check_rule_rejects_an_undeclared_constant_in_a_pattern():
+    sig = _heads_sig()
+    rule = compile_rule("f.1", ("x",), app(Const("f"), app(Const("k"), Var("x"))),
+                        Var("x"))
+    with pytest.raises(TypeCheckError) as e:
+        check_rule(sig, rule, sig.reducer())
+    assert (e.value.kind, e.value.msg) == ("rule-ill-typed",
+                                           "undeclared constant 'k'")
 
 
 @pytest.mark.parametrize("text,kind", [

@@ -145,7 +145,7 @@ def test_diagnostics_are_utf8_whatever_the_locale(tmp_path):
     done = [_run_in_locale(["check", str(f)], locale)
             for locale in ("C", "C.UTF-8")]
     assert [(d.returncode, d.stdout, d.stderr) for d in done] == 2 * [(
-        1, "", f"type error: {f}:2:1: [unbound] unbound variable 'café'\n")]
+        2, "", f"parse error: {f}:2:5: unbound identifier 'café'\n")]
 
 
 @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
@@ -270,6 +270,32 @@ def test_reduce_trace_json_replays(capsys, full_sig):
     assert alpha_eq(replayed, want)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_reduce_trace_out_of_fuel_prints_the_steps_taken(capsys, fmt):
+    code, full, _ = run(capsys, "reduce", "--trace", "--format", fmt,
+                        "exDouble exTwo")
+    assert code == 0 and len(full.splitlines()) > 4
+    code, out, err = run(capsys, "reduce", "--trace", "--fuel", "3",
+                         "--format", fmt, "exDouble exTwo")
+    assert (code, out, err) == (
+        3, "".join(full.splitlines(keepends=True)[:3]),
+        "error: fuel exhausted\n")
+    # untraced, nothing is printed but the error
+    code, out, err = run(capsys, "reduce", "--fuel", "3", "--format", fmt,
+                         "exDouble exTwo")
+    assert (code, out, err) == (3, "", "error: fuel exhausted\n")
+
+
+def test_reduce_refuses_a_flag_with_files(capsys):
+    # the flag selects the built-in theory, which the files replace: it
+    # was dropped without a word, and `Imin 1 i` printed `i`
+    code, out, err = run(capsys, "reduce", "--flag", "t1", "Imin 1 i",
+                         *CORPUS)
+    assert (code, out, err) == (
+        2, "", "error: --flag selects the built-in theory, which FILE "
+        "arguments replace: give one or the other\n")
+
+
 def test_reduce_fuel_flag_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "reduce", "--fuel", "2", "exDouble exTwo")
     assert code == 3 and "fuel" in err
@@ -323,34 +349,34 @@ def test_check_runs_out_of_fuel_on_a_conversion_that_contains_itself(
         3, "", "error: fuel exhausted\n")
 
 
-@pytest.mark.parametrize("text,error", [
-    # each declaration is checked closed: a binder's opened name cannot
-    # capture a free variable of the term, as `_` and `y_0` would
+@pytest.mark.parametrize("text,code,error", [
+    # an unbound identifier is a parse error at its token, so a binder's
+    # opened name cannot capture it, as `_` and `y_0` would
     ("A : Type. P : A -> Type. T : A -> P _.",
-     "1:26: [unbound] unbound variable '_'"),
+     2, "parse error: {}:1:37: unbound identifier '_'"),
     ("A : Type.\ndef f : A -> A -> A := y : A => y : A => y_0.",
-     "2:5: [unbound] unbound variable 'y_0'"),
+     2, "parse error: {}:2:42: unbound identifier 'y_0'"),
     ("A : Type. P : A -> Type.\nT : y : A -> y : A -> P y_0.",
-     "2:1: [unbound] unbound variable 'y_0'"),
+     2, "parse error: {}:2:25: unbound identifier 'y_0'"),
     ("A : Type.\ndef g := y : A => y : A => y_0.",
-     "2:5: [unbound] unbound variable 'y_0'"),
+     2, "parse error: {}:2:28: unbound identifier 'y_0'"),
     # a checked abstraction's annotation is typed, though it converts
     ("A : Type. a : A. U : Type. El : U -> Type. u : U.\n"
      "def K : U -> A -> U. [x, y] K x y --> x.\n"
      "def f : El u -> El u := x : El (K u (a a)) => x.",
-     "3:5: [not-a-function] application of a non-function\n"
-     "  actual:   A"),
+     1, "type error: {}:3:5: [not-a-function] application of a "
+     "non-function\n  actual:   A"),
 ], ids=["arrow", "checked-chain", "pi-telescope", "inferred-chain",
         "annotation"])
 def test_check_rejects_a_free_variable_and_an_ill_typed_annotation(
-        tmp_path, text, error):
+        tmp_path, text, code, error):
     f = tmp_path / "t.dk"
     f.write_text(text + "\n", encoding="utf-8")
     done = subprocess.run([sys.executable, "-m", "morgandk", "check",
                            str(f)], env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, encoding="utf-8", timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (
-        1, "", f"type error: {f}:{error}\n")
+        code, "", error.format(f) + "\n")
 
 
 def test_reduce_rejects_nonpositive_fuel(capsys):

@@ -118,6 +118,66 @@ def test_names_that_start_like_type_still_bind(name):
     assert decls[3].lhs == App(Const("g"), Var(name))
 
 
+# the parser is the one owner of scope: in a file, an identifier that
+# nothing binds is refused at its own token, in every declaration
+@pytest.mark.parametrize("text,col", [
+    ("c : A -> x.", 10),
+    ("def c : x -> A.", 9),
+    ("def c : A := x.", 14),
+    ("def c := y : A => x.", 19),
+    ("def c (y : x) : A := y.", 12),
+    ("[y] f y --> x.", 13),
+    ("[y] f x --> y.", 7),
+], ids=["static-type", "def-type", "def-body", "untyped-def-body",
+        "parameter-type", "rule-rhs", "rule-lhs"])
+def test_an_unbound_identifier_is_refused_at_its_token(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_file("A : Type.\ndef f : A -> A.\n" + text, "<t>", set())
+    assert (err.value.msg, err.value.span) == (
+        "unbound identifier 'x'", SourceSpan("<t>", 3, col))
+
+
+def test_a_declaration_is_not_in_scope_in_its_own_type_or_body():
+    for text, col in (("c : c.", 5), ("def c : A := c.", 14)):
+        with pytest.raises(ParseError) as err:
+            parse_file("A : Type.\n" + text, "<t>", set())
+        assert (err.value.msg, err.value.span) == (
+            "unbound identifier 'c'", SourceSpan("<t>", 2, col))
+
+
+def test_each_binding_form_resolves():
+    consts: set[str] = set()
+    parse_file("A : Type.", "<a>", consts)  # an earlier file
+    f, g, h, _, r, s, t = parse_file(
+        "f : A -> A.\n"
+        "def g (x : A) : A := f x.\n"
+        "def h : A -> A := f : A => g f.\n"
+        "def k : A -> A.\n"
+        "[z] k z --> g z.\n"
+        "[f] k f --> (f : A => f) f.\n"
+        "[z] k (f z) --> f z.", "<b>", consts)
+    assert f.ty == Pi("_", Const("A"), Const("A"))
+    # a parameter, and the declaration before it in the same file
+    assert g.body == Lam("x", Const("A"), App(Const("f"), Bound(0)))
+    # a term binder, over a constant of the same name
+    assert h.body == Lam("f", Const("A"), App(Const("g"), Bound(0)))
+    # a pattern variable
+    assert (r.lhs, r.rhs) == (App(Const("k"), Var("z")),
+                              App(Const("g"), Var("z")))
+    # a pattern variable over a constant, a binder over a pattern variable
+    assert (s.lhs, s.rhs) == (
+        App(Const("k"), Var("f")),
+        App(Lam("f", Const("A"), Bound(0)), Var("f")))
+    # a constant where no pattern variable has its name
+    assert t.rhs == App(Const("f"), Var("z"))
+    assert consts == {"A", "f", "g", "h", "k"}
+
+
+def test_parse_term_keeps_an_unbound_identifier_free():
+    assert parse_term("Imin 1 i", frozenset({"Imin", "1"})) == App(
+        App(Const("Imin"), Const("1")), Var("i"))
+
+
 def test_parameterized_definition_sugar():
     decls = parse_file(
         "def f (i : Lev) (A : T i) : T i := A.",
@@ -395,7 +455,7 @@ class ReferenceParser(parser._Parser):
         if text in self.consts:
             return Const(text)
         if self.pat_vars is not None:
-            self.fail(f"unbound identifier {text!r} in rewrite rule", tok)
+            self.fail(f"unbound identifier {text!r}", tok)
         return Var(text)
 
 
