@@ -18,8 +18,9 @@ Scope is the parser's: `parser.parse_file` refuses an unbound
 identifier at its token, so a declaration's type and body are closed
 and a rule's Vars are its pattern variables, which are its context.
 The context is a dict from each name in scope to its type.  A telescope
-copies its caller's dict once and adds each opened binder under a name
-fresh for it, which captures no Var of the term, as each is a key.
+adds each opened binder to its caller's dict under a name fresh for it,
+which captures no Var of the term, as each is a key, and deletes them
+when it ends, however it ends: nested telescopes copy no context.
 An abstraction's annotation is typed whether the abstraction is
 inferred or checked.
 
@@ -28,14 +29,14 @@ body may take rules, and `check_rule` alone decides it: the parser asks
 only that a rule be headed by a declared constant.  Rule checking then
 derives each pattern variable's type from the position it occupies in
 the left-hand side, and checks the right-hand side against the
-left-hand side's type in that context.  Shape errors (over-applied
-heads, non-bare variable heads, a variable used at two incompatible
-types) are rejected; the residual constraint that a constructor
-subpattern's computed type matches the surrounding expected type is not
-enforced, since it quantifies over the pattern variables and routinely
-fails for perfectly sound rules (projections whose indices the pattern
-refines).  Unsound rules still surface when the right-hand side fails to
-check.
+left-hand side's type in that context.  What a left-hand side may hold,
+`rewrite.compile_rule` decides first.  Over-applied heads and a variable
+used at two incompatible types are rejected; the residual constraint
+that a constructor subpattern's computed type matches the surrounding
+expected type is not enforced, since it quantifies over the pattern
+variables and routinely fails for perfectly sound rules (projections
+whose indices the pattern refines).  Unsound rules still surface when
+the right-hand side fails to check.
 """
 
 from __future__ import annotations
@@ -159,21 +160,24 @@ def infer(sig: Signature, ctx: dict[str, Term], t: Term, red: Reducer) -> Term:
             # domain is opened with the binders before it, the final
             # codomain or body once with them all
             cls = t.__class__
-            ctx = dict(ctx)
             opened: list[Term] = []
             binders: list[Term] = []
-            while t.__class__ is cls:
-                if t.dom is None:
-                    raise TypeCheckError(
-                        "cannot infer the type of an unannotated abstraction")
-                dom = instantiate(t.dom, opened)
-                _check_is_type(sig, ctx, dom, red)
-                v = fresh_name(t.var, ctx)
-                ctx[v] = dom
-                opened.append(Var(v))
-                binders.append(t)
-                t = t.cod if cls is Pi else t.body
-            s = infer(sig, ctx, instantiate(t, opened), red)
+            try:
+                while t.__class__ is cls:
+                    if t.dom is None:
+                        raise TypeCheckError("cannot infer the type of an "
+                                             "unannotated abstraction")
+                    dom = instantiate(t.dom, opened)
+                    _check_is_type(sig, ctx, dom, red)
+                    v = fresh_name(t.var, ctx)
+                    ctx[v] = dom
+                    opened.append(Var(v))
+                    binders.append(t)
+                    t = t.cod if cls is Pi else t.body
+                s = infer(sig, ctx, instantiate(t, opened), red)
+            finally:
+                for x in opened:
+                    del ctx[x.name]
             if cls is Lam:
                 if s == KIND:
                     raise TypeCheckError("an abstraction cannot produce a kind",
@@ -231,14 +235,17 @@ def check(sig: Signature, ctx: dict[str, Term], t: Term, ty: Term,
           red: Reducer) -> None:
     """Check `t` against `ty`, a type in `ctx`.  As for `infer`, every
     Var of `t` must be a key of `ctx`, which is left unchanged."""
-    if t.__class__ is Lam:
-        # the whole chain of abstractions, against products peeled as
-        # in `_apply`: each annotation and domain is opened with the
-        # binders before it, and the body and the codomain once at the
-        # end
-        ctx = dict(ctx)
-        opened: list[Term] = []  # a variable for each abstraction so far
-        pending: list[Term] = []  # those owed to `ty`, outermost first
+    if t.__class__ is not Lam:
+        it = infer(sig, ctx, t, red)
+        if not red.conv(it, ty):
+            raise TypeCheckError("type mismatch", expected=ty, actual=it)
+        return
+    # the whole chain of abstractions, against products peeled as in
+    # `_apply`: each annotation and domain is opened with the binders
+    # before it, and the body and the codomain once at the end
+    opened: list[Term] = []  # a variable for each abstraction so far
+    pending: list[Term] = []  # those owed to `ty`, outermost first
+    try:
         while t.__class__ is Lam:
             if ty.__class__ is not Pi:
                 ty = instantiate(ty, pending)
@@ -265,10 +272,10 @@ def check(sig: Signature, ctx: dict[str, Term], t: Term, ty: Term,
             opened.append(x)
             pending.append(x)
             t, ty = t.body, ty.cod
-        t, ty = instantiate(t, opened), instantiate(ty, pending)
-    it = infer(sig, ctx, t, red)
-    if not red.conv(it, ty):
-        raise TypeCheckError("type mismatch", expected=ty, actual=it)
+        check(sig, ctx, instantiate(t, opened), instantiate(ty, pending), red)
+    finally:
+        for x in opened:
+            del ctx[x.name]
 
 
 def _check_const_type(sig: Signature, ty: Term, red: Reducer) -> None:
@@ -306,10 +313,7 @@ def check_rule(sig: Signature, rule: RewriteRule, red: Reducer) -> None:
                     f"pattern variable {p.name!r} is used at incompatible "
                     "types", expected=types[p.name], actual=expected)
             return expected
-        head, args = spine(p)
-        if not isinstance(head, Const):
-            raise TypeCheckError(
-                "pattern variables must occur bare in left-hand sides")
+        head, args = spine(p)  # a constant head (`compile_rule`)
         # the computed type of a subpattern is not compared with
         # `expected`: it mentions pattern variables the match will only
         # later determine, and sound rules routinely refine it

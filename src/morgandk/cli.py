@@ -25,8 +25,6 @@ from .rewrite import (CriticalPair, Fuel, FuelExhausted, critical_pairs,
                       joinable)
 from .theory import FULL_CONFIG, TheoryConfig, build_theory, read_source
 
-FUEL_ENV = "MORGANDK_FUEL"
-
 # theory flag -> the TheoryConfig field it switches on
 _FLAGS = {"t1": "t1_injectivity", "t2": "t2_primitive_iso_as_rewrite",
           "t3": "t3_repletion", "univalence": "include_weak_univalence",
@@ -58,16 +56,7 @@ def _config_from_flags(flags: list[str] | None) -> TheoryConfig:
     return cfg
 
 
-def _resolve_fuel(arg_fuel: int | None) -> int:
-    if arg_fuel is not None:
-        fuel = arg_fuel
-    else:
-        env = os.environ.get(FUEL_ENV)
-        try:
-            fuel = int(env) if env else DEFAULT_FUEL
-        except ValueError:
-            raise _InputError(
-                f"{FUEL_ENV} must be an integer, got {env!r}") from None
+def _resolve_fuel(fuel: int) -> int:
     if fuel <= 0:
         raise _InputError(f"fuel must be positive, got {fuel}")
     return fuel
@@ -234,9 +223,8 @@ def _add_common(p: argparse.ArgumentParser, fuel=True, flags=False) -> None:
     p.add_argument("--format", choices=("text", "json-lines"),
                    default="text")
     if fuel:
-        p.add_argument("--fuel", type=int, default=None,
-                       help=f"reduction step budget (default: "
-                            f"${FUEL_ENV} or {DEFAULT_FUEL})")
+        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+                       help="reduction step budget (default: %(default)s)")
     if flags:
         p.add_argument("--flag", action="append", default=[],
                        metavar="NAME",

@@ -34,7 +34,7 @@ import re
 from typing import Optional, Union
 
 from .terms import (App, Bound, Const, Lam, Pi, Record, Sort, Term, TYPE,
-                    Var, occurs, open_binder, spine, subterms)
+                    Var, fresh_name, spine, subterms)
 
 __all__ = [
     "SourceSpan", "ParseError",
@@ -424,17 +424,22 @@ def parse_term(text: str, consts: set[str] | frozenset[str] = frozenset(),
 def pretty(t: Term) -> str:
     """A term in the surface syntax.  Works over an explicit stack of
     what is left to print, rather than by recursion, and joins the
-    printed pieces once."""
+    printed pieces once.  No binder is opened: a bound index prints as
+    its binder's name, read from a stack of the enclosing binders'."""
     out: list[str] = []
-    # strings to emit and (term, level) pairs to print, next one last;
-    # level 0: anything, 1: application, 2: atom
-    todo: list = [(t, 0)]
+    names: list[str] = []  # the enclosing binders' names, outermost first
+    # strings to emit and (term, level, depth, name) items to print, next
+    # one last.  level 0: anything, 1: application, 2: atom; depth: the
+    # binders above the term; name: on a binder's body, the binder's own
+    todo: list = [(t, 0, 0, None)]
     while todo:
         item = todo.pop()
         if item.__class__ is str:
             out.append(item)
             continue
-        t, level = item
+        t, level, depth, name = item
+        if name is not None:
+            names[depth - 1:] = (name,)
         match t:
             case Sort(k):
                 out.append("Type" if k == "TYPE" else "Kind")
@@ -442,20 +447,22 @@ def pretty(t: Term) -> str:
             case Const(n) | Var(n):
                 out.append(n)
                 continue
+            case Bound(i) if i < depth:
+                out.append(names[depth - 1 - i])
+                continue
             case App(f, a):
-                pieces = [(f, 1), " ", (a, 2)]
+                pieces = [(f, 1, depth, None), " ", (a, 2, depth, None)]
                 bracket = level > 1
             case Lam(hint, dom, body):
-                v, body = open_binder(hint, body, _names(body))
-                ann = [] if dom is None else [" : ", (dom, 1)]
-                pieces = [v, *ann, " => ", (body, 0)]
+                v, _ = _binder_name(hint, body, names, depth)
+                ann = [] if dom is None else [" : ", (dom, 1, depth, None)]
+                pieces = [v, *ann, " => ", (body, 0, depth + 1, v)]
                 bracket = level > 0
             case Pi(hint, dom, cod):
-                if occurs(cod):
-                    v, cod = open_binder(hint, cod, _names(cod))
-                    pieces = [v, " : ", (dom, 1), " -> ", (cod, 0)]
-                else:
-                    pieces = [(dom, 1), " -> ", (cod, 0)]
+                v, bound = _binder_name(hint, cod, names, depth)
+                pieces = [(dom, 1, depth, None), " -> ", (cod, 0, depth + 1, v)]
+                if bound:  # else an arrow
+                    pieces[:0] = (v, " : ")
                 bracket = level > 0
             case _:
                 raise TypeError(f"not a term: {t!r}")
@@ -465,11 +472,23 @@ def pretty(t: Term) -> str:
     return "".join(out)
 
 
-def _names(t: Term) -> set[str]:
-    """The free variables and the constants of t.  A binder printed over
-    t must avoid both: re-parsing would read either name as the binder."""
-    return {s.name for s, _ in subterms(t)
-            if s.__class__ is Const or s.__class__ is Var}
+def _binder_name(hint: str, body: Term, names: list[str],
+                 depth: int) -> tuple[str, bool]:
+    """The name to print a binder over `body` with, and whether the
+    binder occurs in `body`, from one walk of it: `hint` renamed apart
+    from the constants and free variables of `body` and the enclosing
+    binders' names (`names[:depth]`, outermost first) that it refers
+    to, since re-parsing would read any of them as the binder."""
+    avoid, bound = set(), False
+    for s, k in subterms(body):
+        if s.__class__ is Bound:
+            j = s.index - k  # 0: the binder, j > 0: the j-th around it
+            bound |= j == 0
+            if 0 < j <= depth:
+                avoid.add(names[depth - j])
+        elif s.__class__ is Const or s.__class__ is Var:
+            avoid.add(s.name)
+    return fresh_name(hint, avoid), bound
 
 
 def print_declaration(d: Declaration) -> str:

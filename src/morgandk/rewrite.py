@@ -2,18 +2,19 @@
 full normalization with eta, conversion, reduction traces with replay,
 and critical pair analysis.
 
-Rule left-hand sides are applicative patterns: a constant head applied to
-argument patterns built from constants, applications and pattern
-variables, with no binders.  Matching is modulo reduction and walks the
-forced argument spine: at a constant head, an argument whose pattern is
-not a variable is weak-head normalized once per head attempt, all of the
-head's rules read that forced argument, and a nested application pattern
-walks the forced subject's spine in lockstep with its own.  A cache hit
-costs no fuel, so cached fuel use is that of forcing at every pattern
-level; uncached it is never more, so an uncached run that fits a budget
-under re-forcing still fits it.  A repeated pattern variable compares
-its matches up to conversion, so non-left-linear rules behave
-definitionally.
+Rule left-hand sides are applicative patterns: a constant head applied
+to argument patterns built from constants, applications headed by
+constants and bare pattern variables, with no binders; `compile_rule`
+refuses any other left-hand side.  Matching is modulo reduction and
+walks the forced argument spine: at a constant head, an argument whose
+pattern is not a variable is weak-head normalized once per head attempt,
+all of the head's rules read that forced argument, and a nested
+application pattern walks the forced subject's spine in lockstep with
+its own.  A cache hit costs no fuel, so cached fuel use is that of
+forcing at every pattern level; uncached it is never more, so an
+uncached run that fits a budget under re-forcing still fits it.  A
+repeated pattern variable compares its matches up to conversion, so
+non-left-linear rules behave definitionally.
 
 Traced reduction instead takes one leftmost-outermost step at a time with
 plain syntactic matching, so every recorded step can be replayed without
@@ -106,12 +107,18 @@ class RewriteRule(Record):
 
 
 def _check_pattern(t: Term, pat_vars: frozenset[str]) -> None:
+    """Refuse t's first node in preorder that no left-hand side holds: a
+    loose variable, a binder, a sort, or a pattern variable applied."""
     for s, _ in subterms(t):
         cls = s.__class__
         if cls is Var:
             if s.name not in pat_vars:
                 raise RuleCompileError(f"unbound variable {s.name!r} in pattern")
-        elif cls is not Const and cls is not App:
+        elif cls is App:
+            if s.fn.__class__ is Var:
+                raise RuleCompileError(
+                    "pattern variables must occur bare in left-hand sides")
+        elif cls is not Const:
             raise RuleCompileError(
                 "rule left-hand sides are applicative: no binders or sorts")
 
@@ -550,32 +557,30 @@ class Reducer:
 def _match(pat: Term, t: Term, sub: dict[str, Term],
            eq: Optional[Callable[[Term, Term], bool]] = None,
            whnf: Optional[Callable[[Term], Term]] = None) -> bool:
-    """The one first-order matcher: extend `sub` so that `pat` instantiates
-    to `t`.  A repeated pattern variable compares its matches with `eq`
+    """The one first-order matcher: extend `sub` so that `pat`, a
+    left-hand side pattern as `compile_rule` accepts it, instantiates to
+    `t`.  A repeated pattern variable compares its matches with `eq`
     (`==`, which is alpha-equivalence, by default).
 
-    The pattern's spine and the subject's are walked in lockstep: the
-    heads first, then the arguments left to right.  A variable head
-    (`F x`) takes the subject's prefix node that is left over.  With
-    `whnf`, matching is modulo reduction.  Then `t` must already be
-    weak-head normal unless `pat` is a variable, and an argument is
-    forced once, when its pattern is not a variable.  A prefix of a
-    weak-head normal spine is weak-head normal too, since every rule of
-    its head that takes fewer arguments was tried on the same
-    arguments, so the prefixes are not forced again."""
+    A variable takes `t` as it is.  Otherwise the pattern's spine, which
+    ends at a constant, and the subject's are walked in lockstep: the
+    heads first, then the arguments left to right.  With `whnf`,
+    matching is modulo reduction.  Then `t` must already be weak-head
+    normal unless `pat` is a variable, and an argument is forced once,
+    when its pattern is not a variable.  A prefix of a weak-head normal
+    spine is weak-head normal too, since every rule of its head that
+    takes fewer arguments was tried on the same arguments, so the
+    prefixes are not forced again."""
+    if pat.__class__ is Var:
+        seen = sub.setdefault(pat.name, t)  # t itself on a first occurrence
+        return seen is t or (eq(seen, t) if eq is not None else seen == t)
     args: list[tuple[Term, Term]] = []  # (pattern, subject) pairs
     while pat.__class__ is App:
         if t.__class__ is not App:
             return False
         args.append((pat.arg, t.arg))
         pat, t = pat.fn, t.fn
-    if pat.__class__ is Var:
-        v = pat.name
-        if v not in sub:
-            sub[v] = t
-        elif not (eq(sub[v], t) if eq is not None else sub[v] == t):
-            return False
-    elif t.__class__ is not Const or t.name != pat.name:
+    if t.__class__ is not Const or t.name != pat.name:
         return False
     for p, a in reversed(args):
         if whnf is not None and p.__class__ is not Var:
@@ -745,13 +750,6 @@ def _rename_apart(rule: RewriteRule, avoid: frozenset[str]) -> RewriteRule:
                        tuple(msubst(p, ren) for p in rule.lhs_args))
 
 
-def _overlap_key(t: Term) -> Optional[tuple[str, int]]:
-    """(constant head, number of arguments) of an applicative pattern's
-    spine, or None when its head is a pattern variable."""
-    head, args = spine(t)
-    return (head.name, len(args)) if isinstance(head, Const) else None
-
-
 def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
     """All critical pairs of the rule set: proper-subterm overlaps for
     every ordered pair (a rule may overlap itself), root overlaps once
@@ -762,18 +760,16 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
     within one (rule1, rule2), the inner positions of rule1's left-hand
     side in preorder, then the root overlap.
 
-    Only overlaps whose heads can agree are tried.  Two applicative
-    patterns headed by constants unify only if both spines have the
-    same head and the same number of arguments, so a subterm keyed
-    (head, arity) is tried against the rules with that key alone.  A
-    subterm headed by a pattern variable (`F x`) has no key: the
-    variable may stand for a partial application of any head, so it is
-    tried against every rule.  The rules are grouped by key once, and
-    each first rule visits, in ascending order, only the second rules
-    that share a key with one of its inner sites (all of them when a
-    site has no key) and the later rules with its own key, for the root
-    overlap.  A second rule is renamed apart once per distinct variable
-    set of the first rules, not once per pair.
+    Only overlaps whose heads can agree are tried.  Every application
+    in a left-hand side is headed by a constant (`compile_rule`), and
+    two such patterns unify only if both spines have the same head and
+    the same number of arguments, so a subterm keyed (head, arity) is
+    tried against the rules with that key alone.  The rules are grouped
+    by key once, and each first rule visits, in ascending order, only
+    the second rules that share a key with one of its inner sites and
+    the later rules with its own key, for the root overlap.  A second
+    rule is renamed apart once per distinct variable set of the first
+    rules, not once per pair.
     """
     keys = [(r.head, len(r.lhs_args)) for r in rules]
     # each rule's inner overlap sites in preorder, with their keys
@@ -782,9 +778,10 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
         inner, nodes, path = [], [], []
         sub_t = r.lhs
         while (sub_t := _next_in_preorder(sub_t, nodes, path)) is not None:
-            if not isinstance(sub_t, Var):
+            if sub_t.__class__ is not Var:
+                head, args = spine(sub_t)
                 inner.append((tuple(path), tuple(nodes), sub_t,
-                              _overlap_key(sub_t)))
+                              (head.name, len(args))))
         sites.append(inner)
     by_key: dict[tuple[str, int], list[int]] = {}
     for j, k in enumerate(keys):
@@ -792,16 +789,12 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> list[CriticalPair]:
     renamed: dict[tuple[int, frozenset[str]], RewriteRule] = {}
     out: list[CriticalPair] = []
     for i, r1 in enumerate(rules):
-        site_keys = {k for *_, k in sites[i]}
-        if None in site_keys:
-            seconds: Sequence[int] = range(len(rules))
-        else:
-            seconds = sorted({j for j in by_key[keys[i]] if j > i}.union(
-                *(by_key.get(k, ()) for k in site_keys)))
+        seconds = sorted({j for j in by_key[keys[i]] if j > i}.union(
+            *(by_key.get(k, ()) for *_, k in sites[i])))
         avoid = frozenset(r1.pat_vars)
         for j in seconds:
             tried = [(pos, above, sub_t) for pos, above, sub_t, k in sites[i]
-                     if k is None or k == keys[j]]
+                     if k == keys[j]]
             if j > i and keys[j] == keys[i]:
                 tried.append(((), (), r1.lhs))
             r2 = rules[j]

@@ -4,8 +4,10 @@ Bound variables are de Bruijn indices (`Bound(0)` is the nearest
 enclosing binder); free variables and rule pattern variables stay named
 (`Var`).  A binder keeps the name it was written with only as a hint for
 printing: hints take no part in `==` or `hash`, so `==` is
-alpha-equivalence and substitution never renames.  Lambda domain
-annotations do take part in `==` (conversion ignores them).
+alpha-equivalence and substitution never renames.  The printer opens
+no binder: it names each from its hint and prints an index as the name
+of its binder.  Lambda domain annotations do take part in `==`
+(conversion ignores them).
 
 Terms are immutable, so they can be shared freely and used as dict keys.
 The classes are slotted, and each compound node (`App`, `Lam`, `Pi`)
@@ -42,7 +44,7 @@ __all__ = [
     "TYPE", "KIND",
     "app", "spine", "lam", "pi",
     "subterms", "free_vars", "fresh_name", "occurs",
-    "abstract", "instantiate", "open_binder", "shift", "subst", "msubst",
+    "abstract", "instantiate", "shift", "subst", "msubst",
     "compile_msubst",
     "alpha_eq",
 ]
@@ -405,14 +407,6 @@ def instantiate(body: Term, args: Sequence[Term]) -> Term:
         i = v.index - depth  # 0 is the innermost opened binder
         return shift(args[k - 1 - i], depth) if i < k else Bound(v.index - k)
     return _rebuild(body, leaf, 0) if k else body
-
-
-def open_binder(hint: str, body: Term,
-                avoid: frozenset[str] | set[str]) -> tuple[str, Term]:
-    """Open a binder's body with a free variable named after its hint,
-    renamed apart from `avoid`.  Returns the name and the opened body."""
-    v = fresh_name(hint, avoid)
-    return v, instantiate(body, (Var(v),))
 
 
 def msubst(t: Term, sub: dict[str, Term]) -> Term:

@@ -1,6 +1,6 @@
 import pytest
 
-from morgandk import terms
+from morgandk import check as check_module, terms
 from morgandk.check import (Signature, TypeCheckError, check,
                             check_declaration, check_rule, check_signature,
                             infer)
@@ -310,6 +310,31 @@ def test_telescope_work_is_linear_in_the_width(monkeypatch):
 def test_a_wide_telescope_checks_without_recursion(default_recursion_limit):
     sig = check_signature(_wide(8000))
     assert {"c", "d", "f"} <= sig.consts.keys()
+
+
+def test_nested_telescope_work_is_linear_in_the_width(monkeypatch):
+    # `c : x0 : (y : A -> A) -> ... -> A`, whose every domain is itself
+    # a telescope: each binder is opened in the one context that the
+    # declaration's check starts with, not in a copy of it.  The entries
+    # of the contexts that names are opened in, each counted once at its
+    # largest, grow as the width; copying the context for each nested
+    # domain made them grow as its square
+    fresh_name = check_module.fresh_name
+    contexts = {}  # id -> (the context, kept alive, and its largest size)
+
+    def recorded(base, ctx):
+        size = contexts.get(id(ctx), (None, 0))[1]
+        contexts[id(ctx)] = ctx, max(size, len(ctx))
+        return fresh_name(base, ctx)
+
+    monkeypatch.setattr(check_module, "fresh_name", recorded)
+    entries = []
+    for n in (200, 400):
+        contexts.clear()
+        ty = " -> ".join(f"x{i} : (y : A -> A)" for i in range(n))
+        check_signature(_decls(f"{_TELESCOPE} c : {ty} -> A.", Signature()))
+        entries.append(sum(size for _, size in contexts.values()))
+    assert entries[1] <= 2.3 * entries[0], entries
 
 
 @pytest.mark.parametrize("text,ty,fails", [

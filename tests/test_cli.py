@@ -296,16 +296,16 @@ def test_reduce_refuses_a_flag_with_files(capsys):
         "arguments replace: give one or the other\n")
 
 
-def test_reduce_fuel_flag_and_env(capsys, monkeypatch):
+def test_reduce_fuel_flag(capsys, monkeypatch):
     code, _, err = run(capsys, "reduce", "--fuel", "2", "exDouble exTwo")
     assert code == 3 and "fuel" in err
-    monkeypatch.setenv("MORGANDK_FUEL", "2")
-    code, _, _ = run(capsys, "reduce", "exDouble exTwo")
-    assert code == 3
-    # explicit flag wins over the environment
     code, out, _ = run(capsys, "reduce", "--fuel", "1000", "exDouble exTwo")
     assert code == 0
     assert out.strip() == "succ l0 (succ l0 (succ l0 (succ l0 (zero l0))))"
+    # the flag alone sets the budget: the environment variable that once
+    # set its default is not read
+    monkeypatch.setenv("MORGANDK_FUEL", "2")
+    assert run(capsys, "reduce", "exDouble exTwo")[0] == 0
 
 
 def test_reduce_fuel_bounds_only_the_term(capsys, monkeypatch):
@@ -384,12 +384,6 @@ def test_reduce_rejects_nonpositive_fuel(capsys):
     assert code == 2 and "positive" in err
 
 
-def test_reduce_rejects_bad_fuel_env(capsys, monkeypatch):
-    monkeypatch.setenv("MORGANDK_FUEL", "lots")
-    code, _, err = run(capsys, "reduce", "x")
-    assert code == 2 and "MORGANDK_FUEL" in err
-
-
 def _numeral_text(depth):
     return "succ l0 (" * depth + "zero l0" + ")" * depth
 
@@ -426,15 +420,21 @@ def test_reduce_of_deeply_nested_redexes_still_exits_3(
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_printing_a_deep_binder_body_still_exits_3(
-        capsys, default_recursion_limit):
-    # the body normalizes, but the printer opens the binder with
-    # `open_binder`, whose substitution (`_rebuild`) still recurses
-    # (README, "Depth")
+def test_printing_a_deep_binder_body(capsys, default_recursion_limit):
+    # the printer opens no binder: it reads a bound index's name from a
+    # stack, so printing does not recurse (README, "Depth")
+    depth = 10_000
     code, out, err = run(capsys, "reduce",
-                         "x => " + "succ l0 (" * 10_000 + "x" + ")" * 10_000)
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+                         "x => " + "succ l0 (" * depth + "x" + ")" * depth)
+    assert (code, err) == (0, "")
+    assert out == ("x => " + "succ l0 (" * (depth - 1) + "succ l0 x"
+                   + ")" * (depth - 1) + "\n")
+
+
+def test_printing_a_long_binder_chain(capsys, default_recursion_limit):
+    # the innermost body names the outermost of 1,000 binders
+    text = " => ".join(f"x{i}" for i in range(1000)) + " => x0"
+    assert run(capsys, "reduce", text) == (0, text + "\n", "")
 
 
 def test_reduce_too_deep_is_resource_exhaustion(capsys, monkeypatch):

@@ -571,11 +571,18 @@ def test_parse_and_print_a_deep_numeral(default_recursion_limit):
 
 
 def test_names_of_a_deep_term(default_recursion_limit):
+    # under 10,000 binders of its own, the body refers to the binder
+    # being named and to the innermost of the two around it, `b`
     depth = 10_000
-    t = Var("x")
+    t = app(Var("x"), Bound(depth), Bound(depth + 1))
     for _ in range(depth):
         t = Lam("y", Const("A"), App(App(Const("succ"), Const("l0")), t))
-    assert parser._names(t) == {"x", "A", "succ", "l0"}
+    # the hint is renamed apart from the free variable, the constants
+    # and `b`, not from the enclosing `a` that the body does not name
+    for hint, name in [("x", "x_0"), ("b", "b_0"), ("a", "a"),
+                       ("l0", "l0_0"), ("y", "y")]:
+        assert parser._binder_name(hint, t, ["a", "b"], 2) == (name, True)
+    assert parser._binder_name("y", Var("x"), [], 0) == ("y", False)
 
 
 def test_parse_a_long_arrow_chain(default_recursion_limit):

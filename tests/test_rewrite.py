@@ -176,6 +176,12 @@ def test_compile_rule_reports_the_first_bad_node_in_preorder():
         compile_rule("bad", (), app(Const("f"), lam_x, Var("y")), Const("c"))
     with pytest.raises(RuleCompileError, match="applicative"):
         compile_rule("bad", (), app(Const("f"), Sort("TYPE")), Const("c"))
+    # an applied pattern variable before what it is applied to, and
+    # before a later binder
+    f_x = app(Var("F"), Var("y"))
+    with pytest.raises(RuleCompileError, match="must occur bare"):
+        compile_rule("bad", ("F",), app(Const("f"), app(Const("g"), f_x),
+                                        lam_x), Const("c"))
 
 
 def test_fuel_exhaustion(full_sig):
@@ -850,11 +856,11 @@ def test_critical_pairs_try_only_overlaps_whose_heads_agree(full_sig, fa_sig,
 
 def _key(t):
     head, args = spine(t)
-    return (head.name, len(args)) if isinstance(head, Const) else None
+    return head.name, len(args)
 
 
 # small applicative rule sets over three heads, used at several arities
-# (nullary included), with variable-headed subterms `F x`
+# (nullary included)
 _heads = st.sampled_from(["f", "g", "c"])
 _pvars = st.sampled_from(["x", "y", "F"])
 
@@ -862,11 +868,9 @@ _pvars = st.sampled_from(["x", "y", "F"])
 def _patterns():
     return st.recursive(
         st.one_of(_pvars.map(Var), _heads.map(Const)),
-        lambda sub: st.one_of(
-            st.tuples(_heads, st.lists(sub, min_size=1, max_size=2)).map(
+        lambda sub: st.tuples(
+            _heads, st.lists(sub, min_size=1, max_size=2)).map(
                 lambda p: app(Const(p[0]), *p[1])),
-            st.tuples(_pvars, st.lists(sub, min_size=1, max_size=2)).map(
-                lambda p: app(Var(p[0]), *p[1]))),
         max_leaves=5)
 
 
@@ -902,12 +906,9 @@ def _rule_sets(draw):
     return [draw(_rule(f"r{k}")) for k in range(n)]
 
 
-# one rule set with every case the index must get right: a
-# variable-headed subterm, a nullary constant rule, `f` at two arities,
-# and a self-overlap
+# one rule set with every case the index must get right: a nullary
+# constant rule, `f` at two arities, and a self-overlap
 _EDGE_CASES = [
-    compile_rule("var-head", ("F", "x"),
-                 app(Const("g"), app(Var("F"), Var("x"))), Var("x")),
     compile_rule("nullary", (), Const("c"), Const("g")),
     compile_rule("f1", ("x",), app(Const("f"), Var("x")), Var("x")),
     compile_rule("f2", ("x", "y"), app(Const("f"), Var("x"), Var("y")),
@@ -936,7 +937,7 @@ def test_critical_pairs_equal_the_reference_on_random_rule_sets(rules):
     _same_pairs(got, want)
     # no overlap is tried whose constant heads or arities disagree
     for a, b in tried:
-        assert _key(a) is None or _key(a) == _key(b), (a, b)
+        assert _key(a) == _key(b), (a, b)
 
 
 @settings(deadline=None)
@@ -1095,15 +1096,12 @@ def _match_cases(draw):
     return pat, draw(_subjects)
 
 
-_F, _x, _y = Var("F"), Var("x"), Var("y")
+_x, _y = Var("x"), Var("y")
 _f, _g, _c = Const("f"), Const("g"), Const("c")
 
 
-@example((App(_F, _x), app(_f, _c, _g)))           # F takes a prefix
-@example((App(_F, _x), _c))                         # spine too short
-@example((app(_F, _x, _y), App(_f, _c)))            # spine too short
-@example((app(_F, _x, _y), app(_f, _c, _g, _c)))    # F takes `f c`
-@example((app(_f, App(_F, _x), _x), app(_f, app(_g, _c, _c), _c)))
+@example((app(_f, _x, _y), App(_f, _c)))            # spine too short
+@example((app(_f, App(_g, _x), _x), app(_f, app(_g, _c, _c), _c)))
 @example((app(_f, _x, _x), app(_f, _c, _g)))        # repeated, disagree
 @example((app(_f, _x, App(_g, _x)), app(_f, _c, App(_g, _c))))
 @given(_match_cases())
@@ -1215,15 +1213,14 @@ def test_a_match_is_shifted_under_a_binder_of_the_right_hand_side():
 @example([_UNDER_A_BINDER],
          Lam("z", None, app(Const("k"), App(_f, Bound(0)), Bound(1))))
 @example([compile_rule("nested", ("x",), app(_f, app(_g, _c, _x)), _x),
-          compile_rule("var-head", ("F", "x"), App(_g, App(_F, _x)), _F),
           compile_rule("unfold", (), Const("d"), _c)],
          app(_f, app(_g, Const("d"), Var("a"))))
 @given(_rule_sets(), _subjects)
 def test_reducer_agrees_with_the_reference_on_random_rule_sets(case_rules, t):
     # no corpus rule nests a non-variable pattern inside an argument
-    # pattern, or has a variable-headed one, so random rule sets check
-    # that nested arguments are still forced, and their right-hand sides
-    # may put a match under a binder, against the reference's `msubst`.
+    # pattern, so random rule sets check that nested arguments are
+    # still forced, and their right-hand sides may put a match under a
+    # binder, against the reference's `msubst`.
     # They need not terminate, and a cache hit costs no fuel, so the
     # cached reducers are run only where the uncached reference reached a
     # normal form

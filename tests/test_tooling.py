@@ -1,8 +1,8 @@
 """The benchmark's layer tracer (`perfbench/layertrace.py`) wraps kernel
 functions by name from outside `src/`.  These tests keep the names it
 pins and the reducer attributes it reads in place, and check that it
-leaves the package as it found it.  One more keeps the package free of
-runtime dependencies."""
+leaves the package as it found it.  Two more keep the package free of
+runtime dependencies and of imports that nothing uses."""
 
 import ast
 import gc
@@ -152,3 +152,28 @@ def test_the_package_imports_the_standard_library_alone():
                     outside.append((path.name, name))
     assert outside == []
     assert "json" in seen  # cli.py imports it inside a function
+
+
+def test_every_imported_name_is_used_or_exported():
+    # a name a module imports is read in the module or listed in its
+    # `__all__`, so a deletion cannot leave its import behind
+    src = Path(__file__).resolve().parent.parent / "src" / "morgandk"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets
+                       if isinstance(t, ast.Name)] == ["__all__"]):
+                used.update(ast.literal_eval(node.value))
+        unused += [(path.name, name) for name in sorted(imported - used)]
+    assert unused == []
