@@ -594,9 +594,13 @@ def match_pattern(pat: Term, t: Term,
                   conv: Optional[Callable[[Term, Term], bool]] = None,
                   ) -> Optional[dict[str, Term]]:
     """First-order match of an applicative pattern against a term, with no
-    reduction of the subject.  A repeated pattern variable compares its
-    matches with `conv` when given, `==` otherwise.  Returns the
-    substitution on success."""
+    reduction of the subject.  Every variable of the pattern is a pattern
+    variable.  A bare variable matches any term; a pattern that no
+    left-hand side holds (a variable applied to arguments, a binder or a
+    sort) raises RuleCompileError, as `compile_rule` does.  A repeated
+    pattern variable compares its matches with `conv` when given, `==`
+    otherwise.  Returns the substitution on success."""
+    _check_pattern(pat, free_vars(pat))
     sub: dict[str, Term] = {}
     return sub if _match(pat, t, sub, conv) else None
 

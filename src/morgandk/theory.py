@@ -17,8 +17,14 @@ parse it holds its checks, keyed on the names each check looked up in
 the signature before it and on what those lookups answered.  So a file
 is checked again only when something it read differs, not whenever an
 earlier file does: 26 file checks for the 96 configurations, and none
-for a warm build.  `write_theory_files` copies the selected files out,
-so the exported corpus is the shipped one byte for byte.
+for a warm build.  The bookkeeping costs what a check touched: a miss
+records each name's answer at its first lookup or write and stores
+what it installed from the names it wrote, with no copy of the
+signature; a hit installs its constants with one dict update; and a
+result that repeats an earlier one is found by `==` and a walk of the
+binder hints of the terms the two do not share, with nothing printed.
+`write_theory_files` copies the selected files out, so the exported
+corpus is the shipped one byte for byte.
 
 The first-attempt decoding of faces by rewrite rules is kept out of
 every built signature: it breaks confluence (see the analyzer tests)
@@ -30,12 +36,13 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterator
 
 from .algebra import FACE_HEADS, INTERVAL_HEADS
 from .check import Signature, check_signature
 from .parser import identifiers, parse_file
 from .rewrite import RewriteRule
-from .terms import Record
+from .terms import Lam, Pi, Record, Term, subterms
 
 __all__ = [
     "TheoryConfig", "FULL_CONFIG", "NAT_STRENGTHS",
@@ -57,7 +64,10 @@ class TheoryConfig(Record):
 
     Any combination is accepted: in this realization no pair of
     optional blocks rewrites the same left-hand sides, so no flag
-    interaction can create an overlapping rule set.
+    interaction adds an overlap.  The critical pairs of every
+    combination, and which of them join, are pinned by
+    `test_critical_pair_verdicts_of_every_configuration` in
+    `tests/test_theory.py`.
     """
 
     __slots__ = __match_args__ = (
@@ -134,13 +144,14 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
 # built from a parse share it.  A signature that answers a stored key's
 # lookups as stored runs that check again lookup for lookup, so any
 # stored key that matches is a valid hit.  What a check installed is its
-# constants, in order, and the new rules of each head, in the order the
-# heads entered `sig.rules`.  Answers are compared by identity, not `==`:
-# `==` on terms ignores binder hints, and an untyped `def` takes its type
-# from its dependencies' types as they are written.  A stored check keeps
-# the objects whose ids it is stored under alive, so no stored id is
-# reused, even after a rewritten file drops the checks that installed
-# them.
+# constants, as (name, ConstInfo) pairs in order, and the new rules of
+# each head, in the order the check first wrote the heads: the heads it
+# created enter `sig.rules` of a hit in the order they entered it.
+# Answers are compared by identity, not `==`: `==` on terms ignores
+# binder hints, and an untyped `def` takes its type from its
+# dependencies' types as they are written.  A stored check keeps the
+# objects whose ids it is stored under alive, so no stored id is reused,
+# even after a rewritten file drops the checks that installed them.
 _CACHE: dict[Path, tuple[tuple[int, int], frozenset[str], dict]] = {}
 
 
@@ -178,30 +189,54 @@ def _parse(path: Path, sig: Signature) -> tuple:
 
 class _Noted:
     """A namespace of a signature under check: forwards the lookups and
-    writes the checker makes, noting the name of each lookup.  Iterating
-    it, subscripting it or calling any other dict method raises, so a
-    checker that read a namespace otherwise could not be cached under
-    too few names."""
+    writes the checker makes, and records what the namespace held for
+    each name at the first lookup or write of it, in `answers`: the
+    ConstInfo or None of a constant.  A write notes its name before it
+    writes, so each answer is what the namespace held before the check.
+    The names written go in `written`, a dict used as a set that keeps
+    the order of first writes.  Iterating the namespace, subscripting it
+    or calling any other dict method raises, so a checker that read a
+    namespace otherwise could not be cached under too few names."""
 
-    __slots__ = ("_names", "_data")
+    __slots__ = ("_data", "answers", "written")
 
-    def __init__(self, data: dict, names: set[str]):
-        self._data, self._names = data, names
+    def __init__(self, data: dict):
+        self._data, self.answers, self.written = data, {}, {}
+
+    def _note(self, name: str) -> None:
+        self.answers[name] = self._data.get(name)
 
     def get(self, name: str, default=None):
-        self._names.add(name)
+        if name not in self.answers:
+            self._note(name)
         return self._data.get(name, default)
 
     def __contains__(self, name: str) -> bool:
-        self._names.add(name)
+        if name not in self.answers:
+            self._note(name)
         return name in self._data
 
     def setdefault(self, name: str, default):
-        self._names.add(name)
+        if name not in self.answers:
+            self._note(name)
+        self.written[name] = None
         return self._data.setdefault(name, default)
 
     def __setitem__(self, name: str, value) -> None:
+        if name not in self.answers:
+            self._note(name)
+        self.written[name] = None
         self._data[name] = value
+
+
+class _NotedRules(_Noted):
+    """`_Noted` over `sig.rules`: the answer for a head is a tuple of
+    its rules, taken before the check appends to the head's list."""
+
+    __slots__ = ()
+
+    def _note(self, name: str) -> None:
+        self.answers[name] = tuple(self._data.get(name, ()))
 
 
 def _read(key: tuple[tuple[str, ...], tuple[str, ...]], sig: Signature):
@@ -215,47 +250,82 @@ def _read(key: tuple[tuple[str, ...], tuple[str, ...]], sig: Signature):
                  chain.from_iterable(map(sig.rules.get, rules, repeat(()))))
 
 
+def _terms(done: tuple) -> Iterator[Term | None]:
+    """The terms of a check result that may hold binders, in order: each
+    constant's type and body (None for none), then each new rule's
+    right-hand side.  A left-hand side holds no binder."""
+    consts, rules = done
+    for _, info in consts:
+        yield info.ty
+        yield info.body
+    for _, rs in rules:
+        for r in rs:
+            yield r.rhs
+
+
+def _same_hints(a: Term | None, b: Term | None) -> bool:
+    """Whether two `==` terms name their binders alike: the hint of each
+    `Lam` and `Pi` of one equals that of the other's binder at the same
+    place.  `==` ignores hints, so the two walks stay in step."""
+    if a is b:
+        return True
+    for (s, _), (t, _) in zip(subterms(a), subterms(b)):
+        if (s.__class__ is Lam or s.__class__ is Pi) and s.var != t.var:
+            return False
+    return True
+
+
 def _check(parse: tuple, sig: Signature) -> None:
     """`check_signature` on a `_parse` entry's declarations, extending
     `sig`, cached in the entry by the names the check looked up and what
     `sig` answered.  The check is deterministic in its declarations and
     in those answers, so a signature that answers the same runs it
-    lookup for lookup.  A check whose result equals an earlier one of
-    the same parse, binder hints included (`repr` shows them), installs
-    the earlier objects, so the files after it still hit.  A failed
-    check raises as `check_signature` does and caches nothing."""
+    lookup for lookup.
+
+    A miss runs the check through `_Noted` namespaces and stores, from
+    what they recorded, the names looked up, what `sig` held for them
+    before the check, and what the check installed: the constants it
+    wrote and the new tail of each head's rules, read off the written
+    names alone.  A hit installs the stored constants with one
+    `dict.update`, which is what `add_const` one at a time would do:
+    `add_const` looked each name up, so the key holds it, and the stored
+    answer, which `sig` has just matched, was "absent".
+
+    A check whose result equals an earlier one of the same parse,
+    binder hints included, installs the earlier objects, so the files
+    after it still hit.  The hints are compared term by term where `==`
+    holds, and only between terms that are not the same object: usually
+    just an untyped `def`'s inferred type, since the declarations are
+    shared.  A failed check raises as `check_signature` does and caches
+    nothing."""
     decls, checks = parse
     for key, states in checks.items():
         hit = states.get(tuple(map(id, _read(key, sig))))
         if hit is not None:
             consts, rules = hit[0]
-            for info in consts:
-                sig.add_const(info)
+            sig.consts.update(consts)
             for head, rs in rules:
                 sig.rules.setdefault(head, []).extend(rs)
             return
-    before = sig.copy()
     plain = sig.consts, sig.rules
-    seen: tuple[set[str], set[str]] = (set(), set())
-    sig.consts, sig.rules = map(_Noted, plain, seen)
+    consts, rules = _Noted(plain[0]), _NotedRules(plain[1])
+    sig.consts, sig.rules = consts, rules
     try:
         check_signature(decls, sig=sig)
     finally:
         sig.consts, sig.rules = plain
-    key = (tuple(sorted(seen[0])), tuple(sorted(seen[1])))
-    read = tuple(_read(key, before))
-    n_rules = {head: len(rs) for head, rs in before.rules.items()}
-    consts = tuple(sig.consts.values())[len(before.consts):]
-    rules = tuple((head, tuple(rs[n_rules.get(head, 0):]))
-                  for head, rs in sig.rules.items()
-                  if len(rs) > n_rules.get(head, 0))
-    done = (consts, rules)
+    key = (tuple(sorted(consts.answers)), tuple(sorted(rules.answers)))
+    read = (*map(consts.answers.__getitem__, key[0]),
+            *chain.from_iterable(map(rules.answers.__getitem__, key[1])))
+    done = (tuple((name, sig.consts[name]) for name in consts.written),
+            tuple((head, tuple(sig.rules[head][len(rules.answers[head]):]))
+                  for head in rules.written))
     same = next((c for states in checks.values() for c, _ in states.values()
-                 if c == done and repr(c) == repr(done)), None)
+                 if c == done and all(map(_same_hints, _terms(c),
+                                          _terms(done)))), None)
     if same is not None:
-        for old in same[0]:
-            sig.consts[old.name] = old
-        for (head, _), (_, old_rules) in zip(rules, same[1]):
+        sig.consts.update(same[0])
+        for (head, _), (_, old_rules) in zip(done[1], same[1]):
             sig.rules[head][-len(old_rules):] = old_rules
         done = same
     checks.setdefault(key, {})[tuple(map(id, read))] = (done, read)

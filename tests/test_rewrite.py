@@ -44,6 +44,17 @@ def test_match_bare_variable():
     assert match_pattern(Var("x"), t) == {"x": t}
 
 
+@pytest.mark.parametrize("subject", ["F", "g"])
+def test_match_pattern_refuses_what_compile_rule_refuses(subject):
+    # `F x` applies a pattern variable: compile_rule refuses it, and
+    # matching it must not answer, whatever the subject's head
+    pat = App(Var("F"), Var("x"))
+    with pytest.raises(RuleCompileError, match="occur bare"):
+        compile_rule("r", ("F", "x"), App(Const("f"), pat), Var("x"))
+    with pytest.raises(RuleCompileError, match="occur bare"):
+        match_pattern(pat, App(Const(subject), Const("a")))
+
+
 def test_whnf_beta(full_sig):
     red = full_sig.reducer()
     t = App(lam("x", None, Var("x")), Const("0"))

@@ -11,12 +11,15 @@ from morgandk import check, parser, theory
 from morgandk.check import (ConstInfo, Signature, TypeCheckError,
                             check_signature, infer)
 from morgandk.parser import ParseError, parse_file, parse_term, pretty
+from morgandk.rewrite import (DEFAULT_FUEL, Fuel, Holds, critical_pairs,
+                              joinable)
 from morgandk.surface import (CL, EXTERNAL, INTERNAL, L0, AApp, AEq, AFalse,
                               AFst, AInl, AInr, ALam, ANat, APair, APi, ARefl,
                               ASig, ASnd, ASucc, ASum, ATrue, ATt, AVar,
                               AZero, Level, encode, encode_context,
                               filling_example)
-from morgandk.terms import TYPE, App, Const, Var, alpha_eq, app, lam
+from morgandk.terms import (TYPE, App, Const, Record, Var, alpha_eq, app,
+                            lam)
 from morgandk.theory import (FULL_CONFIG, NAT_STRENGTHS, TheoryConfig,
                              blocks_for, build_theory,
                              first_attempt_signature, interval_face_rules)
@@ -54,6 +57,26 @@ def test_every_cubical_config_builds():
             cfg.t3_repletion, cfg.nat_morphism_strength,
             cfg.include_weak_univalence, cubical=True))
         assert "primCompTerm" in sig.consts
+
+
+def test_critical_pair_verdicts_of_every_configuration():
+    # the non-cubical rules overlap only in isoUp/isoDown, and under a
+    # definitional Nat morphism in natMorph/natMorphInv too, and every
+    # pair joins; the cubical ones add 91 pairs, of which exactly two
+    # path pairs at the root do not join
+    for cfg in _all_configs():
+        sig = build_theory(cfg)
+        pairs = critical_pairs(sig.rule_list())
+        bad = [(cp.rule1, cp.rule2, cp.position) for cp in pairs
+               if not isinstance(joinable(sig.reducer(Fuel(DEFAULT_FUEL)),
+                                          cp), Holds)]
+        definitional = cfg.nat_morphism_strength == "definitional"
+        if cfg.cubical:
+            assert len(pairs) == (95 if definitional else 93), cfg
+            assert bad == [("app.1", "app.2", ()), ("app.1", "app.3", ())], cfg
+        else:
+            assert len(pairs) == (4 if definitional else 2), cfg
+            assert bad == [], cfg
 
 
 def test_all_off_has_no_optional_constants():
@@ -162,7 +185,6 @@ def _rhs_sum(r):
 
 
 def test_first_attempt_alone_is_confluent(fa_sig):
-    from morgandk.rewrite import critical_pairs, joinable, Holds
     own = [r for r in fa_sig.rule_list() if r.head == "faceType"]
     red = fa_sig.reducer()
     assert all(isinstance(joinable(red, cp), Holds)
@@ -593,6 +615,34 @@ def test_cold_sweep_checks_each_file_once_per_key(cold_caches, monkeypatch):
     for cfg in _all_configs():
         build_theory(cfg)
     assert not files
+
+
+def test_cold_sweep_bookkeeping_prints_and_copies_nothing(cold_caches,
+                                                          monkeypatch):
+    # a miss reads what it stores off the names the check touched, and
+    # the dedupe of repeated results compares binder hints without
+    # printing: no signature copy, no repr, and the same work
+    calls = Counter()
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(Record, "__repr__")
+    counting(Signature, "copy")
+    counting(theory, "check_signature")
+    counting(check, "check_declaration")
+    for cfg in _all_configs():
+        build_theory(cfg)
+    assert calls == {"check_signature": 26, "check_declaration": 311}
+    calls.clear()
+    for cfg in _all_configs():
+        build_theory(cfg)
+    assert not calls
 
 
 class _Recording:
