@@ -25,7 +25,9 @@ pattern variables, and the checker does not look again.  Only
 `parse_term` keeps such an identifier as a free Var, for `reduce` and
 the oracles.  The parser keeps scope only: a rule must be headed by a
 declared constant, and whether that constant may take rules is the
-checker's decision (`check.check_rule`).
+checker's decision (`check.check_rule`).  The terms of one parse share
+their leaves: one Const per constant name, one Var per variable name and
+one Bound per index.
 """
 
 from __future__ import annotations
@@ -138,6 +140,19 @@ def tokenize(text: str, file: str = "<input>") -> list[_Tok]:
                          line, col))
 
 
+class _Leaves(dict):
+    """The leaves of one kind that a parse has built, one per key:
+    looking up a key that is not there builds `make(key)` and keeps it."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        leaf = self[key] = self.make(key)
+        return leaf
+
+
 class _Parser:
     def __init__(self, toks: list[_Tok], file: str, consts: set[str]):
         # one more eof: looking one token past the end is a plain index
@@ -153,6 +168,12 @@ class _Parser:
         # innermost last (a non-dependent arrow binds no name)
         self.depth = 0
         self.binders: dict[str, list[int]] = {}
+        # the leaves that every term of the parse shares, Const and Var
+        # apart: a pattern variable is never the object of a constant of
+        # its name
+        self.const_leaves = _Leaves(Const)
+        self.var_leaves = _Leaves(Var)
+        self.bound_leaves = _Leaves(Bound)
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -218,6 +239,8 @@ class _Parser:
         spells one."""
         toks, pos, depth = self.toks, self.pos, self.depth
         binders, consts, pat_vars = self.binders, self.consts, self.pat_vars
+        const_leaves, var_leaves = self.const_leaves, self.var_leaves
+        bound_leaves = self.bound_leaves
         stack: list[tuple] = []
         start: Optional[str] = "term"  # what to parse next
         done: Term  # the subterm just parsed, when `start` is None
@@ -253,15 +276,15 @@ class _Parser:
                 if text == "Type":
                     done = TYPE
                 elif depths := binders.get(text):
-                    done = Bound(depth - 1 - depths[-1])
+                    done = bound_leaves[depth - 1 - depths[-1]]
                 elif text in (pat_vars or ()):
-                    done = Var(text)
+                    done = var_leaves[text]
                 elif text in consts:
-                    done = Const(text)
+                    done = const_leaves[text]
                 elif pat_vars is not None:
                     self.fail(f"unbound identifier {text!r}", tok)
                 else:
-                    done = Var(text)
+                    done = var_leaves[text]
                 start = None
             # hand the finished subterm to the innermost open construction
             if not stack:

@@ -541,6 +541,21 @@ def test_cp_quarantine_merge_reports_pair(capsys):
     assert (code, out) == (code2, out2)
 
 
+def test_output_does_not_depend_on_the_hash_seed():
+    # a term's hash comes from salted string hashes, so no verdict and no
+    # printed order may follow it: the same bytes under two seeds
+    for argv, code in ((["cp", *CORPUS], 1),
+                       (["reduce", "--trace", "--format", "json-lines",
+                         "exDouble exTwo"], 0)):
+        first, second = (subprocess.run(
+            [sys.executable, "-m", "morgandk", *argv], capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1"))
+        assert first.returncode == code and first.stdout.count(b"\n") > 4
+        assert (second.returncode, second.stdout, second.stderr) == (
+            first.returncode, first.stdout, first.stderr)
+
+
 def test_cp_empty_file(capsys, tmp_path):
     empty = tmp_path / "empty.dk"
     empty.write_text("")

@@ -9,7 +9,7 @@ from morgandk.parser import (Definition, ParseError, RuleDecl, SourceSpan,
                              StaticConst, identifiers, parse_file,
                              parse_term, pretty, print_declaration, tokenize)
 from morgandk.terms import (TYPE, App, Bound, Const, Lam, Pi, Var, alpha_eq,
-                            app, lam, pi)
+                            app, lam, pi, subterms)
 from morgandk.theory import FULL_CONFIG, blocks_for
 
 
@@ -176,6 +176,56 @@ def test_each_binding_form_resolves():
 def test_parse_term_keeps_an_unbound_identifier_free():
     assert parse_term("Imin 1 i", frozenset({"Imin", "1"})) == App(
         App(Const("Imin"), Const("1")), Var("i"))
+
+
+def _leaf_objects(terms):
+    """For each distinct leaf of the terms, the ids of its occurrences."""
+    objects = {}
+    for t in terms:
+        for s, _ in subterms(t):
+            if s.__class__ in (Const, Var, Bound):
+                objects.setdefault(s, []).append(id(s))
+    return objects
+
+
+def _decl_terms(decls):
+    for d in decls:
+        match d:
+            case Definition(_, ty, body, _):
+                yield from (body,) if ty is None else (ty, body)
+            case RuleDecl(_, lhs, rhs, _):
+                yield from (lhs, rhs)
+            case _:
+                yield d.ty
+
+
+def test_a_file_parse_shares_its_leaves():
+    consts = set()
+    for path in sorted(THEORIES.glob("*.dk")):
+        decls = parse_file(path.read_text(encoding="utf-8"), str(path),
+                           consts)
+        objects = _leaf_objects(_decl_terms(decls))
+        assert max(map(len, objects.values())) > 1, path
+        assert all(len(set(ids)) == 1 for ids in objects.values()), path
+
+
+def test_a_pattern_variable_is_not_the_constant_of_its_name():
+    decls = parse_file("A : Type.\na : A.\ndef f : A -> A.\n"
+                       "[a] f a --> a.\n"
+                       "def g : A := f (f a).\ndef k : A := f a.\n"
+                       "def h : A -> A := x => f (f x).\n")
+    objects = _leaf_objects(_decl_terms(decls))
+    assert all(len(set(ids)) == 1 for ids in objects.values())
+    assert len(objects[Var("a")]) == 2 and len(objects[Const("a")]) == 2
+    assert objects[Var("a")][0] != objects[Const("a")][0]
+
+
+def test_a_term_parse_shares_its_leaves():
+    t = parse_term("f x (y => z => y x z y) x f z", frozenset({"f"}))
+    objects = _leaf_objects([t])
+    assert {leaf: len(ids) for leaf, ids in objects.items()} == {
+        Const("f"): 2, Var("x"): 3, Var("z"): 1, Bound(1): 2, Bound(0): 1}
+    assert all(len(set(ids)) == 1 for ids in objects.values())
 
 
 def test_parameterized_definition_sugar():

@@ -257,6 +257,18 @@ def test_hash_is_the_hash_of_the_compared_fields(t):
 
 
 @given(_terms())
+def test_every_node_keeps_the_hash_of_its_compared_fields(t):
+    # leaves included; the kept hash is no field, but it cannot be
+    # assigned either
+    for s in _subterms(t):
+        compared = tuple(getattr(s, f) for f in s.__match_args__
+                         if f != "var")  # a binder's name is a hint
+        assert s._h == hash(compared) == hash(s)
+        with pytest.raises(AttributeError):
+            s._h = s._h
+
+
+@given(_terms())
 def test_terms_are_slotted_and_frozen(t):
     for s in _subterms(t):
         assert not hasattr(s, "__dict__")
