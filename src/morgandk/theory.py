@@ -18,11 +18,14 @@ the signature before it and on what those lookups answered.  So a file
 is checked again only when something it read differs, not whenever an
 earlier file does: 26 file checks for the 96 configurations, and none
 for a warm build.  The bookkeeping costs what a check touched: a miss
-records each name's answer at its first lookup or write and stores
-what it installed from the names it wrote, with no copy of the
-signature; a hit installs its constants with one dict update; and a
-result that repeats an earlier one is found by `==` and a walk of the
-binder hints of the terms the two do not share, with nothing printed.
+records each name's answer at its first lookup or write and stores the
+values of the names it wrote, with no copy of the signature; a hit
+installs them with one dict update per namespace; and a result that
+repeats an earlier one is found by `==` and a walk of the binder hints
+of the terms the two do not share, with nothing printed.  Each answer
+and each stored value is one object, a constant's `ConstInfo` or a
+head's tuple of rules, so answers are compared by identity and the
+built signatures share the stored tuples.
 `write_theory_files` copies the selected files out, so the exported
 corpus is the shipped one byte for byte.
 
@@ -34,7 +37,6 @@ blocks by `first_attempt_signature`.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -137,21 +139,22 @@ def blocks_for(cfg: TheoryConfig) -> list[Path]:
 # path -> ((st_mtime_ns, st_size) of the file read, its identifiers,
 # {declared names among them: (the parse, {a key, the names a check of it
 # looked up in `sig.consts` and in `sig.rules`: {the ids of what `_read`
-# yields of that key: (what checking the parse installed, what `_read`
-# yielded)}})}).  Every namespace lookup the parser makes is on one of
+# answers to that key: (what checking the parse installed, what `_read`
+# answered)}})}).  Every namespace lookup the parser makes is on one of
 # the file's identifiers, so two namespaces that agree on them give
 # equal parses.  Declarations and terms are immutable, so the signatures
 # built from a parse share it.  A signature that answers a stored key's
 # lookups as stored runs that check again lookup for lookup, so any
-# stored key that matches is a valid hit.  What a check installed is its
-# constants, as (name, ConstInfo) pairs in order, and the new rules of
-# each head, in the order the check first wrote the heads: the heads it
-# created enter `sig.rules` of a hit in the order they entered it.
-# Answers are compared by identity, not `==`: `==` on terms ignores
-# binder hints, and an untyped `def` takes its type from its
-# dependencies' types as they are written.  A stored check keeps the
-# objects whose ids it is stored under alive, so no stored id is reused,
-# even after a rewritten file drops the checks that installed them.
+# stored key that matches is a valid hit.  What a check installed is the
+# final value of each name it wrote, as (name, value) pairs in the order
+# of first writes: each constant's ConstInfo and each head's whole tuple
+# of rules, so the names it created enter the dicts of a hit in the
+# order they entered them.  Answers are compared by identity, not `==`:
+# `==` on terms ignores binder hints, and an untyped `def` takes its
+# type from its dependencies' types as they are written.  A stored check
+# keeps the objects whose ids it is stored under alive, so no stored id
+# is reused, even after a rewritten file drops the checks that installed
+# them.
 _CACHE: dict[Path, tuple[tuple[int, int], frozenset[str], dict]] = {}
 
 
@@ -191,69 +194,50 @@ class _Noted:
     """A namespace of a signature under check: forwards the lookups and
     writes the checker makes, and records what the namespace held for
     each name at the first lookup or write of it, in `answers`: the
-    ConstInfo or None of a constant.  A write notes its name before it
-    writes, so each answer is what the namespace held before the check.
-    The names written go in `written`, a dict used as a set that keeps
-    the order of first writes.  Iterating the namespace, subscripting it
-    or calling any other dict method raises, so a checker that read a
-    namespace otherwise could not be cached under too few names."""
+    ConstInfo of a constant or the tuple of a head's rules, or None.  A
+    write notes its name before it writes, so each answer is what the
+    namespace held before the check.  The names written go in `written`,
+    a dict used as a set that keeps the order of first writes.
+    Iterating the namespace, subscripting it or calling any other dict
+    method raises, so a checker that read or wrote a namespace otherwise
+    could not be cached under too few names."""
 
     __slots__ = ("_data", "answers", "written")
 
     def __init__(self, data: dict):
         self._data, self.answers, self.written = data, {}, {}
 
-    def _note(self, name: str) -> None:
-        self.answers[name] = self._data.get(name)
-
     def get(self, name: str, default=None):
         if name not in self.answers:
-            self._note(name)
+            self.answers[name] = self._data.get(name)
         return self._data.get(name, default)
 
     def __contains__(self, name: str) -> bool:
-        if name not in self.answers:
-            self._note(name)
+        self.get(name)
         return name in self._data
 
-    def setdefault(self, name: str, default):
-        if name not in self.answers:
-            self._note(name)
-        self.written[name] = None
-        return self._data.setdefault(name, default)
-
     def __setitem__(self, name: str, value) -> None:
-        if name not in self.answers:
-            self._note(name)
+        self.get(name)
         self.written[name] = None
         self._data[name] = value
 
 
-class _NotedRules(_Noted):
-    """`_Noted` over `sig.rules`: the answer for a head is a tuple of
-    its rules, taken before the check appends to the head's list."""
-
-    __slots__ = ()
-
-    def _note(self, name: str) -> None:
-        self.answers[name] = tuple(self._data.get(name, ()))
-
-
-def _read(key: tuple[tuple[str, ...], tuple[str, ...]], sig: Signature):
-    """What `sig` answers to the lookups of `key`: the installed
-    ConstInfo (or None) of each name looked up in `sig.consts`, then the
-    rules of each name looked up in `sig.rules`, in order.  One flat
-    sequence of rules is exact, since a rule sits under its own head
-    only."""
-    consts, rules = key
-    return chain(map(sig.consts.get, consts),
-                 chain.from_iterable(map(sig.rules.get, rules, repeat(()))))
+def _read(key: tuple[tuple[str, ...], tuple[str, ...]], consts: dict,
+          rules: dict) -> tuple:
+    """What two namespaces answer to the lookups of `key`: the value (or
+    None) of each name looked up in `consts`, then that of each head
+    looked up in `rules`, in order.  Read from a signature's dicts, it
+    is what the signature answers; from a check's `_Noted.answers`, what
+    the signature answered before the check."""
+    names, heads = key
+    return (*map(consts.get, names), *map(rules.get, heads))
 
 
 def _terms(done: tuple) -> Iterator[Term | None]:
     """The terms of a check result that may hold binders, in order: each
-    constant's type and body (None for none), then each new rule's
-    right-hand side.  A left-hand side holds no binder."""
+    constant's type and body (None for none), then the right-hand side
+    of each rule of each written head.  A left-hand side holds no
+    binder."""
     consts, rules = done
     for _, info in consts:
         yield info.ty
@@ -282,14 +266,14 @@ def _check(parse: tuple, sig: Signature) -> None:
     in those answers, so a signature that answers the same runs it
     lookup for lookup.
 
-    A miss runs the check through `_Noted` namespaces and stores, from
-    what they recorded, the names looked up, what `sig` held for them
-    before the check, and what the check installed: the constants it
-    wrote and the new tail of each head's rules, read off the written
-    names alone.  A hit installs the stored constants with one
-    `dict.update`, which is what `add_const` one at a time would do:
-    `add_const` looked each name up, so the key holds it, and the stored
-    answer, which `sig` has just matched, was "absent".
+    A miss checks into a fresh signature over `_Noted` views of `sig`'s
+    dicts, and stores, from what they recorded, the names looked up,
+    what `sig` held for them before the check, and what the check
+    installed: the final value of each name it wrote.  A hit installs
+    the stored values with one `dict.update` per namespace, which is
+    what the check would do: it looked each written name up, so the key
+    holds it, and `sig` has just matched the stored answer, so each
+    written head's stored tuple extends the one `sig` holds.
 
     A check whose result equals an earlier one of the same parse,
     binder hints included, installs the earlier objects, so the files
@@ -300,35 +284,25 @@ def _check(parse: tuple, sig: Signature) -> None:
     nothing."""
     decls, checks = parse
     for key, states in checks.items():
-        hit = states.get(tuple(map(id, _read(key, sig))))
+        hit = states.get(tuple(map(id, _read(key, sig.consts, sig.rules))))
         if hit is not None:
-            consts, rules = hit[0]
-            sig.consts.update(consts)
-            for head, rs in rules:
-                sig.rules.setdefault(head, []).extend(rs)
-            return
-    plain = sig.consts, sig.rules
-    consts, rules = _Noted(plain[0]), _NotedRules(plain[1])
-    sig.consts, sig.rules = consts, rules
-    try:
-        check_signature(decls, sig=sig)
-    finally:
-        sig.consts, sig.rules = plain
-    key = (tuple(sorted(consts.answers)), tuple(sorted(rules.answers)))
-    read = (*map(consts.answers.__getitem__, key[0]),
-            *chain.from_iterable(map(rules.answers.__getitem__, key[1])))
-    done = (tuple((name, sig.consts[name]) for name in consts.written),
-            tuple((head, tuple(sig.rules[head][len(rules.answers[head]):]))
-                  for head in rules.written))
-    same = next((c for states in checks.values() for c, _ in states.values()
-                 if c == done and all(map(_same_hints, _terms(c),
-                                          _terms(done)))), None)
-    if same is not None:
-        sig.consts.update(same[0])
-        for (head, _), (_, old_rules) in zip(done[1], same[1]):
-            sig.rules[head][-len(old_rules):] = old_rules
-        done = same
-    checks.setdefault(key, {})[tuple(map(id, read))] = (done, read)
+            done = hit[0]
+            break
+    else:
+        view = Signature()
+        view.consts, view.rules = _Noted(sig.consts), _Noted(sig.rules)
+        check_signature(decls, sig=view)
+        consts, rules = view.consts, view.rules
+        key = (tuple(sorted(consts.answers)), tuple(sorted(rules.answers)))
+        read = _read(key, consts.answers, rules.answers)
+        done = (tuple((name, sig.consts[name]) for name in consts.written),
+                tuple((head, sig.rules[head]) for head in rules.written))
+        done = next((c for states in checks.values() for c, _ in
+                     states.values() if c == done and
+                     all(map(_same_hints, _terms(c), _terms(done)))), done)
+        checks.setdefault(key, {})[tuple(map(id, read))] = (done, read)
+    sig.consts.update(done[0])
+    sig.rules.update(done[1])
 
 
 def _build(paths: tuple[Path, ...]) -> Signature:

@@ -22,8 +22,7 @@ from morgandk.rewrite import (Fails as RFails, Fuel, Holds as RHolds,
 from morgandk.surface import (EXTERNAL, INTERNAL, AApp, ACoerce, AEq, AFst,
                               AIsoDown, AIsoUp, ALam, ALift, ANat, APair,
                               APi, ARefl, ASig, ASucc, AUniv, AVar, AZero,
-                              L0, Level, encode, encode_context,
-                              filling_example)
+                              L0, Level, encode, encode_context)
 from morgandk.terms import App, Const, Sort, alpha_eq, app, free_vars, msubst
 from morgandk.theory import (INTERVAL_FACE_HEADS, NAT_STRENGTHS,
                              TheoryConfig, build_theory, interval_face_rules)
@@ -197,7 +196,8 @@ def test_criterion_06_face_decoding_block(record, full_sig):
            "not the starting point itself; see the decisions ledger")
 def test_criterion_07_filling(record, full_sig):
     red = full_sig.reducer()
-    term, ty = filling_example()
+    fill = full_sig.consts["fillLine"]
+    term, ty = fill.body, fill.ty
     checks = True
     try:
         check(full_sig, {}, term, ty, red)

@@ -16,8 +16,7 @@ from morgandk.rewrite import (DEFAULT_FUEL, Fuel, Holds, critical_pairs,
 from morgandk.surface import (CL, EXTERNAL, INTERNAL, L0, AApp, AEq, AFalse,
                               AFst, AInl, AInr, ALam, ANat, APair, APi, ARefl,
                               ASig, ASnd, ASucc, ASum, ATrue, ATt, AVar,
-                              AZero, Level, encode, encode_context,
-                              filling_example)
+                              AZero, Level, encode, encode_context)
 from morgandk.terms import (TYPE, App, Const, Record, Var, alpha_eq, app,
                             lam)
 from morgandk.theory import (FULL_CONFIG, NAT_STRENGTHS, TheoryConfig,
@@ -306,13 +305,6 @@ def test_levels():
     assert Level("l0", 2).pred() == Level("l0", 1)
     with pytest.raises(ValueError):
         Level("l0").pred()
-
-
-def test_filling_example_shape(full_sig):
-    term, ty = filling_example()
-    red = full_sig.reducer()
-    got = infer(full_sig, {}, term, red)
-    assert red.conv(got, ty)
 
 
 def test_corpus_files_parse_as_their_own_reexport(tmp_path):
@@ -660,10 +652,6 @@ class _Recording:
         self.seen.add(key)
         return self.data.get(key, default)
 
-    def setdefault(self, key, default=None):
-        self.seen.add(key)
-        return self.data.setdefault(key, default)
-
     def __setitem__(self, key, value):
         self.data[key] = value
 
@@ -767,8 +755,18 @@ def test_a_check_that_reads_a_namespace_otherwise_raises(
     sig = Signature()
     with pytest.raises(TypeError):
         theory._check(theory._parse(blocks_for(TheoryConfig())[0], sig), sig)
-    # the failed check put the plain namespaces back
+    # the failed check left the signature's own dicts in place
     assert type(sig.consts) is dict and type(sig.rules) is dict
+
+    # rules are written only by `get` and then `[head] =`, both noted
+    def defaulting_check(decls, sig):
+        sig.rules.setdefault("Imin", ())
+        return check_file(decls, sig=sig)
+
+    monkeypatch.setattr(theory, "check_signature", defaulting_check)
+    with pytest.raises(AttributeError):
+        build_theory(TheoryConfig())
+    assert list(_checks().values()) == [{}]
 
 
 def test_checks_keep_binder_hints_apart(cold_caches, tmp_path):
@@ -795,11 +793,34 @@ def test_mutating_a_built_signature_leaves_the_next_build_unchanged(
     before = _shown(sig)
     sig.consts["Imin"] = ConstInfo("Imin", TYPE, static=True, body=None)
     del sig.consts["cL"]
-    sig.rules["Imin"].clear()
-    sig.rules["sym"].append(sig.rules["Imax"][0])
+    with pytest.raises(AttributeError):
+        sig.rules["sym"].append(sig.rules["Imax"][0])
+    sig.rules["Imin"] = ()
+    sig.rules["sym"] += (sig.rules["Imax"][0],)
     for name in reversed(list(sig.consts)):  # the declaration order
         sig.consts[name] = sig.consts.pop(name)
     assert _shown(build_theory(FULL_CONFIG)) == before
+
+
+def test_a_signature_copy_shares_rules_until_a_head_is_replaced(full_sig):
+    before = _shown(full_sig)
+    own = full_sig.copy()
+    assert all(own.rules[head] is rs for head, rs in full_sig.rules.items())
+    own.rules["Imin"] = ()
+    own.add_rule(full_sig.rules["Imax"][0])
+    assert own.rules["Imax"][:-1] == full_sig.rules["Imax"]
+    assert _shown(full_sig) == before
+
+
+def test_built_signatures_hold_the_stored_rule_tuples(cold_caches):
+    built = [build_theory(cfg) for cfg in _all_configs()]
+    stored = [done for checks in _checks().values()
+              for states in checks.values() for done, _ in states.values()]
+    assert (len(stored), len({id(done) for done in stored})) == (26, 17)
+    tuples = {id(rs) for done in stored for _, rs in done[1]}
+    for sig in built:
+        for head, rs in sig.rules.items():
+            assert type(rs) is tuple and id(rs) in tuples, head
 
 
 def test_failed_check_raises_as_check_signature_and_caches_nothing(
